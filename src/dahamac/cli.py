@@ -23,7 +23,8 @@ from itertools import product
 
 from .field import Scalar, render_scalar, scalar_to_json
 from .laurent import LaurentPoly, render_poly, poly_to_json, poly_from_json
-from .rep import RepContext, verify_daha_relations, apply_operator_expr
+from .rep import RepContext, verify_daha_relations, apply_operator_expr, \
+    degrees_upto, _monomials_upto
 from . import affine
 from .nonsym import E, check_record, knop_sahi_check, verify_triangular
 from .symmetric import P, is_orbit_index, verify_spectrum
@@ -144,14 +145,14 @@ def cmd_apply(config: SessionConfig, expr, poly_text=None, poly_file=None,
                 text = fh.read()
         try:
             p = poly_from_json(json.loads(text))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"cannot parse polynomial JSON: {exc}")
         if (p.r, p.n) != (config.r, config.n) or p.k != config.q_count:
             raise UsageError("polynomial shape does not match --n/--r/"
                              "--q-count")
     try:
         image = apply_operator_expr(config.ctx(), expr, p)
-    except ValueError as exc:
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise UsageError(str(exc))
     if config.fmt == "json":
         return json.dumps({"expr": expr, "poly": poly_to_json(image)},
@@ -163,24 +164,12 @@ def cmd_apply(config: SessionConfig, expr, poly_text=None, poly_file=None,
 # verification suites
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _indices_upto(n, r, bound):
-    """Index tuples with componentwise multidegree at most bound."""
-    pools = []
-    for b in bound:
-        rows = []
-        for total in range(b + 1):
-            rows.extend(_compositions(total, n))
-        pools.append(sorted(rows))
-    return sorted(tuple(combo) for combo in product(*pools))
+def _indices_upto(config):
+    """Index tuples with componentwise multidegree at most the bound,
+    ascending."""
+    n = config.n
+    return [tuple(flat[i:i + n] for i in range(0, len(flat), n))
+            for flat in sorted(_monomials_upto(config.ctx(), config.bound()))]
 
 
 def _suite_daha(config):
@@ -194,7 +183,7 @@ def _suite_eigen(config):
     ctx = config.ctx()
     rows, weights = [], []
     ok_all = True
-    for mu in _indices_upto(config.n, config.r, config.bound()):
+    for mu in _indices_upto(config):
         rec = E(ctx, mu)
         ok = check_record(ctx, rec)
         ok_all = ok_all and ok
@@ -228,7 +217,7 @@ def _suite_knop_sahi(config):
     ctx = config.ctx()
     rows = []
     ok_all = True
-    for mu in _indices_upto(config.n, config.r, config.bound()):
+    for mu in _indices_upto(config):
         moves = _admissible_moves(config.n, config.r, mu)
         raising = all(knop_sahi_check(ctx, mu, move) for move in moves
                       if move[0] != "shift")
@@ -246,22 +235,18 @@ def _suite_triangular(config):
     ctx = config.ctx()
     rows = []
     ok_all = True
-    for mu in _indices_upto(config.n, config.r, config.bound()):
+    for mu in _indices_upto(config):
         ok = verify_triangular(ctx, mu[0], mu[1:])
         ok_all = ok_all and ok
         rows.append({"name": format_index(mu), "ok": ok})
     return ok_all, rows
 
 
-def _degrees_upto(bound):
-    return sorted(product(*[range(b + 1) for b in bound]))
-
-
 def _suite_symmetric(config):
     ctx = config.ctx()
     rows = []
     ok_all = True
-    for d in _degrees_upto(config.bound()):
+    for d in degrees_upto(config.bound()):
         report = verify_spectrum(ctx, config.n, config.r, d)
         ok_all = ok_all and report["ok"]
         bad = [format_index(row["index"]) for row in report["indices"]
@@ -410,8 +395,14 @@ def _add_common(sub, with_bound=False):
                          help="componentwise degree bound, e.g. \"2,1\"")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """One line on stderr and exit code 2, like every input fault."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dahamac",
         description="higher rank Macdonald polynomials, exactly")
     cmds = ap.add_subparsers(dest="command", required=True)
@@ -505,18 +496,15 @@ def main(argv=None):
     args = build_parser().parse_args(_merge_negative_values(list(argv)))
     try:
         code, text = _dispatch(args)
-    except UsageError as exc:
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

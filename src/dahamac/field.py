@@ -10,8 +10,8 @@ Canonical form of a Scalar: gcd(num, den) is a unit, the integer
 content of den is positive (the sign rides on the lexicographically
 leading denominator coefficient), and zero is 0/1.  Every operation
 returns canonical output, so representation equality implies field
-equality; scalar_eq still cross-multiplies so that it is correct on
-any inputs.
+equality; == still cross-multiplies so that it is correct on any
+inputs.
 
 GCDs use a Zippel-style heuristic (evaluate at a large integer,
 reconstruct by balanced digits, verify by exact division) with a
@@ -20,7 +20,6 @@ primitive/subresultant PRS as the verified fallback.
 
 from __future__ import annotations
 
-import json
 from math import gcd as igcd
 
 
@@ -594,23 +593,7 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
-# spec-level operation names
-
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def scalar_inv(a: Scalar) -> Scalar:
-    return a.inv()
-
-
-def scalar_eq(a: Scalar, b: Scalar) -> bool:
-    return a == b
+# parameter relabelling
 
 
 def shift_params(a: Scalar, k: int) -> Scalar:
@@ -700,7 +683,11 @@ def _poly_to_json(p):
 def _poly_from_json(items):
     out = {}
     for c, m in items:
-        out[tuple(int(e) for e in m)] = int(c)
+        m = tuple(int(e) for e in m)
+        if not int(c) or any(e < 0 for e in m):
+            raise ValueError("scalar JSON needs nonzero coefficients and "
+                             "nonnegative exponents")
+        out[m] = int(c)
     return out
 
 
@@ -709,10 +696,13 @@ def scalar_to_json(s: Scalar) -> dict:
 
 
 def scalar_from_json(d) -> Scalar:
+    """Decode scalar_to_json output into canonical form; ValueError on
+    an empty denominator or exponents of unequal or zero length."""
     num = _poly_from_json(d["num"])
     den = _poly_from_json(d["den"])
-    return Scalar(num, den, reduced=True)
-
-
-def scalar_dumps(s: Scalar) -> str:
-    return json.dumps(scalar_to_json(s), sort_keys=True)
+    if not den:
+        raise ValueError("scalar JSON has an empty denominator")
+    lengths = {len(m) for m in (*num, *den)}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValueError("scalar JSON exponents differ in length")
+    return Scalar(num, den)

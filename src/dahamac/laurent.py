@@ -55,9 +55,6 @@ class LaurentPoly:
         rows[i - 1][j - 1] = e
         return LaurentPoly.monomial(r, n, k, rows)
 
-    def row(self, flat, i):
-        return flat[(i - 1) * self.n: i * self.n]
-
     def _check(self, other):
         if (self.r, self.n, self.k) != (other.r, other.n, other.k):
             raise ValueError("polynomial shape mismatch")
@@ -157,18 +154,6 @@ class LaurentPoly:
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-
-def poly_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
-def poly_scalar_mul(c: Scalar, p: LaurentPoly) -> LaurentPoly:
-    return p.smul(c)
 
 
 def swap_vars(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
@@ -329,11 +314,20 @@ def poly_to_json(p: LaurentPoly) -> dict:
 
 
 def poly_from_json(d) -> LaurentPoly:
+    """Decode poly_to_json output; ValueError unless every term has r
+    exponent rows of n integers and a nonzero coefficient in params
+    parameters."""
     r, n, k = d["r"], d["n"], d["params"]
     terms = {}
     for item in d["terms"]:
-        flat = tuple(e for row in item["exp"] for e in row)
-        terms[flat] = scalar_from_json(item["coeff"])
+        rows = item["exp"]
+        if len(rows) != r or any(len(row) != n for row in rows):
+            raise ValueError(f"exponent rows must be {r} rows of {n}")
+        c = scalar_from_json(item["coeff"])
+        if c.is_zero() or c.nparams() != k:
+            raise ValueError(f"coefficients must be nonzero, in {k} "
+                             "q-parameters")
+        terms[tuple(int(e) for row in rows for e in row)] = c
     return LaurentPoly(r, n, k, terms)
 
 

@@ -46,17 +46,8 @@ def rref(rows):
     return mat, pivots
 
 
-def nullspace(rows, ncols=None, k=None):
-    """Basis of {x : A x = 0} for A given as a list of rows."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("need ncols for an empty matrix")
-        basis = []
-        for j in range(ncols):
-            v = [Scalar.zero(k) for _ in range(ncols)]
-            v[j] = Scalar.one(k)
-            basis.append(v)
-        return basis
+def nullspace(rows):
+    """Basis of {x : A x = 0} for a nonempty A given as a list of rows."""
     ncols = len(rows[0])
     k = rows[0][0].nparams()
     mat, pivots = rref(rows)
@@ -109,7 +100,7 @@ def joint_left_kernel(mats, shifts):
         for j in range(dim):
             shifted[j][j] = shifted[j][j] - a
         constraint = [mat_vec_rows(v, shifted) for v in kernel]
-        coeffs = nullspace(transpose(constraint), ncols=len(kernel), k=k)
+        coeffs = nullspace(transpose(constraint))
         new_kernel = []
         for c in coeffs:
             v = [Scalar.zero(k) for _ in range(dim)]

@@ -242,19 +242,25 @@ def _y_matrices(ctx: RepContext, d):
     return hit
 
 
-def _kernel_vector_to_poly(ctx, basis, vec):
-    terms = {}
-    for m, c in zip(basis, vec):
-        if not c.is_zero():
-            terms[m] = c
-    return LaurentPoly(ctx.r, ctx.n, ctx.k, terms)
+def _theta_matrices(ctx: RepContext, d):
+    return [matrix_of(ctx, lambda p, i=i: apply_theta(ctx, i, p), d)
+            for i in range(1, ctx.n + 1)]
+
+
+def _joint_eigenvector(ctx: RepContext, mats, weight, d) -> LaurentPoly:
+    """The vector v with v M_i = weight_i v for every i, unique up to
+    scale, as a polynomial on the component of multidegree d."""
+    kernel = joint_left_kernel(mats, list(weight))
+    if len(kernel) != 1:
+        raise ArithmeticError(f"joint eigenspace on component {d} has "
+                              f"dimension {len(kernel)}")
+    return LaurentPoly(ctx.r, ctx.n, ctx.k,
+                       {m: c for m, c in zip(component_basis(ctx, d),
+                                             kernel[0]) if not c.is_zero()})
 
 
 def _normalize_leading(poly):
-    for m in sorted(poly.terms):
-        lead = poly.terms[m]
-        return poly.smul(lead.inv())
-    return poly
+    return poly.smul(poly.terms[min(poly.terms)].inv())
 
 
 def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
@@ -263,27 +269,15 @@ def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
     mu_tuple = _normalize_index(mu_tuple, ctx.n)
     if any(e < 0 for comp in mu_tuple for e in comp):
         raise ValueError("oracle needs a nonnegative index")
-    d = tuple(sum(comp) for comp in mu_tuple)
-    alpha = weight_of(ctx, mu_tuple)
-    basis = component_basis(ctx, d)
-    mats = _y_matrices(ctx, d)
-    kernel = joint_left_kernel(mats, list(alpha))
-    if len(kernel) != 1:
-        raise ArithmeticError(
-            f"joint eigenspace at {mu_tuple} has dimension {len(kernel)}")
-    return _normalize_leading(_kernel_vector_to_poly(ctx, basis, kernel[0]))
+    d = index_multidegree(mu_tuple)
+    return _normalize_leading(_joint_eigenvector(
+        ctx, _y_matrices(ctx, d), weight_of(ctx, mu_tuple), d))
 
 
 def eigen_oracle_theta(ctx: RepContext, target_weight, d) -> LaurentPoly:
     """Joint theta-eigenvector for a target weight on a component."""
-    basis = component_basis(ctx, d)
-    mats = [matrix_of(ctx, lambda p, i=i: apply_theta(ctx, i, p), d)
-            for i in range(1, ctx.n + 1)]
-    kernel = joint_left_kernel(mats, list(target_weight))
-    if len(kernel) != 1:
-        raise ArithmeticError(
-            f"joint theta eigenspace has dimension {len(kernel)}")
-    return _normalize_leading(_kernel_vector_to_poly(ctx, basis, kernel[0]))
+    return _normalize_leading(_joint_eigenvector(
+        ctx, _theta_matrices(ctx, d), target_weight, d))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +293,9 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
     E(mu)'s top monomial, because T_j swaps positions j, j+1 in every
     group: s_j must fix gamma's rows before ell and raise row ell in the
     Bruhat order, and the target is the index whose gamma is s_j
-    applied to every row.  The shift move checks the factor-free
-    relation E(mu + c omega_j) = x-underbar_j^(c omega) E(mu); the
-    general relation carries the q-monomial shift_factor.
+    applied to every row.  The shift move checks the q-corrected
+    relation E(mu + c omega_j) = shift_factor * x-underbar_j^(c omega)
+    E(mu).
     """
     mu_tuple = _normalize_index(mu_tuple, ctx.n)
     base = E(ctx, mu_tuple)
@@ -338,7 +332,9 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
         flat = [0] * (ctx.r * ctx.n)
         for pos in range(ctx.n):
             flat[(j - 1) * ctx.n + pos] = c
-        return E(ctx, target).poly == base.poly.mul_monomial(tuple(flat))
+        rhs = base.poly.mul_monomial(tuple(flat))
+        return E(ctx, target).poly == \
+            rhs.smul(shift_factor(ctx, mu_tuple, j, c))
     raise ValueError(f"unknown move kind {kind!r}")
 
 

@@ -27,7 +27,7 @@ group, and Delta_n = eps (Y_1 + ... + Y_n - [n]_t) eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import product
 
 from .field import Scalar
 from .laurent import LaurentPoly, swap_vars, xi
@@ -190,15 +190,20 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
     return p.smul(norm.inv())
 
 
+def t_bracket(ctx: RepContext) -> Scalar:
+    """[n]_t = 1 + t + ... + t^(n-1)."""
+    total = Scalar.zero(ctx.k)
+    for e in range(ctx.n):
+        total = total + Scalar.t(ctx.k, e)
+    return total
+
+
 def apply_Delta_n(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
     inner = symmetrize_eps(ctx, p)
     acc = ctx.zero()
     for i in range(1, ctx.n + 1):
         acc = acc + apply_Y(ctx, i, inner)
-    bracket = Scalar.zero(ctx.k)
-    for e in range(ctx.n):
-        bracket = bracket + Scalar.t(ctx.k, e)
-    acc = acc - inner.smul(bracket)
+    acc = acc - inner.smul(t_bracket(ctx))
     return symmetrize_eps(ctx, acc)
 
 
@@ -252,7 +257,8 @@ def _coeff_from_parts(parts, k):
         elif base.startswith("q") and base[1:].isdigit():
             c = c * Scalar.q(int(base[1:]), k, e)
         elif base.lstrip("-").isdigit():
-            c = c * Scalar.integer(int(base) ** e, k)
+            f = Scalar.integer(int(base) ** abs(e), k)
+            c = c * (f if e >= 0 else f.inv())
         else:
             raise ValueError(f"unknown token {tok!r} in operator expression")
     return c
@@ -282,7 +288,22 @@ def apply_operator_expr(ctx: RepContext, expr, p: LaurentPoly) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# matrices on graded components
+# index sets and matrices on graded components
+
+
+def compositions(total, n):
+    """Rows of n nonnegative integers with sum total, ascending lex."""
+    if n == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, n - 1):
+            yield (head,) + rest
+
+
+def degrees_upto(bound):
+    """Multidegrees componentwise at most bound, in lex order."""
+    return product(*(range(b + 1) for b in bound))
 
 
 def component_basis(ctx: RepContext, d):
@@ -290,20 +311,13 @@ def component_basis(ctx: RepContext, d):
     exponent tuple."""
     if len(d) != ctx.r:
         raise ValueError("multidegree length mismatch")
-
-    def rows(total):
-        for spots in combinations_with_replacement(range(ctx.n), total):
-            row = [0] * ctx.n
-            for s in spots:
-                row[s] += 1
-            yield tuple(row)
-
     flats = [()]
     for di in d:
         if di < 0:
             raise ValueError("negative multidegree has no positive component")
-        flats = [f + row for f in flats for row in rows(di)]
-    return sorted(flats)
+        rows = list(compositions(di, ctx.n))
+        flats = [f + row for f in flats for row in rows]
+    return flats
 
 
 def matrix_of(ctx: RepContext, op, d):
@@ -331,17 +345,8 @@ def matrix_of(ctx: RepContext, op, d):
 
 
 def _monomials_upto(ctx, bound):
-    for d in _degrees_upto(bound):
+    for d in degrees_upto(bound):
         yield from component_basis(ctx, d)
-
-
-def _degrees_upto(bound):
-    if not bound:
-        yield ()
-        return
-    for head in range(bound[0] + 1):
-        for rest in _degrees_upto(bound[1:]):
-            yield (head,) + rest
 
 
 def verify_daha_relations(ctx: RepContext, degree_bound) -> dict:

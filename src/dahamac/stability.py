@@ -28,8 +28,7 @@ from .field import Scalar
 from .laurent import LaurentPoly, is_positive
 from .rep import RepContext, apply_T, apply_theta, apply_Delta_n, \
     symmetrize_eps, _monomials_upto
-from .symmetric import SymMacdonaldRecord, P, delta_eigenvalue, \
-    is_orbit_index
+from .symmetric import P, delta_eigenvalue, is_orbit_index
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def project(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(p.r, n, p.k, out)
 
 
-def verify_quotient_relations(n, r, degree_bound, k=None, q_offset=0):
+def verify_quotient_relations(n, r, degree_bound, k=None):
     """Exhaustive check of the four truncation identities.
 
     T- and theta-commutation and the theta_{n+1} - t^n annihilation
@@ -97,9 +96,9 @@ def verify_quotient_relations(n, r, degree_bound, k=None, q_offset=0):
     subspace where Delta is defined.
     """
     if k is None:
-        k = r + q_offset
-    big = RepContext(n + 1, r, k, q_offset)
-    small = RepContext(n, r, k, q_offset)
+        k = r
+    big = RepContext(n + 1, r, k)
+    small = RepContext(n, r, k)
     tn = Scalar.t(k, n)
     report = {"n": n, "r": r, "bound": tuple(degree_bound), "ok": True}
     identities = {}
@@ -146,7 +145,7 @@ def kill_index(n, r):
     return ((1,) * n,) + ((0,) * n,) * (r - 1)
 
 
-def verify_P_stability(nu: StableIndex, n, k=None, q_offset=0) -> bool:
+def verify_P_stability(nu: StableIndex, n, k=None) -> bool:
     """True iff projecting the size-(n+1) member gives the size-n one.
 
     Also requires the kill case: the polynomial of an index with a
@@ -155,9 +154,9 @@ def verify_P_stability(nu: StableIndex, n, k=None, q_offset=0) -> bool:
     if n < max(nu.ell, 1):
         raise ValueError("n must be at least the maximal component length")
     if k is None:
-        k = nu.r + q_offset
-    big = RepContext(n + 1, nu.r, k, q_offset)
-    small = RepContext(n, nu.r, k, q_offset)
+        k = nu.r
+    big = RepContext(n + 1, nu.r, k)
+    small = RepContext(n, nu.r, k)
     compatible = project(P(big, iota(nu, n + 1)).poly) == \
         P(small, iota(nu, n)).poly
     killed = project(P(big, kill_index(n + 1, nu.r)).poly).is_zero()
@@ -192,14 +191,14 @@ class StableFamily:
         return not self.errors
 
 
-def remark_eigenvalue(nu: StableIndex, k=None, q_offset=0):
+def remark_eigenvalue(nu: StableIndex, k=None):
     """Partition-shape eigenvalue sum_i (prod_j q_j^-nu(j)_i - 1) t^(i-1).
 
     Defined only when every component is a partition (weakly
     decreasing); returns None otherwise.
     """
     if k is None:
-        k = nu.r + q_offset
+        k = nu.r
     for c in nu.components:
         if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
             return None
@@ -209,13 +208,13 @@ def remark_eigenvalue(nu: StableIndex, k=None, q_offset=0):
         for j, c in enumerate(nu.components, start=1):
             part = c[i] if i < len(c) else 0
             if part:
-                qexps[j + q_offset] = -part
+                qexps[j] = -part
         total = total + (Scalar.param_monomial(k, 0, qexps)
                          - Scalar.one(k)) * Scalar.t(k, i)
     return total
 
 
-def stable_family(nu: StableIndex, n_max, k=None, q_offset=0) -> StableFamily:
+def stable_family(nu: StableIndex, n_max, k=None) -> StableFamily:
     """Build the chain of records for n from max(ell, 1) to n_max.
 
     Every expected property is checked and reported in the verdict
@@ -227,10 +226,10 @@ def stable_family(nu: StableIndex, n_max, k=None, q_offset=0) -> StableFamily:
         raise ValueError("n_max must be at least the maximal component "
                          "length")
     if k is None:
-        k = nu.r + q_offset
+        k = nu.r
     members = {}
     for n in range(start, n_max + 1):
-        ctx = RepContext(n, nu.r, k, q_offset)
+        ctx = RepContext(n, nu.r, k)
         members[n] = P(ctx, iota(nu, n))
     errors = []
     projections = {}
@@ -247,14 +246,14 @@ def stable_family(nu: StableIndex, n_max, k=None, q_offset=0) -> StableFamily:
             errors.append(f"eigenvalue n-dependence detected: the value "
                           f"at size {n} differs from the value at size "
                           f"{start}")
-    stable_value = delta_eigenvalue(RepContext(start, nu.r, k, q_offset),
+    stable_value = delta_eigenvalue(RepContext(start, nu.r, k),
                                     gamma_inverse(iota(nu, start)))
     matches_stable_formula = all(
         members[n].eigenvalue == stable_value for n in members)
     if not matches_stable_formula:
         errors.append("stable closed-form eigenvalue differs from the "
                       "computed eigenvalue at some size in range")
-    remark_value = remark_eigenvalue(nu, k, q_offset)
+    remark_value = remark_eigenvalue(nu, k)
     matches_remark = None
     if remark_value is not None:
         matches_remark = all(

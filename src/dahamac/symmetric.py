@@ -19,9 +19,9 @@ from . import affine
 from .field import Scalar
 from .laurent import LaurentPoly
 from .rep import RepContext, apply_T, apply_Delta_n, symmetrize_eps, \
-    matrix_of, component_basis
-from .nonsym import E, weight_of
-from .linalg import rref, joint_left_kernel, transpose, mat_vec_rows
+    matrix_of, compositions, t_bracket
+from .nonsym import E, weight_of, _joint_eigenvector, _theta_matrices
+from .linalg import rref, transpose
 
 
 @dataclass(frozen=True)
@@ -48,21 +48,12 @@ def is_orbit_index(nu_tuple) -> bool:
     return all(cols[i] >= cols[i + 1] for i in range(len(cols) - 1))
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def enumerate_orbit_indices(n, r, d):
     """All orbit indices with component degrees d, ascending."""
     if len(d) != r:
         raise ValueError("degree tuple length must equal r")
     out = []
-    pools = [list(_compositions(dj, n)) for dj in d]
+    pools = [list(compositions(dj, n)) for dj in d]
     for nu in product(*pools):
         if is_orbit_index(nu):
             out.append(nu)
@@ -70,19 +61,15 @@ def enumerate_orbit_indices(n, r, d):
     return out
 
 
-def delta_eigenvalue(ctx: RepContext, nu_tuple) -> Scalar:
-    """sum_i (q_1^-gamma(1)(i) ... q_r^-gamma(r)(i) - 1) t^(n-sigma(i))."""
-    nu_tuple = tuple(tuple(int(e) for e in comp) for comp in nu_tuple)
-    gamma, sigma = affine.gamma_sigma(nu_tuple)
-    total = Scalar.zero(ctx.k)
-    for i in range(1, ctx.n + 1):
-        qexps = {}
-        for ell, g in enumerate(gamma, start=1):
-            if g[i - 1]:
-                qexps[ell + ctx.q_offset] = -g[i - 1]
-        qpart = Scalar.param_monomial(ctx.k, 0, qexps)
-        tpart = Scalar.t(ctx.k, ctx.n - sigma[i - 1])
-        total = total + (qpart - Scalar.one(ctx.k)) * tpart
+def delta_eigenvalue(ctx: RepContext, mu_tuple) -> Scalar:
+    """sum_i (q_1^-gamma(1)(i) ... q_r^-gamma(r)(i) - 1) t^(n-sigma(i)).
+
+    With gamma, sigma = gamma_sigma(mu) this is the sum of the Y-weight
+    of E(mu) minus [n]_t, because sigma permutes 1..n.
+    """
+    total = -t_bracket(ctx)
+    for w in weight_of(ctx, mu_tuple):
+        total = total + w
     return total
 
 
@@ -144,62 +131,46 @@ def verify_spectrum(ctx, n, r, d) -> dict:
             "count_matches_dim": count_ok}
 
 
-def _theta_matrices(ctx, d):
-    from .rep import apply_theta
-    return [matrix_of(ctx, lambda p, i=i: apply_theta(ctx, i, p), d)
-            for i in range(1, ctx.n + 1)]
-
-
 def paper_normalization(ctx: RepContext, nu_tuple) -> Scalar:
     """Scalar making the matching dual-weight coordinate equal to 1.
 
-    The symmetrized polynomial is expanded against the joint
-    theta-eigenvector whose weight equals the Y-weight of E(nu); that
+    nu is read as P reads it: the symmetrized polynomial is eps(E(mu))
+    with mu = gamma_inverse(nu), expanded against the joint
+    theta-eigenvector whose weight equals the Y-weight of E(mu); that
     eigenvector is taken monic at its lexicographically greatest
     exponent.  The returned scalar s is the unique one for which
-    s * eps(E(nu)) has coordinate 1 there.
+    s * eps(E(mu)) has coordinate 1 there.
     """
     nu_tuple = tuple(tuple(int(e) for e in comp) for comp in nu_tuple)
     if not is_orbit_index(nu_tuple):
         raise ValueError("not an orbit index")
     if any(e < 0 for comp in nu_tuple for e in comp):
         raise ValueError("positive indices only")
-    alpha = list(weight_of(ctx, nu_tuple))
+    mu = affine.gamma_inverse(nu_tuple)
+    alpha = weight_of(ctx, mu)
     d = tuple(sum(comp) for comp in nu_tuple)
-    basis = component_basis(ctx, d)
-    sym = symmetrize_eps(ctx, E(ctx, nu_tuple).poly)
+    sym = symmetrize_eps(ctx, E(ctx, mu).poly)
     if sym.is_zero():
-        raise ArithmeticError(f"symmetrizer kills E at {nu_tuple}")
+        raise ArithmeticError(f"symmetrizer kills E at {mu}")
     mats = _theta_matrices(ctx, d)
-    kernel = joint_left_kernel(mats, alpha)
-    if len(kernel) != 1:
-        raise ArithmeticError(
-            f"dual weight space at {nu_tuple} has dimension {len(kernel)}")
-    v_f = kernel[0]
-    # monic at the lex-greatest exponent present in the eigenvector
-    best = None
-    for m, c in zip(basis, v_f):
-        if not c.is_zero() and (best is None or m > best[0]):
-            best = (m, c)
-    v_f = [c / best[1] for c in v_f]
+    v_f = _joint_eigenvector(ctx, mats, alpha, d)
+    v_f = v_f.smul(v_f.terms[max(v_f.terms)].inv())
     # dual pairing vector: column eigenvector for the same weight
-    dual = joint_left_kernel([transpose(m) for m in mats], alpha)
-    if len(dual) != 1:
-        raise ArithmeticError("dual pairing vector not unique")
-    u = dual[0]
-    pair_f = _dot([*v_f], u, ctx.k)
+    u = _joint_eigenvector(ctx, [transpose(m) for m in mats], alpha, d)
+    pair_f = _pair(v_f, u)
     if pair_f.is_zero():
         raise ArithmeticError("degenerate dual pairing")
-    v_sym = [sym.terms.get(m, Scalar.zero(ctx.k)) for m in basis]
-    coord = _dot(v_sym, u, ctx.k) / pair_f
+    coord = _pair(sym, u) / pair_f
     if coord.is_zero():
         raise ArithmeticError(
             f"matching dual coordinate vanishes at {nu_tuple}")
     return coord.inv()
 
 
-def _dot(a, b, k):
-    total = Scalar.zero(k)
-    for x, y in zip(a, b):
-        total = total + x * y
+def _pair(a: LaurentPoly, b: LaurentPoly) -> Scalar:
+    """Sum of the products of the coefficients a and b share."""
+    total = Scalar.zero(a.k)
+    for m, c in a.terms.items():
+        if m in b.terms:
+            total = total + c * b.terms[m]
     return total

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dahamac.cli import main, parse_index, parse_ragged
 from dahamac.field import Scalar
@@ -39,9 +42,12 @@ def test_parse_ragged():
     assert parse_ragged("|1") == ((), (1,))
 
 
-def test_missing_required_flag_exits_via_argparse():
-    with pytest.raises(SystemExit):
+def test_missing_required_flag_exits_via_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["e", "--n", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +164,85 @@ def test_apply_wants_exactly_one_input(capsys):
     assert code == 2
 
 
+def test_apply_generator_out_of_range(capsys):
+    code, _, err = run(capsys, "apply", "--n", "2", "--mu", "1,0",
+                       "--expr", "T5")
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_apply_poly_with_empty_denominator(capsys):
+    poly = {"r": 1, "n": 2, "params": 1, "terms": [
+        {"exp": [[1, 0]], "coeff": {"num": [["1", [0, 0]]], "den": []}}]}
+    code, _, err = run(capsys, "apply", "--n", "2", "--expr", "T1",
+                       "--poly", json.dumps(poly))
+    assert code == 2 and "denominator" in err and err.count("\n") == 1
+
+
+def test_missing_files_exit_with_one_line(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "file")
+    for argv in (("--poly-file", missing), ("--mu", "1,0", "--out", missing)):
+        code, _, err = run(capsys, "apply", "--n", "2", "--expr", "T1", *argv)
+        assert code == 2 and err.startswith("error:")
+        assert err.count("\n") == 1
+
+
+def test_apply_integer_coefficients_stay_exact(capsys):
+    code, out, _ = run(capsys, "apply", "--n", "2", "--mu", "1,0",
+                       "--expr", "2^-1 T1")
+    assert code == 0
+    assert out == "((-t + 1)/2)*x[1,1] + 1/2*x[1,2]\n"
+    code, _, err = run(capsys, "apply", "--n", "2", "--mu", "1,0",
+                       "--expr", "0^-1 T1")
+    assert code == 2 and err.startswith("error:")
+
+
+_EXPR_TOKENS = ("T1", "T2", "T5", "Tinv1", "X1", "X3", "Xinv2", "pi", "t",
+                "t^-2", "q1", "q2^3", "q9", "2", "-3", "0^-1", "2^-1", "+",
+                "x", "^", "T")
+_MONOMIAL = st.lists(st.integers(-1, 2), max_size=3)
+_PARAM_POLY = st.lists(
+    st.tuples(st.sampled_from(["1", "-2", "0", "x"]), _MONOMIAL).map(list),
+    max_size=2)
+_POLY_JSON = st.fixed_dictionaries({
+    "r": st.integers(0, 2), "n": st.integers(0, 3),
+    "params": st.integers(0, 2),
+    "terms": st.lists(st.fixed_dictionaries({
+        "exp": st.lists(st.lists(st.integers(-2, 2), max_size=3),
+                        max_size=2),
+        "coeff": st.fixed_dictionaries({"num": _PARAM_POLY,
+                                        "den": _PARAM_POLY}),
+    }), max_size=2),
+}).map(json.dumps)
+_INPUT = st.one_of(
+    st.text("0123-,| a", max_size=8).map(lambda mu: "--mu=" + mu),
+    st.one_of(_POLY_JSON, st.text(max_size=8),
+              st.sampled_from(["{}", "[]", "null", '{"r": 1}'])
+              ).map(lambda text: "--poly=" + text))
+
+
+_EXTRA_FLAGS = ("--bogus", "--n", "--r=x", "--format=yaml", "--seed=3",
+                "--q-count=0", "--format=json", "--mu")
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 3), r=st.integers(0, 2),
+       expr=st.lists(st.sampled_from(_EXPR_TOKENS), max_size=5),
+       given_input=_INPUT,
+       extra=st.lists(st.sampled_from(_EXTRA_FLAGS), max_size=1))
+def test_apply_fuzz_fails_cleanly(n, r, expr, given_input, extra):
+    argv = ["apply", f"--n={n}", f"--r={r}", "--expr=" + " ".join(expr),
+            given_input, *extra]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -182,6 +267,26 @@ def test_verify_eigen_reports_distinctness(capsys):
     report = json.loads(out)
     names = [row["name"] for row in report["checks"]]
     assert "eigen: weights pairwise distinct" in names
+
+
+def test_verify_eigen_rows_in_sorted_index_order(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "2", "--r", "2",
+                       "--suite", "eigen", "--max-deg", "1,1")
+    assert code == 0
+    names = [row["name"] for row in json.loads(out)["checks"]]
+    assert names == ["eigen: " + mu for mu in (
+        "0,0|0,0", "0,0|0,1", "0,0|1,0", "0,1|0,0", "0,1|0,1", "0,1|1,0",
+        "1,0|0,0", "1,0|0,1", "1,0|1,0")] + [
+        "eigen: weights pairwise distinct"]
+
+
+def test_verify_knop_sahi_rank_two(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "2", "--r", "2",
+                       "--suite", "knop-sahi")
+    assert code == 0
+    report = json.loads(out)
+    assert all(row["raising_ok"] and row["shifting_ok"]
+               for row in report["checks"])
 
 
 def test_verify_seed_adds_spotcheck(capsys):

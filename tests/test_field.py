@@ -190,6 +190,24 @@ def test_json_roundtrip(a):
     assert scalar_from_json(scalar_to_json(a)) == a
 
 
+def test_json_decoding_reduces_to_canonical_form():
+    two = [["2", [0, 0, 0]]]
+    s = scalar_from_json({"num": two, "den": two})
+    assert s == ONE and hash(s) == hash(ONE)
+    assert (s.num, s.den) == (ONE.num, ONE.den)
+
+
+@pytest.mark.parametrize("bad", [
+    {"num": [["1", [0, 0, 0]]], "den": []},
+    {"num": [["0", [0, 0, 0]]], "den": [["1", [0, 0, 0]]]},
+    {"num": [["1", [0, 0]]], "den": [["1", [0, 0, 0]]]},
+    {"num": [["1", [0, -1, 0]]], "den": [["1", [0, 0, 0]]]},
+])
+def test_json_decoding_rejects_malformed_scalars(bad):
+    with pytest.raises(ValueError):
+        scalar_from_json(bad)
+
+
 @st.composite
 def q1_only_scalars(draw):
     # only t and q1 appear, leaving room to shift inside a 2-parameter session

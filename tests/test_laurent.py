@@ -193,6 +193,19 @@ def test_json_roundtrip(p):
     assert poly_from_json(poly_to_json(p)) == p
 
 
+@pytest.mark.parametrize("field, value", [
+    ("exp", [[1, 0]]),
+    ("exp", [[1, 0], [0]]),
+    ("coeff", {"num": [["1", [0, 0]]], "den": [["1", [0, 0]]]}),
+    ("coeff", {"num": [], "den": [["1", [0, 0, 0]]]}),
+])
+def test_json_decoding_rejects_mismatched_terms(field, value):
+    d = poly_to_json(var(1, 1))
+    d["terms"][0][field] = value
+    with pytest.raises(ValueError):
+        poly_from_json(d)
+
+
 def test_dumps_is_deterministic():
     a = LaurentPoly(R, N, K, {(1, 0, 0, 0): T, (0, 1, 0, 0): ONE})
     b = LaurentPoly(R, N, K, {(0, 1, 0, 0): ONE, (1, 0, 0, 0): T})

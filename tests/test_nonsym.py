@@ -251,14 +251,15 @@ def test_shift_move_rank_one():
 
 
 def test_shift_move_rank_two_needs_other_components_constant():
-    # the bare monomial identity holds exactly when every other
-    # component has total degree zero; otherwise a q-monomial
-    # correction (shift_factor) is required
+    # the move checks the q-corrected shift; its factor is 1 when every
+    # other component has total degree zero, and a nontrivial
+    # q-monomial (shift_factor) otherwise
     assert knop_sahi_check(C22, ((1, 0), (0, 0)), ("shift", 1, 1))
     assert knop_sahi_check(C22, ((0, 0), (1, 0)), ("shift", 2, 1))
     for c in (1, -1):
-        assert not knop_sahi_check(C22, ((1, 0), (1, 0)), ("shift", 1, c))
-        assert not knop_sahi_check(C22, ((0, 1), (2, 0)), ("shift", 2, c))
+        assert knop_sahi_check(C22, ((1, 0), (1, 0)), ("shift", 1, c))
+        assert knop_sahi_check(C22, ((0, 1), (2, 0)), ("shift", 2, c))
+        assert not shift_factor(C22, ((1, 0), (1, 0)), 1, c).is_one()
 
 
 def test_shift_factor_values():

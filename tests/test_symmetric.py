@@ -219,9 +219,11 @@ def test_paper_normalization_values():
     one = Scalar.one(1)
     t = Scalar.t(1)
     assert paper_normalization(C21, ((2, 0),)) == t + one
+    # nu is read as P reads it, through gamma_inverse
     t2 = Scalar.t(2)
     q2 = Scalar.q(2, 2)
-    assert paper_normalization(C22, ((1, 0), (0, 1))) == \
+    assert paper_normalization(C22, ((1, 0), (0, 1))) == t2 + Scalar.one(2)
+    assert paper_normalization(C22, ((1, 0), (1, 0))) == \
         (t2 + Scalar.one(2)) * q2
 
 
