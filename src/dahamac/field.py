@@ -1,34 +1,103 @@
 """Exact arithmetic in the coefficient field Q(t, q_1, ..., q_k).
 
-A parameter polynomial is a sparse dict mapping exponent tuples
-(e_t, e_q1, ..., e_qk) to nonzero Python ints.  All tuples in one
-polynomial share the same length k+1, where k is the session's
-q-parameter count.  A Scalar is a reduced fraction of two such
-polynomials.
+A parameter polynomial is a sparse dict mapping packed monomials to
+nonzero Python ints.  A packed monomial is one nonnegative int holding
+the exponents (e_t, e_q1, ..., e_qk) in k+1 fields of FIELD_BITS bits
+each, t in the most significant field and q_k in the least; k is the
+session's q-parameter count and is kept on the Scalar.  The top bit of
+every field is a guard bit, clear in every stored monomial, so an
+exponent lies in 0..MAX_EXP.  With this layout:
 
-Canonical form of a Scalar: gcd(num, den) is a unit, the integer
-content of den is positive (the sign rides on the lexicographically
-leading denominator coefficient), and zero is 0/1.  Every operation
-returns canonical output, so representation equality implies field
-equality; == still cross-multiplies so that it is correct on any
-inputs.
+- the monomial product is m1 + m2, and no field carries into the next;
+- m is divisible by g iff ((m | G) - g) & G == G, G being the guard
+  bits, because the borrow of a field where m < g stops at its guard;
+- a variable's exponent is a shift and a mask, and a fieldwise min
+  comes from the same guarded subtraction;
+- integer order on keys is lexicographic order on the exponent tuples,
+  so max() of a polynomial picks its lex-leading term.
 
-GCDs use a Zippel-style heuristic (evaluate at a large integer,
-reconstruct by balanced digits, verify by exact division) with a
-primitive/subresultant PRS as the verified fallback.
+Exponents only leave the packed form at the boundary: the constructors,
+rendering, JSON, evaluation and parameter shifts.  An exponent that does
+not fit raises ValueError, whether it comes in through a constructor or
+JSON or arises in a product (the guard bit of a product field is set);
+it never wraps.
+
+A Scalar is a reduced fraction of two such polynomials.  Canonical
+form: gcd(num, den) is a unit, the integer content of den is positive
+(the sign rides on the lexicographically leading denominator
+coefficient), and zero is 0/1.  Every operation returns canonical
+output, so representation equality implies field equality; == still
+cross-multiplies so that it is correct on any inputs.
+
+p_gcd(f, g) returns (h, f/h, g/h).  It uses the heuristic gcd of Char,
+Geddes and Gonnet (evaluate at a large integer, reconstruct by balanced
+digits, verify by exact division); the verifying division leaves the
+cofactors, and a candidate of 1 needs no division.  A primitive PRS is
+the verified fallback.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd as igcd
+from operator import or_
+
+FIELD_BITS = 32
+MAX_EXP = (1 << FIELD_BITS - 1) - 1   # the value bits of one field
+_GUARD_BITS = [0]                     # guard bits of the lowest i fields
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+
+def _guards(m):
+    """Guard bits of every field up to the top field of m."""
+    nf = m.bit_length() // FIELD_BITS + 1
+    while len(_GUARD_BITS) <= nf:
+        _GUARD_BITS.append(_GUARD_BITS[-1] << FIELD_BITS | MAX_EXP + 1)
+    return _GUARD_BITS[nf]
+
+
+def _pack(exps):
+    """The packed monomial of (e_t, e_q1, ..., e_qk)."""
+    m = 0
+    for e in exps:
+        if not 0 <= e <= MAX_EXP:
+            raise ValueError(f"exponent {e} outside 0..{MAX_EXP}")
+        m = m << FIELD_BITS | e
+    return m
+
+
+def _unpack(m, k):
+    return tuple(m >> (k - v) * FIELD_BITS & MAX_EXP for v in range(k + 1))
+
+
+def _keys_or(f):
+    return reduce(or_, f, 0)
+
+
+def _check_fits(f):
+    acc = _keys_or(f)
+    if acc & _guards(acc):
+        raise ValueError(f"exponent past {MAX_EXP} in a product")
+
+
+def _mon_min(a, b, G):
+    """Fieldwise min of two packed monomials; G covers both."""
+    ge = ((a | G) - b) & G               # guard kept where a >= b
+    take_b = ge - (ge >> FIELD_BITS - 1)  # value bits of those fields
+    return (a & ~take_b) | (b & take_b)
+
+
+def _shared_vars(accf, accg, vs):
+    """The shifts in vs of the variables that occur in both f and g,
+    given accf and accg, the ORs of their keys."""
+    return [v for v in vs if accf >> v & MAX_EXP and accg >> v & MAX_EXP]
 
 
 # ---------------------------------------------------------------------------
 # dict-level polynomial arithmetic
-
-
-def p_zero_mon(k):
-    return (0,) * (k + 1)
 
 
 def p_add(f, g):
@@ -51,25 +120,29 @@ def p_mul(f, g):
         return {}
     if len(g) < len(f):
         f, g = g, f
+    if len(f) == 1:
+        (m1, c1), = f.items()
+        if not m1 and c1 == 1:
+            return g
+        out = {m1 + m2: c1 * c2 for m2, c2 in g.items()}
+        _check_fits(out)
+        return out
     out = {}
+    gl = list(g.items())
     for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = tuple(map(sum, zip(m1, m2)))
+        for m2, c2 in gl:
+            m = m1 + m2
             s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
             elif m in out:
                 del out[m]
+    _check_fits(out)
     return out
 
 
 def p_icontent(f):
-    g = 0
-    for c in f.values():
-        g = igcd(g, c)
-        if g == 1:
-            return 1
-    return g
+    return igcd(*f.values())
 
 
 def p_idiv(f, k):
@@ -78,16 +151,23 @@ def p_idiv(f, k):
     return {m: c // k for m, c in f.items()}
 
 
+def p_iscale(f, k):
+    if k == 1:
+        return f
+    return {m: c * k for m, c in f.items()}
+
+
 def p_maxnorm(f):
-    return max(abs(c) for c in f.values())
+    return max(map(abs, f.values()))
 
 
 def p_eval(f, v, x):
-    """Substitute variable index v by the integer x."""
+    """Substitute the variable at shift v by the integer x."""
     out = {}
+    clear = ~(MAX_EXP << v)
     for m, c in f.items():
-        mm = m[:v] + (0,) + m[v + 1:]
-        s = out.get(mm, 0) + c * x ** m[v]
+        mm = m & clear
+        s = out.get(mm, 0) + c * x ** (m >> v & MAX_EXP)
         if s:
             out[mm] = s
         elif mm in out:
@@ -95,24 +175,8 @@ def p_eval(f, v, x):
     return out
 
 
-def p_smod_x(f, x):
-    """Balanced coefficientwise remainder mod x, and the quotient poly."""
-    dig, rest = {}, {}
-    half = x // 2
-    for m, c in f.items():
-        r = c % x
-        if r > half:
-            r -= x
-        if r:
-            dig[m] = r
-        q = (c - r) // x
-        if q:
-            rest[m] = q
-    return dig, rest
-
-
-def p_exact_div(f, g):
-    """f / g when g divides f exactly, else None."""
+def p_exact_div(f, g, G):
+    """f / g when g divides f exactly, else None; G covers both."""
     if not f:
         return {}
     if len(g) == 1:
@@ -120,29 +184,31 @@ def p_exact_div(f, g):
         out = {}
         for m, c in f.items():
             q, r = divmod(c, cg)
-            if r:
+            if r or ((m | G) - mg) & G != G:
                 return None
-            mm = tuple(a - b for a, b in zip(m, mg))
-            if any(e < 0 for e in mm):
-                return None
-            out[mm] = q
+            out[m - mg] = q
         return out
-    out = {}
-    r = dict(f)
     mg = max(g)
     cg = g[mg]
-    glist = list(g.items())
+    # fieldwise bound on g's exponents: a quotient term that could push
+    # a product past MAX_EXP cannot belong to an exact quotient
+    gbound = _keys_or(g)
+    tail = [(m2, c2) for m2, c2 in g.items() if m2 != mg]
+    out = {}
+    r = dict(f)
     while r:
         mr = max(r)
-        mm = tuple(a - b for a, b in zip(mr, mg))
-        if any(e < 0 for e in mm):
+        if ((mr | G) - mg) & G != G:
             return None
-        q, rem = divmod(r[mr], cg)
+        q, rem = divmod(r.pop(mr), cg)
         if rem:
             return None
+        mm = mr - mg
+        if (mm + gbound) & G and any((mm + m2) & G for m2 in g):
+            return None
         out[mm] = q
-        for m2, c2 in glist:
-            m = tuple(map(sum, zip(mm, m2)))
+        for m2, c2 in tail:
+            m = mm + m2
             s = r.get(m, 0) - q * c2
             if s:
                 r[m] = s
@@ -151,114 +217,112 @@ def p_exact_div(f, g):
     return out
 
 
-def p_vars(f):
-    vs = set()
-    for m in f:
-        for i, e in enumerate(m):
-            if e:
-                vs.add(i)
-    return vs
-
-
-def _monomial_gcd_with(f, g):
-    # f is a single monomial
-    (mf, cf), = f.items()
-    gm = list(mf)
-    gc = abs(cf)
+def _monomial_gcd_with(f, g, G):
+    # f is a single monomial; G covers f and g
+    (gm, gc), = f.items()
+    gc = abs(gc)
     for m, c in g.items():
-        for i, e in enumerate(m):
-            if e < gm[i]:
-                gm[i] = e
+        gm = _mon_min(gm, m, G)
         gc = igcd(gc, c)
-    return {tuple(gm): gc}
+    return {gm: gc}
+
+
+def _monomial_gcd(f, g, G):
+    """p_gcd when f or g is a single term: h divides every term, so the
+    cofactors need no trial division."""
+    if len(f) == 1:
+        h = _monomial_gcd_with(f, g, G)
+    else:
+        h = _monomial_gcd_with(g, f, G)
+    (mh, ch), = h.items()
+    return (h, {m - mh: c // ch for m, c in f.items()},
+            {m - mh: c // ch for m, c in g.items()})
 
 
 class _HeuFail(Exception):
     pass
 
 
-def _heu(f, g, vs):
-    """Heuristic gcd of f, g sharing variables vs (sorted)."""
+def _heu(f, g, vs, G):
+    """Heuristic gcd of f, g sharing the variables at shifts vs (t
+    first), with both cofactors; G covers f and g."""
     # Split integer content per level.  Recursive calls receive evaluated
     # images whose content carries the outer variable's digits, so the gcd
     # of the contents must be preserved in the result, not stripped.
     cf = p_icontent(f)
     cg = p_icontent(g)
     ci = igcd(cf, cg)
-    if cf != 1:
-        f = p_idiv(f, cf)
-    if cg != 1:
-        g = p_idiv(g, cg)
+    f = p_idiv(f, cf)
+    g = p_idiv(g, cg)
     v = vs[0]
     x = 2 * min(p_maxnorm(f), p_maxnorm(g)) + 29
     for _ in range(6):
         fe = p_eval(f, v, x)
         ge = p_eval(g, v, x)
-        sub = sorted(p_vars(fe) & p_vars(ge))
+        sub = _shared_vars(_keys_or(fe), _keys_or(ge), vs[1:])
         if not sub:
-            if len(fe) == 1 and len(ge) == 1:
-                (mf, a), = fe.items()
-                (mg, b), = ge.items()
-                mm = tuple(min(p, q) for p, q in zip(mf, mg))
-                h = {mm: igcd(a, b)}
-            elif len(fe) == 1:
-                h = _monomial_gcd_with(fe, ge)
+            if len(fe) == 1:
+                h = _monomial_gcd_with(fe, ge, G)
             elif len(ge) == 1:
-                h = _monomial_gcd_with(ge, fe)
+                h = _monomial_gcd_with(ge, fe, G)
             else:
-                h = {p_zero_mon(len(next(iter(f))) - 1):
-                     igcd(p_icontent(fe), p_icontent(ge))}
+                h = {0: igcd(p_icontent(fe), p_icontent(ge))}
         else:
             try:
-                h, _, _ = _heu(fe, ge, sub)
+                h, _, _ = _heu(fe, ge, sub, G)
             except _HeuFail:
                 x = 73 * x // 32 + 1
                 continue
-        # reconstruct the v-dependence from balanced base-x digits
-        H = h
-        coeffs = []
-        while H:
-            dig, H = p_smod_x(H, x)
-            coeffs.append(dig)
+        # reconstruct the v-dependence from balanced base-x digits: the
+        # d-th digit of each coefficient is the coefficient of v^d
         out = {}
-        for d, dig in enumerate(coeffs):
-            for m, c in dig.items():
-                out[m[:v] + (d,) + m[v + 1:]] = c
+        half = x // 2
+        vd = 0
+        while h:
+            if vd >> v > MAX_EXP:
+                raise ValueError(f"exponent past {MAX_EXP} in a gcd image")
+            rest = {}
+            for m, c in h.items():
+                dig = c % x
+                if dig > half:
+                    dig -= x
+                if dig:
+                    out[m | vd] = dig
+                c = (c - dig) // x
+                if c:
+                    rest[m] = c
+            h = rest
+            vd += 1 << v
         if out:
-            ic = p_icontent(out)
-            if ic not in (0, 1):
-                out = p_idiv(out, ic)
+            out = p_idiv(out, p_icontent(out))
             if out[max(out)] < 0:
                 out = p_neg(out)
-            cof = p_exact_div(f, out)
-            if cof is not None:
-                cog = p_exact_div(g, out)
-                if cog is not None:
-                    kf, kg = cf // ci, cg // ci
-                    if kf != 1:
-                        cof = {m: c * kf for m, c in cof.items()}
-                    if kg != 1:
-                        cog = {m: c * kg for m, c in cog.items()}
-                    if ci != 1:
-                        out = {m: c * ci for m, c in out.items()}
-                    return out, cof, cog
+            if _is_one(out):
+                cof, cog = f, g
+            else:
+                cof = p_exact_div(f, out, G)
+                cog = None if cof is None else p_exact_div(g, out, G)
+            if cog is not None:
+                return (p_iscale(out, ci), p_iscale(cof, cf // ci),
+                        p_iscale(cog, cg // ci))
         x = 73 * x // 32 + 1
     raise _HeuFail
 
 
 def p_degree_in(f, v):
-    return max((m[v] for m in f), default=-1)
+    return max((m >> v & MAX_EXP for m in f), default=-1)
 
 
 def _decompose(f, v):
     out = {}
+    clear = ~(MAX_EXP << v)
     for m, c in f.items():
-        out.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
+        out.setdefault(m >> v & MAX_EXP, {})[m & clear] = c
     return out
 
 
 def _shift_deg(f, v, d):
-    return {m[:v] + (m[v] + d,) + m[v + 1:]: c for m, c in f.items()}
+    return {m + (d << v): c for m, c in f.items()}
 
 
 def _prem(f, g, v):
@@ -282,10 +346,7 @@ def _abs_lead(f):
 
 
 def _is_one(p):
-    if len(p) != 1:
-        return False
-    (m, c), = p.items()
-    return c == 1 and not any(m)
+    return len(p) == 1 and p.get(0) == 1
 
 
 def _content_pp(f, v):
@@ -293,16 +354,16 @@ def _content_pp(f, v):
     it = iter(dec.values())
     cont = next(it)
     for c in it:
-        cont = p_gcd(cont, c)
+        cont = p_gcd(cont, c)[0]
         if _is_one(cont):
             break
     if _is_one(cont):
         return cont, f
     pp = {}
+    G = _guards(_keys_or(f))
     for d, c in dec.items():
-        q = p_exact_div(c, cont)
-        for m, cc in q.items():
-            pp[m[:v] + (d,) + m[v + 1:]] = cc
+        for m, cc in p_exact_div(c, cont, G).items():
+            pp[m | d << v] = cc
     return cont, pp
 
 
@@ -310,19 +371,17 @@ def _prs_gcd(f, g, v):
     # primitive PRS in the main variable v
     contf, ppf = _content_pp(f, v)
     contg, ppg = _content_pp(g, v)
-    cont = p_gcd(contf, contg)
+    cont = p_gcd(contf, contg)[0]
     if p_degree_in(ppf, v) >= p_degree_in(ppg, v):
         F, G = ppf, ppg
     else:
         F, G = ppg, ppf
-    k = len(next(iter(f))) - 1
-    one = {p_zero_mon(k): 1}
     while True:
         r = _prem(F, G, v)
         if not r:
             break
         if p_degree_in(r, v) == 0:
-            G = one
+            G = {0: 1}
             break
         _, r = _content_pp(r, v)
         F, G = G, r
@@ -332,48 +391,53 @@ def _prs_gcd(f, g, v):
 
 
 def p_gcd(f, g):
-    if not f:
-        return _abs_lead(g)
-    if not g:
-        return _abs_lead(f)
-    if f == g:
-        return _abs_lead(f)
-    if len(f) == 1:
-        return _monomial_gcd_with(f, g)
-    if len(g) == 1:
-        return _monomial_gcd_with(g, f)
+    """(h, f/h, g/h) with h = gcd(f, g), primitive up to the gcd of the
+    integer contents and with a positive lex-leading coefficient."""
+    if not f or not g or f == g:
+        p = f or g
+        if not p:
+            return {}, {}, {}
+        s = -1 if p[max(p)] < 0 else 1
+        return (p_iscale(p, s), {0: s} if f else {}, {0: s} if g else {})
+    accf = _keys_or(f)
+    accg = _keys_or(g)
+    G = _guards(accf | accg)
+    if len(f) == 1 or len(g) == 1:
+        return _monomial_gcd(f, g, G)
+    top = (min(accf, accg).bit_length() - 1) // FIELD_BITS * FIELD_BITS
+    vs = _shared_vars(accf, accg, range(top, -1, -FIELD_BITS))
+    if vs:
+        try:
+            return _heu(f, g, vs, G)
+        except _HeuFail:
+            pass
     cf = p_icontent(f)
     cg = p_icontent(g)
     ic = igcd(cf, cg)
+    if not vs:
+        return {0: ic}, p_idiv(f, ic), p_idiv(g, ic)
     fp = p_idiv(f, cf)
     gp = p_idiv(g, cg)
-    vs = sorted(p_vars(fp) & p_vars(gp))
-    if not vs:
-        return {p_zero_mon(len(next(iter(f))) - 1): ic}
-    try:
-        h, _, _ = _heu(fp, gp, vs)
-    except _HeuFail:
-        h = _prs_gcd(fp, gp, vs[0])
-    if ic != 1:
-        h = {m: c * ic for m, c in h.items()}
-    return h
+    h = _prs_gcd(fp, gp, vs[0])
+    return (p_iscale(h, ic), p_iscale(p_exact_div(fp, h, G), cf // ic),
+            p_iscale(p_exact_div(gp, h, G), cg // ic))
 
 
 # ---------------------------------------------------------------------------
 # fraction-level helpers (num dict, den dict)
 
 
-def _f_norm(num, den, k):
+def _f_norm(num, den):
     if not num:
-        return {}, {p_zero_mon(k): 1}
+        return {}, {0: 1}
     if den[max(den)] < 0:
         return p_neg(num), p_neg(den)
     return num, den
 
 
-def _f_reduce(num, den, k):
+def _f_reduce(num, den):
     if not num:
-        return {}, {p_zero_mon(k): 1}
+        return {}, {0: 1}
     ic = p_icontent(den)
     if ic not in (0, 1):
         icn = igcd(ic, p_icontent(num))
@@ -381,12 +445,9 @@ def _f_reduce(num, den, k):
             num = p_idiv(num, icn)
             den = p_idiv(den, icn)
     if _is_one(den):
-        return _f_norm(num, den, k)
-    g = p_gcd(num, den)
-    if not _is_one(g):
-        num = p_exact_div(num, g)
-        den = p_exact_div(den, g)
-    return _f_norm(num, den, k)
+        return _f_norm(num, den)
+    _, num, den = p_gcd(num, den)
+    return _f_norm(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -396,33 +457,25 @@ def _f_reduce(num, den, k):
 class Scalar:
     """An element of Q(t, q_1, ..., q_k), stored as a reduced fraction."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "k")
 
-    def __init__(self, num, den=None, reduced=False):
-        if den is None:
-            den = {p_zero_mon(self._infer_k(num)): 1}
+    def __init__(self, num, den, k, reduced=False):
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
+        if not reduced:
+            num, den = _f_reduce(num, den)
         self.num = num
         self.den = den
-        if not reduced:
-            k = self.nparams()
-            self.num, self.den = _f_reduce(num, den, k)
-
-    @staticmethod
-    def _infer_k(num):
-        if not num:
-            raise ValueError("cannot infer parameter count from 0")
-        return len(next(iter(num))) - 1
+        self.k = k
 
     def nparams(self):
-        return len(next(iter(self.den))) - 1
+        return self.k
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(k):
-        return Scalar({}, {p_zero_mon(k): 1}, reduced=True)
+        return Scalar({}, {0: 1}, k, reduced=True)
 
     @staticmethod
     def one(k):
@@ -430,8 +483,7 @@ class Scalar:
 
     @staticmethod
     def integer(c, k):
-        num = {p_zero_mon(k): c} if c else {}
-        return Scalar(num, {p_zero_mon(k): 1}, reduced=True)
+        return Scalar({0: c} if c else {}, {0: 1}, k, reduced=True)
 
     @staticmethod
     def t(k, e=1):
@@ -448,21 +500,14 @@ class Scalar:
         """c * t^e_t * prod q_i^{e_i}; negative exponents go to the den."""
         if coeff == 0:
             return Scalar.zero(k)
-        up = [0] * (k + 1)
-        dn = [0] * (k + 1)
         ex = [e_t] + [qexps.get(i, 0) for i in range(1, k + 1)]
-        for i, e in enumerate(ex):
-            if e >= 0:
-                up[i] = e
-            else:
-                dn[i] = -e
-        num = {tuple(up): coeff}
-        den = {tuple(dn): 1}
+        num = {_pack([max(e, 0) for e in ex]): coeff}
+        den = {_pack([max(-e, 0) for e in ex]): 1}
         if coeff < 0:
             num = p_neg(num)
             den = p_neg(den)
         # num/den share no variables so this is already reduced
-        return Scalar(num, den, reduced=True)
+        return Scalar(num, den, k, reduced=True)
 
     # -- predicates --------------------------------------------------------
 
@@ -475,7 +520,7 @@ class Scalar:
     def _check(self, other):
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if self.nparams() != other.nparams():
+        if self.k != other.k:
             raise ValueError("parameter-count mismatch between scalars")
 
     # -- arithmetic --------------------------------------------------------
@@ -488,32 +533,27 @@ class Scalar:
             return other
         if not n2:
             return self
-        k = self.nparams()
+        k = self.k
         if d1 == d2:
             num = p_add(n1, n2)
             if not num:
                 return Scalar.zero(k)
-            return Scalar(*_f_reduce(num, d1, k), reduced=True)
-        g0 = p_gcd(d1, d2)
+            return Scalar(*_f_reduce(num, d1), k, reduced=True)
+        g0, d1r, d2r = p_gcd(d1, d2)
         if _is_one(g0):
             num = p_add(p_mul(n1, d2), p_mul(n2, d1))
             if not num:
                 return Scalar.zero(k)
-            return Scalar(*_f_norm(num, p_mul(d1, d2), k), reduced=True)
-        d1r = p_exact_div(d1, g0)
-        d2r = p_exact_div(d2, g0)
+            return Scalar(*_f_norm(num, p_mul(d1, d2)), k, reduced=True)
         tn = p_add(p_mul(n1, d2r), p_mul(n2, d1r))
         if not tn:
             return Scalar.zero(k)
-        g1 = p_gcd(tn, g0)
-        if not _is_one(g1):
-            tn = p_exact_div(tn, g1)
-            g0 = p_exact_div(g0, g1)
-        return Scalar(*_f_norm(tn, p_mul(p_mul(d1r, d2r), g0), k),
+        _, tn, g0 = p_gcd(tn, g0)
+        return Scalar(*_f_norm(tn, p_mul(p_mul(d1r, d2r), g0)), k,
                       reduced=True)
 
     def __neg__(self):
-        return Scalar(p_neg(self.num), self.den, reduced=True)
+        return Scalar(p_neg(self.num), self.den, self.k, reduced=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -522,34 +562,26 @@ class Scalar:
         self._check(other)
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        k = self.nparams()
+        k = self.k
         if not n1 or not n2:
             return Scalar.zero(k)
         if not _is_one(d2):
-            g = p_gcd(n1, d2)
-            if not _is_one(g):
-                n1 = p_exact_div(n1, g)
-                d2 = p_exact_div(d2, g)
+            _, n1, d2 = p_gcd(n1, d2)
         if not _is_one(d1):
-            g = p_gcd(n2, d1)
-            if not _is_one(g):
-                n2 = p_exact_div(n2, g)
-                d1 = p_exact_div(d1, g)
-        return Scalar(*_f_norm(p_mul(n1, n2), p_mul(d1, d2), k), reduced=True)
+            _, n2, d1 = p_gcd(n2, d1)
+        return Scalar(*_f_norm(p_mul(n1, n2), p_mul(d1, d2)), k, reduced=True)
 
     def inv(self):
         if not self.num:
             raise ZeroDivisionError("inverting the zero scalar")
-        k = self.nparams()
-        return Scalar(*_f_norm(self.den, self.num, k), reduced=True)
+        return Scalar(*_f_norm(self.den, self.num), self.k, reduced=True)
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def __pow__(self, e):
-        k = self.nparams()
         if e == 0:
-            return Scalar.one(k)
+            return Scalar.one(self.k)
         base = self if e > 0 else self.inv()
         out = base
         for _ in range(abs(e) - 1):
@@ -581,9 +613,10 @@ class Scalar:
         def ev(p):
             acc = Fraction(0)
             for m, c in p.items():
+                exps = _unpack(m, self.k)
                 term = Fraction(c)
-                term *= Fraction(t_val) ** m[0]
-                for i, e in enumerate(m[1:], start=1):
+                term *= Fraction(t_val) ** exps[0]
+                for i, e in enumerate(exps[1:], start=1):
                     if e:
                         term *= Fraction(q_vals[i - 1]) ** e
                 acc += term
@@ -602,18 +635,19 @@ def shift_params(a: Scalar, k: int) -> Scalar:
         return a
     if k < 0:
         raise ValueError("shift must be nonnegative")
-    np = a.nparams()
+    qmask = (1 << a.k * FIELD_BITS) - 1
+    lost = (1 << min(k, a.k) * FIELD_BITS) - 1   # the q's that would leave
 
     def sh(p):
         out = {}
         for m, c in p.items():
-            head, qs = m[0], list(m[1:])
-            if any(qs[np - k:]):
+            if m & lost:
                 raise ValueError("parameter shift overflows the session")
-            out[(head, *([0] * k), *qs[: np - k])] = c
+            qs = m & qmask
+            out[m ^ qs | qs >> k * FIELD_BITS] = c
         return out
 
-    return Scalar(sh(a.num), sh(a.den), reduced=True)
+    return Scalar(sh(a.num), sh(a.den), a.k, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +671,13 @@ def _mon_text(m, latex=False):
     return parts
 
 
-def render_param_poly(p, latex=False):
+def render_param_poly(p, k, latex=False):
     if not p:
         return "0"
     out = []
     for m in sorted(p, reverse=True):
         c = p[m]
-        parts = _mon_text(m, latex)
+        parts = _mon_text(_unpack(m, k), latex)
         if not parts:
             body = str(abs(c))
         else:
@@ -659,13 +693,12 @@ def render_param_poly(p, latex=False):
 def render_scalar(s: Scalar, latex=False) -> str:
     num, den = s.num, s.den
     # cosmetic: prefer a positive constant term in the denominator
-    zm = p_zero_mon(s.nparams())
-    if den.get(zm, 0) < 0:
+    if den.get(0, 0) < 0:
         num, den = p_neg(num), p_neg(den)
     if _is_one(den):
-        return render_param_poly(num, latex)
-    ntxt = render_param_poly(num, latex)
-    dtxt = render_param_poly(den, latex)
+        return render_param_poly(num, s.k, latex)
+    ntxt = render_param_poly(num, s.k, latex)
+    dtxt = render_param_poly(den, s.k, latex)
     if latex:
         return f"\\frac{{{ntxt}}}{{{dtxt}}}"
     if len(num) > 1:
@@ -676,8 +709,8 @@ def render_scalar(s: Scalar, latex=False) -> str:
     return f"{ntxt}/{dtxt}"
 
 
-def _poly_to_json(p):
-    return [[str(c), list(m)] for m, c in sorted(p.items())]
+def _poly_to_json(p, k):
+    return [[str(c), list(_unpack(m, k))] for m, c in sorted(p.items())]
 
 
 def _poly_from_json(items):
@@ -692,12 +725,14 @@ def _poly_from_json(items):
 
 
 def scalar_to_json(s: Scalar) -> dict:
-    return {"num": _poly_to_json(s.num), "den": _poly_to_json(s.den)}
+    return {"num": _poly_to_json(s.num, s.k),
+            "den": _poly_to_json(s.den, s.k)}
 
 
 def scalar_from_json(d) -> Scalar:
     """Decode scalar_to_json output into canonical form; ValueError on
-    an empty denominator or exponents of unequal or zero length."""
+    an empty denominator, exponents of unequal or zero length, or an
+    exponent past MAX_EXP."""
     num = _poly_from_json(d["num"])
     den = _poly_from_json(d["den"])
     if not den:
@@ -705,4 +740,6 @@ def scalar_from_json(d) -> Scalar:
     lengths = {len(m) for m in (*num, *den)}
     if len(lengths) != 1 or 0 in lengths:
         raise ValueError("scalar JSON exponents differ in length")
-    return Scalar(num, den)
+    k = lengths.pop() - 1
+    return Scalar({_pack(m): c for m, c in num.items()},
+                  {_pack(m): c for m, c in den.items()}, k)

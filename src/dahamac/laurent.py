@@ -301,8 +301,14 @@ def render_poly(p: LaurentPoly, latex=False) -> str:
         return "0"
     out = []
     for m in sorted(p.terms, reverse=True):
-        out.append(render_term(p, m, p.terms[m], latex))
-    return " + ".join(out)
+        term = render_term(p, m, p.terms[m], latex)
+        if not out:
+            out.append(term)
+        elif term.startswith("-"):
+            out.append(" - " + term[1:])
+        else:
+            out.append(" + " + term)
+    return "".join(out)
 
 
 def poly_to_json(p: LaurentPoly) -> dict:

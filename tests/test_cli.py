@@ -196,6 +196,41 @@ def test_apply_integer_coefficients_stay_exact(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_apply_large_exponent_stays_exact(capsys):
+    code, out, _ = run(capsys, "apply", "--n", "2", "--mu", "1,0",
+                       "--expr", "t^40000 T1")
+    assert code == 0
+    assert out == "(-t^40001 + t^40000)*x[1,1] + t^40000*x[1,2]\n"
+
+
+def _poly_with_exponent(e):
+    return json.dumps({"r": 1, "n": 2, "params": 1, "terms": [
+        {"exp": [[1, 0]], "coeff": {"num": [["1", [e, 0]]],
+                                    "den": [["1", [0, 0]]]}}]})
+
+
+@pytest.mark.parametrize("given_input", [
+    ("--mu", "1,0", "--expr", "t^2147483648 T1"),
+    ("--mu", "1,0", "--expr", "q1^-2147483648 T1"),
+    ("--poly", _poly_with_exponent(2**31), "--expr", "T1"),
+])
+def test_apply_exponent_past_limit_exits_2(capsys, given_input):
+    code, out, err = run(capsys, "apply", "--n", "2", *given_input)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _exit_code_and_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
 _EXPR_TOKENS = ("T1", "T2", "T5", "Tinv1", "X1", "X3", "Xinv2", "pi", "t",
                 "t^-2", "q1", "q2^3", "q9", "2", "-3", "0^-1", "2^-1", "+",
                 "x", "^", "T")
@@ -232,15 +267,44 @@ _EXTRA_FLAGS = ("--bogus", "--n", "--r=x", "--format=yaml", "--seed=3",
 def test_apply_fuzz_fails_cleanly(n, r, expr, given_input, extra):
     argv = ["apply", f"--n={n}", f"--r={r}", "--expr=" + " ".join(expr),
             given_input, *extra]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, err = _exit_code_and_stderr(argv)
     assert code in (0, 1, 2)
-    assert err.getvalue().count("\n") <= 1
-    assert "Traceback" not in err.getvalue()
+    assert err.count("\n") <= 1
+    assert "Traceback" not in err
+
+
+def _index_text(rows, cols):
+    row = st.lists(st.integers(-2, 2).map(str), min_size=cols, max_size=cols)
+    return st.lists(row.map(",".join), min_size=rows,
+                    max_size=rows).map("|".join)
+
+
+@st.composite
+def _e_p_argv(draw):
+    command = draw(st.sampled_from(["e", "p"]))
+    n, r = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    # mostly an r x n index, else one of another shape, else free text
+    index = draw(st.one_of(
+        _index_text(max(r, 1), max(n, 1)),
+        st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+            lambda shape: _index_text(*shape)),
+        st.text("012-,| a", max_size=6)))
+    flag = "--mu=" if command == "e" else "--nu="
+    argv = [command, f"--n={n}", f"--r={r}", flag + index,
+            "--format=" + draw(st.sampled_from(["text", "json", "latex"]))]
+    q_count = draw(st.one_of(st.none(), st.integers(0, 3)))
+    if q_count is not None:
+        argv.append(f"--q-count={q_count}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_e_p_argv())
+def test_e_and_p_fuzz_fail_cleanly(argv):
+    code, err = _exit_code_and_stderr(argv)
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from dahamac import field
 from dahamac.field import (
+    MAX_EXP,
     Scalar,
     render_scalar,
     scalar_from_json,
@@ -107,6 +109,9 @@ def test_shift_params_relabels_q():
 def test_shift_params_overflow():
     with pytest.raises(ValueError):
         shift_params(Scalar.q(2, 3), 2)
+    # a shift past every q of the session
+    with pytest.raises(ValueError):
+        shift_params(Scalar.q(1, 2), 3)
 
 
 def test_zero_inverse_rejected():
@@ -202,6 +207,7 @@ def test_json_decoding_reduces_to_canonical_form():
     {"num": [["0", [0, 0, 0]]], "den": [["1", [0, 0, 0]]]},
     {"num": [["1", [0, 0]]], "den": [["1", [0, 0, 0]]]},
     {"num": [["1", [0, -1, 0]]], "den": [["1", [0, 0, 0]]]},
+    {"num": [["1", [0, 0, MAX_EXP + 1]]], "den": [["1", [0, 0, 0]]]},
 ])
 def test_json_decoding_rejects_malformed_scalars(bad):
     with pytest.raises(ValueError):
@@ -229,3 +235,80 @@ def q1_only_scalars(draw):
 @given(q1_only_scalars(), q1_only_scalars())
 def test_shift_params_is_multiplicative(a, b):
     assert shift_params(a * b, 1) == shift_params(a, 1) * shift_params(b, 1)
+
+
+# ---------------------------------------------------------------------------
+# exponent range
+
+
+@pytest.mark.parametrize("make", [
+    lambda e: Scalar.t(K, e),
+    lambda e: Scalar.q(1, K, e),
+    lambda e: Scalar.q(2, K, -e),
+], ids=["t", "q1", "q2-denominator"])
+def test_exponents_up_to_the_limit_are_exact(make):
+    low = MAX_EXP // 2
+    assert make(low) * make(MAX_EXP - low) == make(MAX_EXP)
+    with pytest.raises(ValueError):
+        make(MAX_EXP + 1)
+    # a product past the limit raises instead of wrapping into the next field
+    with pytest.raises(ValueError):
+        make(low + 1) * make(low + 1)
+
+
+def test_exponent_limit_survives_json():
+    s = Scalar.param_monomial(K, MAX_EXP, {2: -MAX_EXP}, 3)
+    assert scalar_to_json(s) == {"num": [["3", [MAX_EXP, 0, 0]]],
+                                 "den": [["1", [0, 0, MAX_EXP]]]}
+    assert scalar_from_json(scalar_to_json(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# the gcd kernel against SymPy
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+_PARAM_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
+
+
+def _packed(p):
+    return {field._pack(m): c for m, c in p.items()}
+
+
+def _check_gcd_triple(sympy, f, g):
+    h, f_h, g_h = field.p_gcd(f, g)
+    assert field.p_mul(h, f_h) == f
+    assert field.p_mul(h, g_h) == g
+    gens = sympy.symbols("t q1 q2")
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {field._unpack(m, K): c for m, c in p.items()}, *gens)
+
+    expected = to_sympy(f).gcd(to_sympy(g))
+    assert to_sympy(h) in (expected, -expected)
+
+
+@given(_PARAM_POLYS, _PARAM_POLYS, _PARAM_POLYS)
+def test_gcd_matches_sympy(sympy, a, b, common):
+    common = _packed(common)
+    _check_gcd_triple(sympy, field.p_mul(_packed(a), common),
+                      field.p_mul(_packed(b), common))
+
+
+@given(_PARAM_POLYS, _PARAM_POLYS, _PARAM_POLYS)
+def test_gcd_fallback_matches_sympy(sympy, a, b, common):
+    def heuristic_fails(*args):
+        raise field._HeuFail
+
+    common = _packed(common)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_heu", heuristic_fails)
+        _check_gcd_triple(sympy, field.p_mul(_packed(a), common),
+                          field.p_mul(_packed(b), common))

@@ -183,6 +183,18 @@ def test_render_latex():
         "\\frac{-t + 1}{-t^{2} q_{2} + 1} x_{1,1}"
 
 
+def test_render_negative_monomial_coefficient():
+    # a negative monomial coefficient after the first term reads " - c*x"
+    p = LaurentPoly(R, N, K, {(1, 0, 0, 0): T - ONE,
+                              (0, 1, 0, 0): Scalar.integer(-2, K),
+                              (0, 0, 1, 0): -T / Scalar.q(1, K)})
+    assert render_poly(p) == "(t - 1)*x[1,1] - 2*x[1,2] - t/q1*x[2,1]"
+    assert render_poly(p, latex=True) == \
+        "\\left(t - 1\\right) x_{1,1} - 2 x_{1,2} + \\frac{-t}{q_{1}} x_{2,1}"
+    first = LaurentPoly(R, N, K, {(0, 1, 0, 0): Scalar.integer(-2, K)})
+    assert render_poly(first) == "-2*x[1,2]"
+
+
 def test_render_constants():
     assert render_poly(LaurentPoly.one(R, N, K)) == "1"
     assert render_poly(LaurentPoly.zero(R, N, K)) == "0"
