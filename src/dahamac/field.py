@@ -17,10 +17,10 @@ exponent lies in 0..MAX_EXP.  With this layout:
   so max() of a polynomial picks its lex-leading term.
 
 Exponents only leave the packed form at the boundary: the constructors,
-rendering, JSON, evaluation and parameter shifts.  An exponent that does
-not fit raises ValueError, whether it comes in through a constructor or
-JSON or arises in a product (the guard bit of a product field is set);
-it never wraps.
+rendering, JSON and evaluation.  An exponent that does not fit raises
+ValueError, whether it comes in through a constructor or JSON or
+arises in a product (the guard bit of a product field is set); it
+never wraps.
 
 A Scalar is a reduced fraction of two such polynomials.  Canonical
 form: gcd(num, den) is a unit, the integer content of den is positive
@@ -623,31 +623,6 @@ class Scalar:
             return acc
 
         return ev(self.num) / ev(self.den)
-
-
-# ---------------------------------------------------------------------------
-# parameter relabelling
-
-
-def shift_params(a: Scalar, k: int) -> Scalar:
-    """Relabel every q_i as q_{i+k}; t is fixed.  Errors past the last q."""
-    if k == 0:
-        return a
-    if k < 0:
-        raise ValueError("shift must be nonnegative")
-    qmask = (1 << a.k * FIELD_BITS) - 1
-    lost = (1 << min(k, a.k) * FIELD_BITS) - 1   # the q's that would leave
-
-    def sh(p):
-        out = {}
-        for m, c in p.items():
-            if m & lost:
-                raise ValueError("parameter shift overflows the session")
-            qs = m & qmask
-            out[m ^ qs | qs >> k * FIELD_BITS] = c
-        return out
-
-    return Scalar(sh(a.num), sh(a.den), a.k, reduced=True)
 
 
 # ---------------------------------------------------------------------------

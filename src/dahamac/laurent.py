@@ -115,21 +115,13 @@ class LaurentPoly:
         return LaurentPoly(self.r, self.n, self.k,
                            {m: cc * c for m, cc in self.terms.items()})
 
-    def mul_monomial(self, rows_or_flat, coeff=None):
-        """Multiply by a single monomial, optionally with a coefficient."""
-        entries = tuple(rows_or_flat)
-        if entries and isinstance(entries[0], (tuple, list)):
-            flat = tuple(e for row in entries for e in row)
-        else:
-            flat = entries
+    def mul_monomial(self, flat):
+        """Multiply by the monomial with flat exponent tuple flat."""
         if len(flat) != self.r * self.n:
             raise ValueError("monomial exponent count mismatch")
-        out = {}
-        for m, c in self.terms.items():
-            cc = c if coeff is None else c * coeff
-            if not cc.is_zero():
-                out[tuple(x + y for x, y in zip(m, flat))] = cc
-        return LaurentPoly(self.r, self.n, self.k, out)
+        return LaurentPoly(self.r, self.n, self.k,
+                           {tuple(x + y for x, y in zip(m, flat)): c
+                            for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -240,20 +232,6 @@ def coefficient_of_group1(p: LaurentPoly, mu) -> LaurentPoly:
 def group1_rows(p: LaurentPoly):
     """The set of group-1 exponent rows appearing in p."""
     return {m[: p.n] for m in p.terms}
-
-
-def prepend_zero_rows(p: LaurentPoly, count: int) -> LaurentPoly:
-    """View a poly in groups 1..r as one in groups count+1..count+r."""
-    pad = (0,) * (count * p.n)
-    return LaurentPoly(p.r + count, p.n, p.k,
-                       {pad + m: c for m, c in p.terms.items()})
-
-
-def attach_group1(mu, tail: LaurentPoly) -> LaurentPoly:
-    """x_1^mu times a poly in groups 2..r, as a poly in groups 1..r."""
-    mu = tuple(mu)
-    return LaurentPoly(tail.r + 1, tail.n, tail.k,
-                       {mu + m: c for m, c in tail.terms.items()})
 
 
 # ---------------------------------------------------------------------------

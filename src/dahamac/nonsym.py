@@ -1,14 +1,17 @@
 """Higher rank non-symmetric Macdonald polynomials.
 
 E indices are tuples of r integer vectors of length n.  The
-construction recurses on the number of groups: the tail of the index is
-built in the parameter-shifted context and embedded with a zero group-1
-row, then a greedy affine walk raises the first component from zero,
-applying the cycling move q^{mu_n} X_1 pi at pi steps and the
-Hecke intertwiner T_j + (t-1)/(1 - alpha(j)/alpha(j+1)) at s_j steps,
-with alpha the weight before the move.  Negative entries are removed
-up front by shifting components along the all-ones vector and
-remembering the monomial prefactor.
+construction raises one component at a time, last to first: E of the
+zero index is 1, and the first nonzero component ell is raised from
+zero by a greedy affine walk on E of the same index with component ell
+zeroed.  The walk applies the cycling move q_ell^{nu_n} x_{ell,1} pi at
+pi steps and the Hecke intertwiner T_j + (t-1)/(1 - alpha(j)/alpha(j+1))
+at s_j steps, with nu the component and alpha the weight before the
+move.  The rows before ell are zero, so T_j and pi act on the
+polynomial as on one in groups ell..r alone: xi_j of a zero row is 0
+and pi charges nothing for it.  Negative entries are removed up front
+by shifting components along the all-ones vector and remembering the
+monomial prefactor.
 
 Weights are computed two independent ways (the step-by-step Psi
 composition and the closed form through the gamma twist) and must
@@ -21,10 +24,10 @@ from dataclasses import dataclass
 
 from . import affine
 from .field import Scalar
-from .laurent import LaurentPoly, prepend_zero_rows, coefficient_of_group1, \
-    group1_rows, multidegree
-from .rep import RepContext, apply_T, apply_X, apply_pi, apply_Y, \
-    apply_theta, matrix_of, component_basis
+from .laurent import LaurentPoly, coefficient_of_group1, group1_rows, \
+    multidegree
+from .rep import RepContext, apply_T, apply_pi, apply_Y, apply_theta, \
+    matrix_of, component_basis
 from .linalg import joint_left_kernel
 
 
@@ -75,10 +78,9 @@ def _psi_weight(ctx: RepContext, mu_tuple):
     for ell in range(ctx.r, 0, -1):
         comp = mu_tuple[ell - 1]
         shifted, c = affine.omega_normalize(comp)
-        alpha = _psi_word(ctx.k, ell + ctx.q_offset,
-                          affine.coset_word(shifted), alpha)
+        alpha = _psi_word(ctx.k, ell, affine.coset_word(shifted), alpha)
         if c:
-            f = Scalar.q(ell + ctx.q_offset, ctx.k, c)
+            f = Scalar.q(ell, ctx.k, c)
             alpha = tuple(a * f for a in alpha)
     return alpha
 
@@ -90,7 +92,7 @@ def _closed_weight(ctx: RepContext, mu_tuple):
         qexps = {}
         for ell, g in enumerate(gamma, start=1):
             if g[i - 1]:
-                qexps[ell + ctx.q_offset] = -g[i - 1]
+                qexps[ell] = -g[i - 1]
         out.append(Scalar.param_monomial(ctx.k, ctx.n - sigma[i - 1], qexps))
     return tuple(out)
 
@@ -119,7 +121,7 @@ def kappa(ctx: RepContext, mu):
         beta = sum(1 for kk in range(j - 1) if mu[kk] > mu[j - 1]) \
             + sum(1 for kk in range(j, n) if mu[j - 1] <= mu[kk])
         out.append(Scalar.param_monomial(
-            ctx.k, beta, {1 + ctx.q_offset: -mu[j - 1]}))
+            ctx.k, beta, {1: -mu[j - 1]}))
     return tuple(out)
 
 
@@ -128,10 +130,6 @@ def kappa(ctx: RepContext, mu):
 
 
 _E_CACHE = {}
-
-
-def _cache_key(ctx, mu_tuple):
-    return (ctx.n, ctx.r, ctx.k, ctx.q_offset, mu_tuple)
 
 
 def clear_cache():
@@ -162,12 +160,31 @@ def shift_factor(ctx: RepContext, mu_tuple, j, c) -> Scalar:
     return out
 
 
+def raise_step(ctx: RepContext, ell, g, nu, alpha, p) -> LaurentPoly:
+    """One letter g of the walk raising component ell of p.
+
+    At pi this is q_ell^{nu_n} x_{ell,1} pi, with nu component ell of
+    p's index; at s_j the intertwiner T_j + (t-1)/(1 - alpha_j /
+    alpha_{j+1}), with alpha p's weight.  Only the argument the letter
+    reads is used.
+    """
+    if g == affine.PI:
+        flat = [0] * (ctx.r * ctx.n)
+        flat[(ell - 1) * ctx.n] = 1
+        p = apply_pi(ctx, p).mul_monomial(tuple(flat))
+        return p.smul(ctx.scalar_q(ell, nu[-1])) if nu[-1] else p
+    t = Scalar.t(ctx.k)
+    one = Scalar.one(ctx.k)
+    c = (t - one) / (one - alpha[g - 1] / alpha[g])
+    return apply_T(ctx, g, p) + p.smul(c)
+
+
 def E(ctx: RepContext, mu_tuple) -> MacdonaldRecord:
     """The non-symmetric Macdonald polynomial record for an index."""
     mu_tuple = _normalize_index(mu_tuple, ctx.n)
     if len(mu_tuple) != ctx.r:
         raise ValueError("index has wrong number of components")
-    key = _cache_key(ctx, mu_tuple)
+    key = (ctx, mu_tuple)
     hit = _E_CACHE.get(key)
     if hit is not None:
         return hit
@@ -198,28 +215,17 @@ def E(ctx: RepContext, mu_tuple) -> MacdonaldRecord:
         _E_CACHE[key] = rec
         return rec
 
-    if ctx.r == 1:
-        cur = ctx.one()
+    ell = next((i for i, comp in enumerate(mu_tuple, 1) if any(comp)), 0)
+    if ell:
+        nu = (0,) * ctx.n
+        start = E(ctx, mu_tuple[:ell - 1] + (nu,) + mu_tuple[ell:])
+        cur, alpha = start.poly, start.weight
+        for g in affine.coset_word(mu_tuple[ell - 1]):
+            cur = raise_step(ctx, ell, g, nu, alpha, cur)
+            nu = affine.act_gen(g, nu)
+            alpha = psi_step(ctx.k, ell, g, alpha)
     else:
-        tail = E(ctx.tail(), shifted[1:])
-        cur = prepend_zero_rows(tail.poly, 1)
-
-    nu = (0,) * ctx.n
-    alpha = weight_of(ctx, (nu,) + shifted[1:])
-    t = Scalar.t(ctx.k)
-    one = Scalar.one(ctx.k)
-    for g in affine.coset_word(shifted[0]):
-        if g == affine.PI:
-            factor = ctx.scalar_q(1, nu[-1]) if nu[-1] else None
-            cur = apply_X(ctx, 1, apply_pi(ctx, cur))
-            if factor is not None:
-                cur = cur.smul(factor)
-        else:
-            c = (t - one) / (one - alpha[g - 1] / alpha[g])
-            cur = apply_T(ctx, g, cur) + cur.smul(c)
-        nu = affine.act_gen(g, nu)
-        alpha = psi_step(ctx.k, 1 + ctx.q_offset, g, alpha)
-
+        cur, alpha = ctx.one(), base_weight(ctx)
     rec = MacdonaldRecord(mu_tuple, cur, alpha)
     _E_CACHE[key] = rec
     return rec
@@ -233,7 +239,7 @@ _YMAT_CACHE = {}
 
 
 def _y_matrices(ctx: RepContext, d):
-    key = (ctx.n, ctx.r, ctx.k, ctx.q_offset, d)
+    key = (ctx, d)
     hit = _YMAT_CACHE.get(key)
     if hit is None:
         hit = [matrix_of(ctx, lambda p, i=i: apply_Y(ctx, i, p), d)
@@ -303,9 +309,7 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
     if kind == "pi":
         comp = mu_tuple[0]
         target = (affine.act_gen(affine.PI, comp),) + mu_tuple[1:]
-        rhs = apply_X(ctx, 1, apply_pi(ctx, base.poly))
-        if comp[-1]:
-            rhs = rhs.smul(ctx.scalar_q(1, comp[-1]))
+        rhs = raise_step(ctx, 1, affine.PI, comp, None, base.poly)
         return E(ctx, target).poly == rhs
     if kind == "s":
         _, j, ell = move
@@ -319,11 +323,8 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
         if not affine.bruhat_less(gamma[ell - 1], moved[ell - 1]):
             raise ValueError("move hypothesis fails: row not raised")
         target = affine.gamma_inverse(moved)
-        alpha = weight_of(ctx, mu_tuple)
-        t = Scalar.t(ctx.k)
-        one = Scalar.one(ctx.k)
-        c = (t - one) / (one - alpha[j - 1] / alpha[j])
-        rhs = apply_T(ctx, j, base.poly) + base.poly.smul(c)
+        rhs = raise_step(ctx, ell, j, None, weight_of(ctx, mu_tuple),
+                         base.poly)
         return E(ctx, target).poly == rhs
     if kind == "shift":
         _, j, c = move
@@ -351,22 +352,17 @@ def t_mu_apply(ctx: RepContext, mu, p: LaurentPoly) -> LaurentPoly:
 def verify_triangular(ctx: RepContext, mu, beta_tuple) -> bool:
     """Leading-block and lower-set shape of E_{(mu, beta)}.
 
-    Checks that the group-1 coefficient at mu is the T_mu image of the
-    embedded tail polynomial and that every other group-1 exponent lies
-    strictly below mu in the Bruhat order.
+    Checks that the group-1 coefficient at mu is the T_mu image of
+    E_{(0, beta)} and that every other group-1 exponent lies strictly
+    below mu in the Bruhat order.
     """
     mu = tuple(int(e) for e in mu)
     if any(e < 0 for e in mu):
         raise ValueError("triangularity check needs nonnegative mu")
     beta_tuple = _normalize_index(beta_tuple, ctx.n) if beta_tuple else ()
-    full = E(ctx, (mu,) + beta_tuple)
-    if ctx.r == 1:
-        emb = ctx.one()
-    else:
-        tail = E(ctx.tail(), beta_tuple)
-        emb = prepend_zero_rows(tail.poly, 1)
-    block = t_mu_apply(ctx, mu, emb)
     zero_row = (0,) * ctx.n
+    full = E(ctx, (mu,) + beta_tuple)
+    block = t_mu_apply(ctx, mu, E(ctx, (zero_row,) + beta_tuple).poly)
     lead = coefficient_of_group1(full.poly, mu)
     expected = coefficient_of_group1(block, zero_row)
     if lead != expected:

@@ -8,8 +8,8 @@ generator actions are
               group k+1),
     X_i  =  multiplication by x_{1,i},
     pi   =  cycle every group's exponent row (last entry to the front)
-            and multiply the coefficient by prod_i q_{i+offset}^{-(last
-            exponent of row i)},
+            and multiply the coefficient by prod_i q_i^{-(last exponent
+            of row i)},
 
 and the derived elements
 
@@ -37,14 +37,13 @@ from .laurent import LaurentPoly, swap_vars, xi
 class RepContext:
     n: int
     r: int
-    k: int  # session q-parameter count
-    q_offset: int = 0
+    k: int  # session q-parameter count; q_l belongs to group l
 
     def __post_init__(self):
         if self.n < 1 or self.r < 1:
             raise ValueError("need n >= 1 and r >= 1")
-        if self.q_offset < 0 or self.q_offset + self.r > self.k:
-            raise ValueError("parameter window exceeds the session")
+        if self.r > self.k:
+            raise ValueError("need r <= k")
 
     def zero(self):
         return LaurentPoly.zero(self.r, self.n, self.k)
@@ -59,12 +58,7 @@ class RepContext:
         return Scalar.t(self.k, e)
 
     def scalar_q(self, i, e=1):
-        # q_i in local numbering: parameter q_{i + q_offset}
-        return Scalar.q(i + self.q_offset, self.k, e)
-
-    def tail(self):
-        """Context for the recursion on groups 2..r."""
-        return RepContext(self.n, self.r - 1, self.k, self.q_offset + 1)
+        return Scalar.q(i, self.k, e)
 
 
 def _check_j(ctx, j):
@@ -121,7 +115,7 @@ def apply_pi(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
             row = m[i * n:(i + 1) * n]
             last = row[-1]
             if last:
-                qexp[i + 1 + ctx.q_offset] = -last
+                qexp[i + 1] = -last
             rows.append((row[-1],) + row[:-1])
         if qexp:
             c = c * Scalar.param_monomial(ctx.k, 0, qexp)
@@ -358,7 +352,7 @@ def verify_daha_relations(ctx: RepContext, degree_bound) -> dict:
     """
     n, k = ctx.n, ctx.k
     t = Scalar.t(k)
-    qell = Scalar.q(1 + ctx.q_offset, k)
+    q1 = Scalar.q(1, k)
     one = Scalar.one(k)
 
     def T(j):
@@ -388,11 +382,14 @@ def verify_daha_relations(ctx: RepContext, degree_bound) -> dict:
     def rel(name, lhs, rhs):
         relations.append((name, lhs, rhs))
 
+    def quadratic(i):
+        def go(p):
+            tp = apply_T(ctx, i, p)
+            return apply_T(ctx, i, tp) + tp.smul(t - one)
+        return go
+
     for i in range(1, n):
-        rel(f"(T{i}-1)(T{i}+t)=0",
-            chain(lambda p, i=i: apply_T(ctx, i, apply_T(ctx, i, p))
-                  .smul(one) + apply_T(ctx, i, p).smul(t - one)),
-            scaled(t, lambda p: p))
+        rel(f"(T{i}-1)(T{i}+t)=0", quadratic(i), scaled(t, lambda p: p))
     for i in range(1, n - 1):
         rel(f"T{i}T{i+1}T{i}=T{i+1}T{i}T{i+1}",
             chain(T(i), T(i + 1), T(i)),
@@ -428,7 +425,7 @@ def verify_daha_relations(ctx: RepContext, degree_bound) -> dict:
     # the product relation reads q Y1 X1..Xn = X1..Xn Y1.
     allX = chain(*[X(i) for i in range(1, n + 1)])
     rel("qY1X1..Xn=X1..XnY1",
-        scaled(qell, chain(Y(1), allX)), chain(allX, Y(1)))
+        scaled(q1, chain(Y(1), allX)), chain(allX, Y(1)))
 
     mons = list(_monomials_upto(ctx, degree_bound))
     checks = []

@@ -122,7 +122,7 @@ def verify_spectrum(ctx, n, r, d) -> dict:
     distinct = all(values[i] != values[j]
                    for i in range(len(values)) for j in range(i + 1, len(values)))
     eps_mat = matrix_of(ctx, lambda p: symmetrize_eps(ctx, p), d)
-    _, pivots = rref([row[:] for row in eps_mat])
+    _, pivots = rref(eps_mat)
     eps_dim = len(pivots)
     count_ok = len(indices) == eps_dim
     all_ok = all_ok and distinct and count_ok

@@ -12,7 +12,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dahamac.cli import main, parse_index, parse_ragged
+from dahamac.cli import SUITES, main, parse_index, parse_ragged
 from dahamac.field import Scalar
 from dahamac.laurent import poly_from_json
 from dahamac.nonsym import E
@@ -231,6 +231,14 @@ def _exit_code_and_stderr(argv):
     return code, err.getvalue()
 
 
+def _assert_fails_cleanly(argv):
+    """Exit code 0, 1 or 2, at most one stderr line, no traceback."""
+    code, err = _exit_code_and_stderr(argv)
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1
+    assert "Traceback" not in err
+
+
 _EXPR_TOKENS = ("T1", "T2", "T5", "Tinv1", "X1", "X3", "Xinv2", "pi", "t",
                 "t^-2", "q1", "q2^3", "q9", "2", "-3", "0^-1", "2^-1", "+",
                 "x", "^", "T")
@@ -267,10 +275,12 @@ _EXTRA_FLAGS = ("--bogus", "--n", "--r=x", "--format=yaml", "--seed=3",
 def test_apply_fuzz_fails_cleanly(n, r, expr, given_input, extra):
     argv = ["apply", f"--n={n}", f"--r={r}", "--expr=" + " ".join(expr),
             given_input, *extra]
-    code, err = _exit_code_and_stderr(argv)
-    assert code in (0, 1, 2)
-    assert err.count("\n") <= 1
-    assert "Traceback" not in err
+    _assert_fails_cleanly(argv)
+
+
+def _optional_flag(draw, flag, values):
+    value = draw(st.one_of(st.none(), values))
+    return [] if value is None else [f"{flag}={value}"]
 
 
 def _index_text(rows, cols):
@@ -292,19 +302,51 @@ def _e_p_argv(draw):
     flag = "--mu=" if command == "e" else "--nu="
     argv = [command, f"--n={n}", f"--r={r}", flag + index,
             "--format=" + draw(st.sampled_from(["text", "json", "latex"]))]
-    q_count = draw(st.one_of(st.none(), st.integers(0, 3)))
-    if q_count is not None:
-        argv.append(f"--q-count={q_count}")
-    return argv
+    return argv + _optional_flag(draw, "--q-count", st.integers(0, 3))
 
 
 @settings(max_examples=60, deadline=None)
 @given(argv=_e_p_argv())
 def test_e_and_p_fuzz_fail_cleanly(argv):
-    code, err = _exit_code_and_stderr(argv)
-    assert code in (0, 1, 2)
-    assert err.count("\n") <= 1
-    assert "Traceback" not in err
+    _assert_fails_cleanly(argv)
+
+
+@st.composite
+def _verify_argv(draw):
+    suite = draw(st.sampled_from(SUITES + ("bogus",)))
+    n, r = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    # mostly r entries in 0..1, else a list of another length, else text
+    bound = draw(st.one_of(
+        st.lists(st.integers(0, 1), min_size=r, max_size=r),
+        st.lists(st.integers(-1, 1), max_size=3),
+        st.text("01-, a", max_size=5)))
+    if isinstance(bound, list):
+        bound = ",".join(map(str, bound))
+    return (["verify", f"--suite={suite}", f"--n={n}", f"--r={r}",
+             "--max-deg=" + bound]
+            + _optional_flag(draw, "--q-count", st.integers(0, 3))
+            + _optional_flag(draw, "--seed", st.integers(-1, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_verify_argv())
+def test_verify_fuzz_fails_cleanly(argv):
+    _assert_fails_cleanly(argv)
+
+
+@st.composite
+def _stability_argv(draw):
+    comp = st.lists(st.integers(-1, 2).map(str), max_size=2).map(",".join)
+    nu = draw(st.lists(comp, min_size=1, max_size=2).map("|".join))
+    return (["stability", "--nu=" + nu,
+             f"--n-max={draw(st.integers(-1, 3))}"]
+            + _optional_flag(draw, "--q-count", st.integers(0, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_stability_argv())
+def test_stability_fuzz_fails_cleanly(argv):
+    _assert_fails_cleanly(argv)
 
 
 # ---------------------------------------------------------------------------

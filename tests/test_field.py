@@ -19,7 +19,6 @@ from dahamac.field import (
     render_scalar,
     scalar_from_json,
     scalar_to_json,
-    shift_params,
 )
 
 K = 2
@@ -99,19 +98,6 @@ def test_denominator_product_is_parenthesized():
     # x/y*z reads as (x/y)*z, so the denominator needs the parens
     s = (ONE - T) / (Q1 * Q2 - T * Q2)
     assert render_scalar(s) == "(t - 1)/(t*q2 - q1*q2)"
-
-
-def test_shift_params_relabels_q():
-    assert shift_params(Scalar.q(1, 3), 2) == Scalar.q(3, 3)
-    assert repr(shift_params(Scalar.q(1, 3), 2)) == "Scalar(q3)"
-
-
-def test_shift_params_overflow():
-    with pytest.raises(ValueError):
-        shift_params(Scalar.q(2, 3), 2)
-    # a shift past every q of the session
-    with pytest.raises(ValueError):
-        shift_params(Scalar.q(1, 2), 3)
 
 
 def test_zero_inverse_rejected():
@@ -212,29 +198,6 @@ def test_json_decoding_reduces_to_canonical_form():
 def test_json_decoding_rejects_malformed_scalars(bad):
     with pytest.raises(ValueError):
         scalar_from_json(bad)
-
-
-@st.composite
-def q1_only_scalars(draw):
-    # only t and q1 appear, leaving room to shift inside a 2-parameter session
-    def poly(min_terms):
-        s = Scalar.zero(K)
-        for _ in range(draw(st.integers(min_terms, 3))):
-            coeff = draw(st.integers(-4, 4))
-            e_t = draw(st.integers(-2, 2))
-            e = draw(st.integers(-2, 2))
-            s = s + Scalar.param_monomial(K, e_t, {1: e} if e else {}, coeff)
-        return s
-
-    num = poly(0)
-    den = poly(1)
-    assume(not den.is_zero())
-    return num / den
-
-
-@given(q1_only_scalars(), q1_only_scalars())
-def test_shift_params_is_multiplicative(a, b):
-    assert shift_params(a * b, 1) == shift_params(a, 1) * shift_params(b, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from dahamac.field import Scalar
 from dahamac.laurent import (
     LaurentPoly,
-    attach_group1,
     coefficient_of_group1,
     group1_rows,
     is_positive,
@@ -16,7 +15,6 @@ from dahamac.laurent import (
     poly_dumps,
     poly_from_json,
     poly_to_json,
-    prepend_zero_rows,
     render_poly,
     swap_vars,
     xi,
@@ -69,9 +67,8 @@ def test_shape_mismatch_rejected():
 
 def test_mul_monomial_accepts_rows_and_flat():
     m = LaurentPoly.monomial(R, N, K, ((1, 0), (0, 1)))
-    by_rows = m.mul_monomial(((0, 1), (0, 0)))
     by_flat = m.mul_monomial((0, 1, 0, 0))
-    assert by_rows == by_flat == var(1, 1) * var(1, 2) * var(2, 2)
+    assert by_flat == var(1, 1) * var(1, 2) * var(2, 2)
     with pytest.raises(ValueError):
         m.mul_monomial((1, 0))
 
@@ -148,18 +145,11 @@ def test_is_positive():
 
 def test_group1_extraction():
     tail = LaurentPoly.var(1, N, K, 1, 1).smul(T)
-    p = attach_group1((0, 1), tail) + attach_group1((1, 0), LaurentPoly.one(1, N, K))
+    p = LaurentPoly(R, N, K, {(0, 1, 1, 0): T, (1, 0, 0, 0): ONE})
     assert coefficient_of_group1(p, (0, 1)) == tail
     assert coefficient_of_group1(p, (1, 0)) == LaurentPoly.one(1, N, K)
     assert coefficient_of_group1(p, (2, 0)).is_zero()
     assert group1_rows(p) == {(0, 1), (1, 0)}
-
-
-@given(polys(r=1))
-def test_attach_group1_matches_prepend(tail):
-    mu = (1, 2)
-    lifted = prepend_zero_rows(tail, 1)
-    assert attach_group1(mu, tail) == lifted.mul_monomial(mu + (0,) * N)
 
 
 # ---------------------------------------------------------------------------

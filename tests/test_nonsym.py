@@ -8,6 +8,7 @@ the joint-eigenspace linear algebra oracle.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -163,6 +164,28 @@ def test_four_term_value_at_mixed_index():
     lead = max(expected.terms)
     oracle = eigen_oracle_Y(ctx, ((0, 1, 0), (2, 1, 0)))
     assert oracle.smul(expected.terms[lead] / oracle.terms[lead]) == expected
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (2, 3)])
+def test_later_components_build_as_in_lower_rank(n, r):
+    # E at an index whose first ell components are zero lives in groups
+    # ell+1..r and is E of the rest in rank r - ell, with q_i read as
+    # q_{i+ell}; compared at fixed rational parameter values
+    t_val = Fraction(2, 3)
+    q_vals = (Fraction(3, 5), Fraction(5, 7), Fraction(7, 11))[:r]
+    for ell in range(1, r):
+        low = RepContext(n, r - ell, r - ell)
+        for flat in itertools.product(range(3), repeat=n * (r - ell)):
+            if sum(flat) > 3:
+                continue
+            beta = tuple(flat[i * n:(i + 1) * n] for i in range(r - ell))
+            full = E(RepContext(n, r, r), ((0,) * n,) * ell + beta).poly
+            assert all(not any(m[:ell * n]) for m in full.terms)
+            got = {m[ell * n:]: c.evaluate(t_val, q_vals)
+                   for m, c in full.terms.items()}
+            want = {m: c.evaluate(t_val, q_vals[ell:])
+                    for m, c in E(low, beta).poly.terms.items()}
+            assert got == want
 
 
 def test_records_are_cached():
