@@ -400,6 +400,16 @@ class _Parser(argparse.ArgumentParser):
         """One line on stderr and exit code 2, like every input fault."""
         self.exit(2, f"error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # "--flag=--" reaches no type check: argparse drops the "--" from
+        # the option's arguments and stores [] as its value
+        ns, extra = super().parse_known_args(args, namespace)
+        for dest, value in vars(ns).items():
+            if isinstance(value, list):
+                flag = "--" + dest.replace("_", "-")
+                self.error(f"argument {flag}: expected one argument")
+        return ns, extra
+
 
 def build_parser():
     ap = _Parser(

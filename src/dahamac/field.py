@@ -625,6 +625,33 @@ class Scalar:
         return ev(self.num) / ev(self.den)
 
 
+def clear_denominators(scalars, k):
+    """(D, [c * D for c in scalars]) with D the lcm of the denominators,
+    all as Scalars in k parameters with denominator 1.
+
+    D grows by one distinct denominator at a time, and the cofactors of
+    that step's p_gcd keep D / den for every denominator seen, so no
+    exact division is needed.
+    """
+    lcm = {0: 1}
+    mult = {}                 # denominator -> lcm / denominator
+    keys = []
+    for c in scalars:
+        key = frozenset(c.den.items())
+        keys.append(key)
+        if key in mult:
+            continue
+        _, lcm_g, den_g = p_gcd(lcm, c.den)
+        if not _is_one(den_g):
+            lcm = p_mul(lcm, den_g)
+            for kk, m in mult.items():
+                mult[kk] = p_mul(m, den_g)
+        mult[key] = lcm_g
+    out = [Scalar(p_mul(c.num, mult[key]), {0: 1}, k, reduced=True)
+           for c, key in zip(scalars, keys)]
+    return Scalar(lcm, {0: 1}, k, reduced=True), out
+
+
 # ---------------------------------------------------------------------------
 # rendering and serialization
 

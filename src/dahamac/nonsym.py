@@ -130,10 +130,13 @@ def kappa(ctx: RepContext, mu):
 
 
 _E_CACHE = {}
+_P_CACHE = {}   # symmetric.P's records, on (ctx, normalised nu)
 
 
 def clear_cache():
-    _E_CACHE.clear()
+    """Empty the E, P and Y-matrix caches."""
+    for cache in (_E_CACHE, _P_CACHE, _YMAT_CACHE):
+        cache.clear()
 
 
 def shift_factor(ctx: RepContext, mu_tuple, j, c) -> Scalar:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .field import Scalar
+from .field import Scalar, clear_denominators
 from .laurent import LaurentPoly, swap_vars, xi
 
 
@@ -158,36 +158,48 @@ def apply_theta(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
 # symmetrizer
 
 
-def symmetrize_eps(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
+def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
+                   monic_at=None) -> LaurentPoly:
     """Normalized sum of t^{-l(w)} T_w over S_n, by coset factorisation.
 
     S_m = (minimal coset representatives s_k ... s_{m-1}) x S_{m-1}, so
     the sum factors as the product over m = 2..n of
     sum_{k=1..m} t^{-(m-k)} T_k ... T_{m-1}, applied for m = 2 first.
     Each level's chain extends the previous term by one T, so the whole
-    symmetrizer costs n(n-1)/2 T-applications; the normalizer is the
-    product of the per-level sums of t^{-(m-k)}.
+    symmetrizer costs n(n-1)/2 T-applications.
+
+    The chain runs over Z[t, q].  The input is multiplied once by the
+    lcm D of its coefficient denominators, and level m by t^(m-1), so
+    T_k ... T_{m-1} carries the weight t^(k-1) and the level's
+    normalizer is [m]_t.  T_j has coefficients in Z[t], so every
+    coefficient in the chain keeps denominator 1 and no sum reduces a
+    fraction.  The integral image is divided once, by
+    D prod_{m<=n} [m]_t, or with monic_at by its own coefficient at that
+    flat exponent tuple (ArithmeticError if it has none); either way
+    one reduction per output coefficient.
     """
-    tinv = Scalar.t(ctx.k, -1)
-    one = Scalar.one(ctx.k)
-    norm = one
+    norm, coeffs = clear_denominators(p.terms.values(), ctx.k)
+    p = LaurentPoly(ctx.r, ctx.n, ctx.k, dict(zip(p.terms, coeffs)))
     for m in range(2, ctx.n + 1):
-        acc = cur = p
-        wgt = level = one
+        acc = p.smul(Scalar.t(ctx.k, m - 1))
+        cur = p
         for j in range(m - 1, 0, -1):
             cur = apply_T(ctx, j, cur)
-            wgt = wgt * tinv
-            acc = acc + cur.smul(wgt)
-            level = level + wgt
+            acc = acc + (cur.smul(Scalar.t(ctx.k, j - 1)) if j > 1 else cur)
         p = acc
-        norm = norm * level
+        norm = norm * t_bracket(ctx, m)
+    if monic_at is not None:
+        norm = p.terms.get(monic_at)
+        if norm is None:
+            raise ArithmeticError(
+                f"symmetrized polynomial has no term at x^{monic_at}")
     return p.smul(norm.inv())
 
 
-def t_bracket(ctx: RepContext) -> Scalar:
-    """[n]_t = 1 + t + ... + t^(n-1)."""
+def t_bracket(ctx: RepContext, m=None) -> Scalar:
+    """[m]_t = 1 + t + ... + t^(m-1), with m = n by default."""
     total = Scalar.zero(ctx.k)
-    for e in range(ctx.n):
+    for e in range(ctx.n if m is None else m):
         total = total + Scalar.t(ctx.k, e)
     return total
 

@@ -20,7 +20,8 @@ from .field import Scalar
 from .laurent import LaurentPoly
 from .rep import RepContext, apply_T, apply_Delta_n, symmetrize_eps, \
     matrix_of, compositions, t_bracket
-from .nonsym import E, weight_of, _joint_eigenvector, _theta_matrices
+from .nonsym import E, weight_of, _joint_eigenvector, _theta_matrices, \
+    _P_CACHE
 from .linalg import rref, transpose
 
 
@@ -78,19 +79,22 @@ def P(ctx: RepContext, nu_tuple) -> SymMacdonaldRecord:
 
     That E is E(gamma_inverse(nu)); the coefficient of the monomial
     with exponent rows nu is set to 1, and the eigenvalue is
-    delta_eigenvalue at the same E label.
+    delta_eigenvalue at the same E label.  Records are cached on
+    (ctx, nu).
     """
     nu_tuple = tuple(tuple(int(e) for e in comp) for comp in nu_tuple)
     if not is_orbit_index(nu_tuple):
         raise ValueError("not an orbit index")
+    key = (ctx, nu_tuple)
+    hit = _P_CACHE.get(key)
+    if hit is not None:
+        return hit
     mu = affine.gamma_inverse(nu_tuple)
-    sym = symmetrize_eps(ctx, E(ctx, mu).poly)
-    lead = sym.terms.get(tuple(e for comp in nu_tuple for e in comp))
-    if lead is None or lead.is_zero():
-        raise ArithmeticError(
-            f"symmetrized E has no term at x^nu for {nu_tuple}")
-    return SymMacdonaldRecord(nu_tuple, sym.smul(lead.inv()),
-                              delta_eigenvalue(ctx, mu))
+    poly = symmetrize_eps(ctx, E(ctx, mu).poly,
+                          monic_at=tuple(e for comp in nu_tuple for e in comp))
+    rec = SymMacdonaldRecord(nu_tuple, poly, delta_eigenvalue(ctx, mu))
+    _P_CACHE[key] = rec
+    return rec
 
 
 def verify_spectrum(ctx, n, r, d) -> dict:

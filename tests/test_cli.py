@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dahamac.cli import SUITES, main, parse_index, parse_ragged
+from dahamac.cli import SUITES, build_parser, main, parse_index, \
+    parse_ragged
 from dahamac.field import Scalar
 from dahamac.laurent import poly_from_json
 from dahamac.nonsym import E
@@ -221,22 +223,62 @@ def test_apply_exponent_past_limit_exits_2(capsys, given_input):
     assert "Traceback" not in err
 
 
-def _exit_code_and_stderr(argv):
+def _exit_code_out_err(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _assert_fails_cleanly(argv):
     """Exit code 0, 1 or 2, at most one stderr line, no traceback."""
-    code, err = _exit_code_and_stderr(argv)
+    code, _, err = _exit_code_out_err(argv)
     assert code in (0, 1, 2)
     assert err.count("\n") <= 1
     assert "Traceback" not in err
+
+
+_VALID_ARGV = {
+    "e": ["--n=2", "--mu=1,0"],
+    "p": ["--n=2", "--nu=1,0"],
+    "verify": ["--n=2", "--suite=daha-relations"],
+    "stability": ["--nu=1", "--n-max=2"],
+    "apply": ["--n=2", "--expr=T1", "--mu=1,0"],
+}
+
+
+def _value_flags():
+    """(command, flag) for every flag of every subcommand that takes
+    one value."""
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subs.choices.items():
+        for action in parser._actions:
+            if action.option_strings and action.nargs is None:
+                yield command, action.option_strings[0]
+
+
+def test_value_flags_cover_every_command():
+    flags = set(_value_flags())
+    assert {command for command, _ in flags} == set(_VALID_ARGV)
+    assert ("verify", "--max-deg") in flags and ("e", "--out") in flags
+    # the base command lines succeed, so a failure below is the flag's
+    for command, argv in _VALID_ARGV.items():
+        assert _exit_code_out_err([command, *argv])[0] == 0
+
+
+@pytest.mark.parametrize("command, flag", sorted(_value_flags()))
+def test_double_dash_value_exits_2(command, flag, tmp_path, monkeypatch):
+    # argparse drops "--" from "--flag=--" and stores [] unchecked
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _exit_code_out_err(
+        [command, *_VALID_ARGV[command], f"{flag}=--"])
+    assert code == 2 and out == ""
+    assert err == f"error: argument {flag}: expected one argument\n"
+    assert not list(tmp_path.iterdir())
 
 
 _EXPR_TOKENS = ("T1", "T2", "T5", "Tinv1", "X1", "X3", "Xinv2", "pi", "t",

@@ -149,6 +149,21 @@ def test_distributivity(a, b, c, pt):
     assert ev(lhs, pt) == ev(a, pt) * (ev(b, pt) + ev(c, pt))
 
 
+@given(st.lists(scalars(), min_size=1, max_size=4))
+def test_clear_denominators_is_the_lcm(cs):
+    d, out = field.clear_denominators(cs, K)
+    assert d.den == {0: 1} and all(c.den == {0: 1} for c in out)
+    assert all(o == c * d for c, o in zip(cs, out))
+    # D is the least common multiple: the cofactors D / den share no
+    # factor, not even an integer one
+    common = {}
+    for c in cs:
+        cofactor = d / Scalar(c.den, {0: 1}, K, reduced=True)
+        assert cofactor.den == {0: 1}
+        common = field.p_gcd(common, cofactor.num)[0]
+    assert common == {0: 1}
+
+
 @given(scalars(allow_zero=False))
 def test_inverse_roundtrip(a):
     assert a * a.inv() == ONE

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
+from itertools import permutations
+from pathlib import Path
+
 import pytest
 
+from dahamac import nonsym
+from dahamac.affine import gamma_inverse
 from dahamac.field import Scalar
 from dahamac.laurent import LaurentPoly
-from dahamac.nonsym import E, weight_of
+from dahamac.nonsym import E, clear_cache, eigen_oracle_Y, weight_of
 from dahamac.rep import RepContext, apply_T, apply_Delta_n, symmetrize_eps
 from dahamac.symmetric import (
     P,
@@ -125,10 +132,158 @@ def test_P_is_hecke_invariant_and_eigen():
 
 
 def test_P_equals_symmetrized_E_up_to_scale():
-    nu = ((2, 0),)
-    sym = symmetrize_eps(C21, E(C21, nu).poly)
-    rec = P(C21, nu)
-    assert sym.smul(sym.terms[(2, 0)].inv()) == rec.poly
+    # P(nu) is eps E(gamma_inverse(nu)) divided by its x^nu coefficient
+    for ctx, degrees in ((C21, ((2,),)),
+                         (RepContext(3, 1, 1), ((1,), (2,), (3,))),
+                         (RepContext(3, 2, 2), ((1, 1), (2, 1), (1, 2))),
+                         (RepContext(2, 3, 3), ((1, 1, 1), (0, 2, 1)))):
+        for d in degrees:
+            for nu in enumerate_orbit_indices(ctx.n, ctx.r, d):
+                sym = symmetrize_eps(ctx, E(ctx, gamma_inverse(nu)).poly)
+                lead = sym.terms[tuple(e for comp in nu for e in comp)]
+                assert P(ctx, nu).poly == sym.smul(lead.inv())
+
+
+# ---------------------------------------------------------------------------
+# the symmetrizer against its definition
+
+
+def _reduced_words(n):
+    """One reduced word of each permutation of 1..n, from bubble sort:
+    every swap removes one inversion, so the word length is l(w)."""
+    for perm in permutations(range(n)):
+        w, word = list(perm), []
+        for _ in range(n):
+            for i in range(n - 1):
+                if w[i] > w[i + 1]:
+                    w[i], w[i + 1] = w[i + 1], w[i]
+                    word.append(i + 1)
+        yield word
+
+
+def _eps_by_definition(ctx, p):
+    """sum_w t^-l(w) T_w p / sum_w t^-l(w), T_w from a reduced word."""
+    total, norm = ctx.zero(), Scalar.zero(ctx.k)
+    for word in _reduced_words(ctx.n):
+        cur = p
+        for j in reversed(word):
+            cur = apply_T(ctx, j, cur)
+        weight = Scalar.t(ctx.k, -len(word))
+        total = total + cur.smul(weight)
+        norm = norm + weight
+    return total.smul(norm.inv())
+
+
+def test_reduced_words_cover_the_group():
+    words = list(_reduced_words(4))
+    assert len(words) == 24
+    lengths = sorted(len(w) for w in words)
+    # Poincare polynomial of S_4: (1)(1+t)(1+t+t^2)(1+t+t^2+t^3)
+    assert [lengths.count(e) for e in range(7)] == [1, 3, 5, 6, 5, 3, 1]
+
+
+@pytest.mark.parametrize("ctx, mu", [
+    (RepContext(2, 1, 1), ((2, -1),)),
+    (RepContext(3, 1, 1), ((1, 0, 2),)),
+    (RepContext(4, 1, 1), ((0, 1, 0, 1),)),
+    (RepContext(2, 2, 2), ((0, 1), (1, 0))),
+    (RepContext(3, 2, 2), ((0, 1, 0), (1, 0, 0))),
+    (RepContext(3, 2, 3), ((0, 0, 1), (-1, 0, 0))),
+])
+def test_eps_matches_definition_on_E(ctx, mu):
+    p = E(ctx, mu).poly
+    assert any(len(c.den) > 1 for c in p.terms.values())
+    assert symmetrize_eps(ctx, p) == _eps_by_definition(ctx, p)
+
+
+@pytest.mark.parametrize("ctx, rows", [
+    (RepContext(3, 1, 1), ((-1, 2, 0),)),
+    (RepContext(4, 1, 2), ((1, -2, 0, 1),)),
+    (RepContext(2, 2, 2), ((-1, 0), (1, -1))),
+    (RepContext(3, 2, 2), ((0, -1, 1), (-2, 0, 0))),
+])
+def test_eps_matches_definition_on_laurent_input(ctx, rows):
+    coeff = Scalar.t(ctx.k, -1) + Scalar.q(1, ctx.k)
+    p = LaurentPoly.monomial(ctx.r, ctx.n, ctx.k, rows, coeff)
+    p = p + LaurentPoly.monomial(ctx.r, ctx.n, ctx.k,
+                                 [row[::-1] for row in rows],
+                                 Scalar.t(ctx.k, 2).inv())
+    assert symmetrize_eps(ctx, p) == _eps_by_definition(ctx, p)
+
+
+def test_eps_monic_at_needs_the_term():
+    with pytest.raises(ArithmeticError):
+        symmetrize_eps(C21, C21.one(), monic_at=(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the P memo
+
+
+def test_P_records_are_cached():
+    clear_cache()
+    first = P(C22, ((1, 0), (0, 1)))
+    assert P(C22, ((1, 0), (0, 1))) is first
+    # the key is the normalised index
+    assert P(C22, [[1, 0], [0, 1]]) is first
+    assert len(nonsym._P_CACHE) == 1
+
+
+def test_P_cache_keys_do_not_collide():
+    clear_cache()
+    cases = [(RepContext(3, 2, 2), ((1, 0, 0), (0, 1, 0))),
+             (RepContext(4, 2, 2), ((1, 0, 0, 0), (0, 1, 0, 0))),
+             (RepContext(3, 2, 3), ((1, 0, 0), (0, 1, 0)))]
+    recs = [P(ctx, nu) for ctx, nu in cases]
+    assert len(nonsym._P_CACHE) == 3
+    for (ctx, nu), rec in zip(cases, recs):
+        assert rec.index == nu
+        assert (rec.poly.r, rec.poly.n, rec.poly.k) == (ctx.r, ctx.n, ctx.k)
+        assert P(ctx, nu) is rec
+    clear_cache()
+    for (ctx, nu), rec in zip(cases, recs):
+        fresh = P(ctx, nu)
+        assert fresh is not rec and fresh == rec
+
+
+def test_P_cache_holds_only_valid_records():
+    clear_cache()
+    with pytest.raises(ValueError):
+        P(C21, ((0, 1),))
+    assert not nonsym._P_CACHE
+
+
+def test_clear_cache_empties_every_cache():
+    P(C22, ((1, 0), (0, 1)))
+    eigen_oracle_Y(C22, ((1, 0), (0, 0)))
+    assert nonsym._E_CACHE and nonsym._P_CACHE and nonsym._YMAT_CACHE
+    clear_cache()
+    assert not (nonsym._E_CACHE or nonsym._P_CACHE or nonsym._YMAT_CACHE)
+
+
+def _local_imports(name):
+    """The dahamac modules that module dahamac.<name> imports."""
+    tree = ast.parse(Path(importlib.import_module(
+        f"dahamac.{name}").__file__).read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= ({node.module} if node.module
+                    else {alias.name for alias in node.names})
+    return out
+
+
+def test_nonsym_does_not_import_symmetric():
+    # the P memo lives in nonsym so that clear_cache reaches it without
+    # a cycle through symmetric
+    seen, todo = set(), ["nonsym"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_local_imports(name))
+    assert "rep" in seen and "symmetric" not in seen
+    assert "nonsym" in _local_imports("symmetric")
 
 
 # ---------------------------------------------------------------------------
