@@ -98,10 +98,6 @@ def coset_word(mu):
     return rec
 
 
-def word_text(word) -> str:
-    return " ".join("pi" if g == PI else f"s{g}" for g in word)
-
-
 # ---------------------------------------------------------------------------
 # finite permutations (one-line tuples)
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 
-from .field import Scalar, scalar_to_json, scalar_from_json
+from .field import Scalar, clear_denominators, scalar_to_json, \
+    scalar_from_json
 
 
 class LaurentPoly:
@@ -199,6 +200,13 @@ def xi(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
                 mm[base], mm[base + 1] = b - step, a + step
                 put(tuple(mm), nc)
     return LaurentPoly(p.r, p.n, p.k, acc)
+
+
+def clear_poly_denominators(p: LaurentPoly):
+    """(D, D * p) with D the lcm of p's coefficient denominators, so
+    every coefficient of D * p has denominator 1."""
+    norm, coeffs = clear_denominators(p.terms.values(), p.k)
+    return norm, LaurentPoly(p.r, p.n, p.k, dict(zip(p.terms, coeffs)))
 
 
 def multidegree(p: LaurentPoly):

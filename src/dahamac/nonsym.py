@@ -13,9 +13,9 @@ and pi charges nothing for it.  Negative entries are removed up front
 by shifting components along the all-ones vector and remembering the
 monomial prefactor.
 
-Weights are computed two independent ways (the step-by-step Psi
-composition and the closed form through the gamma twist) and must
-agree; the rank-1 counting formula kappa gives a third route.
+The walk tracks the weight step by step through psi_step; weight_of
+reads it off the closed form through the gamma twist, and the rank-1
+counting formula kappa gives a third route.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from . import affine
 from .field import Scalar
-from .laurent import LaurentPoly, coefficient_of_group1, group1_rows, \
-    multidegree
+from .laurent import LaurentPoly, clear_poly_denominators, \
+    coefficient_of_group1, group1_rows, multidegree
 from .rep import RepContext, apply_T, apply_pi, apply_Y, apply_theta, \
     matrix_of, component_basis
 from .linalg import joint_left_kernel
@@ -63,29 +63,17 @@ def psi_step(k, ell, g, w):
     return tuple(out)
 
 
-def _psi_word(k, ell, word, w):
-    for g in word:
-        w = psi_step(k, ell, g, w)
-    return w
-
-
 def base_weight(ctx: RepContext):
     return tuple(Scalar.t(ctx.k, ctx.n - i) for i in range(1, ctx.n + 1))
 
 
-def _psi_weight(ctx: RepContext, mu_tuple):
-    alpha = base_weight(ctx)
-    for ell in range(ctx.r, 0, -1):
-        comp = mu_tuple[ell - 1]
-        shifted, c = affine.omega_normalize(comp)
-        alpha = _psi_word(ctx.k, ell, affine.coset_word(shifted), alpha)
-        if c:
-            f = Scalar.q(ell, ctx.k, c)
-            alpha = tuple(a * f for a in alpha)
-    return alpha
-
-
-def _closed_weight(ctx: RepContext, mu_tuple):
+def weight_of(ctx: RepContext, mu_tuple):
+    """The Y-weight of E_{mu}: entry i is t^(n - sigma_i) times
+    prod_ell q_ell^-(gamma_ell)_i, with (gamma, sigma) from
+    affine.gamma_sigma."""
+    mu_tuple = _normalize_index(mu_tuple, ctx.n)
+    if len(mu_tuple) != ctx.r:
+        raise ValueError("index has wrong number of components")
     gamma, sigma = affine.gamma_sigma(mu_tuple)
     out = []
     for i in range(1, ctx.n + 1):
@@ -95,19 +83,6 @@ def _closed_weight(ctx: RepContext, mu_tuple):
                 qexps[ell] = -g[i - 1]
         out.append(Scalar.param_monomial(ctx.k, ctx.n - sigma[i - 1], qexps))
     return tuple(out)
-
-
-def weight_of(ctx: RepContext, mu_tuple):
-    """The Y-weight of E_{mu}; both computations must agree."""
-    mu_tuple = _normalize_index(mu_tuple, ctx.n)
-    if len(mu_tuple) != ctx.r:
-        raise ValueError("index has wrong number of components")
-    a = _psi_weight(ctx, mu_tuple)
-    b = _closed_weight(ctx, mu_tuple)
-    if any(x != y for x, y in zip(a, b)):
-        raise AssertionError(
-            f"weight conventions disagree at {mu_tuple}: {a} vs {b}")
-    return a
 
 
 def kappa(ctx: RepContext, mu):
@@ -381,8 +356,17 @@ def index_multidegree(mu_tuple):
 
 
 def check_record(ctx: RepContext, rec: MacdonaldRecord) -> bool:
-    """Direct Y-eigen re-verification of a record."""
+    """Direct Y-eigen re-verification of a record.
+
+    The check runs on D E rather than E, with D the lcm of E's
+    coefficient denominators: Y_i is linear and D is a nonzero scalar,
+    so Y_i(D E) = w_i D E holds exactly when Y_i E = w_i E does.  D E
+    has polynomial coefficients, and Y_i in its integral form (see rep)
+    divides them by nothing but q-monomials, so every gcd it needs is
+    a monomial one.
+    """
+    _, poly = clear_poly_denominators(rec.poly)
     for i in range(1, ctx.n + 1):
-        if apply_Y(ctx, i, rec.poly) != rec.poly.smul(rec.weight[i - 1]):
+        if apply_Y(ctx, i, poly) != poly.smul(rec.weight[i - 1]):
             return False
     return multidegree(rec.poly) == index_multidegree(rec.index)

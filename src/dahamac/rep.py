@@ -14,14 +14,20 @@ generator actions are
 and the derived elements
 
     T_j^{-1} = (T_j - (1-t)) / t,
-    Y_1      = t^{n-1} pi T_{n-1}^{-1} ... T_1^{-1},
-    Y_{i+1}  = t^{-1} T_i Y_i T_i,
-    theta_i  = t^{i-1} T_{i-1}^{-1} ... T_1^{-1} pi T_{n-1} ... T_i,
-    pitilde  = X_1 T_1^{-1} ... T_{n-1}^{-1},
+    Y_i      = t^{n-i} T_1 ... T_{i-1} pi T_{n-1}^{-1} ... T_i^{-1}
+             = T_1 ... T_{i-1} pi (T_{n-1} + t-1) ... (T_i + t-1),
+    theta_i  = t^{i-1} T_{i-1}^{-1} ... T_1^{-1} pi T_{n-1} ... T_i
+             = (T_{i-1} + t-1) ... (T_1 + t-1) pi T_{n-1} ... T_i,
 
-with composition applying the rightmost factor first.  The symmetrizer
-eps is the normalized sum of t^{-l(w)} T_w over the finite symmetric
-group, and Delta_n = eps (Y_1 + ... + Y_n - [n]_t) eps.
+with composition applying the rightmost factor first.  The second form
+of Y_i and theta_i is the one applied: t T_j^{-1} = T_j + (t-1), and
+the power of t in front is exactly one t per inverse factor, so it is
+absorbed and no t^{-1} ever multiplies a coefficient.  T_j has
+coefficients in Z[t] and pi multiplies by q-monomials, so on an input
+with polynomial coefficients every denominator that appears is a
+q-monomial.  The symmetrizer eps is the normalized sum of t^{-l(w)} T_w
+over the finite symmetric group, and
+Delta_n = eps (Y_1 + ... + Y_n - [n]_t) eps.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .field import Scalar, clear_denominators
-from .laurent import LaurentPoly, swap_vars, xi
+from .field import Scalar
+from .laurent import LaurentPoly, clear_poly_denominators, swap_vars, xi
 
 
 @dataclass(frozen=True)
@@ -123,11 +129,9 @@ def apply_pi(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(r, n, ctx.k, out)
 
 
-def apply_pi_tilde(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
-    out = p
-    for j in range(ctx.n - 1, 0, -1):
-        out = apply_T_inv(ctx, j, out)
-    return apply_X(ctx, 1, out)
+def _apply_tT_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
+    """t T_j^{-1} = T_j + (t-1), with no division by t."""
+    return apply_T(ctx, j, p) + p.smul(Scalar.t(ctx.k) - Scalar.one(ctx.k))
 
 
 def apply_Y(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
@@ -135,11 +139,11 @@ def apply_Y(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
         raise IndexError("Y index out of range")
     out = p
     for j in range(i, ctx.n):
-        out = apply_T_inv(ctx, j, out)
+        out = _apply_tT_inv(ctx, j, out)
     out = apply_pi(ctx, out)
     for j in range(1, i):
         out = apply_T(ctx, j, out)
-    return out.smul(Scalar.t(ctx.k, ctx.n - i))
+    return out
 
 
 def apply_theta(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
@@ -150,8 +154,8 @@ def apply_theta(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
         out = apply_T(ctx, j, out)
     out = apply_pi(ctx, out)
     for j in range(1, i):
-        out = apply_T_inv(ctx, j, out)
-    return out.smul(Scalar.t(ctx.k, i - 1))
+        out = _apply_tT_inv(ctx, j, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +182,7 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
     flat exponent tuple (ArithmeticError if it has none); either way
     one reduction per output coefficient.
     """
-    norm, coeffs = clear_denominators(p.terms.values(), ctx.k)
-    p = LaurentPoly(ctx.r, ctx.n, ctx.k, dict(zip(p.terms, coeffs)))
+    norm, p = clear_poly_denominators(p)
     for m in range(2, ctx.n + 1):
         acc = p.smul(Scalar.t(ctx.k, m - 1))
         cur = p

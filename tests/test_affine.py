@@ -23,7 +23,6 @@ from dahamac.affine import (
     perm_id,
     perm_inv,
     sigma_of,
-    word_text,
 )
 
 vectors = st.lists(st.integers(0, 3), min_size=2, max_size=4).map(tuple)
@@ -52,10 +51,6 @@ def test_coset_word_literals():
 def test_coset_word_walks_up_from_zero(mu):
     n = len(mu)
     assert act(coset_word(mu), (0,) * n) == mu
-
-
-def test_word_text():
-    assert word_text([PI, 1, PI, 2]) == "pi s1 pi s2"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from dahamac import affine
 from dahamac.field import Scalar
 from dahamac.laurent import LaurentPoly, multidegree
 from dahamac.nonsym import (
@@ -25,6 +26,7 @@ from dahamac.nonsym import (
     index_multidegree,
     kappa,
     knop_sahi_check,
+    psi_step,
     shift_factor,
     verify_triangular,
     weight_of,
@@ -64,8 +66,37 @@ def test_weight_anchor_rank_three():
     )
 
 
+def _psi_weight(ctx, mu_tuple):
+    """The weight by the step-by-step Psi walk that E's construction
+    takes: each component, last to first, from base_weight along the
+    coset word of its omega-normalised shape, then the omega shift."""
+    alpha = base_weight(ctx)
+    for ell in range(ctx.r, 0, -1):
+        shifted, c = affine.omega_normalize(mu_tuple[ell - 1])
+        for g in affine.coset_word(shifted):
+            alpha = psi_step(ctx.k, ell, g, alpha)
+        if c:
+            f = Scalar.q(ell, ctx.k, c)
+            alpha = tuple(a * f for a in alpha)
+    return alpha
+
+
+def test_weight_of_matches_psi_walk():
+    # 1,445 indices: entries -1..2 with absolute total <= 3
+    count = 0
+    for n, r in ((2, 1), (3, 1), (4, 1), (2, 3), (3, 2), (4, 2)):
+        ctx = RepContext(n, r, r)
+        for flat in itertools.product(range(-1, 3), repeat=n * r):
+            if sum(map(abs, flat)) > 3:
+                continue
+            mu = tuple(flat[i * n:(i + 1) * n] for i in range(r))
+            assert weight_of(ctx, mu) == _psi_weight(ctx, mu), mu
+            count += 1
+    assert count == 1445
+
+
 def test_kappa_matches_weight_of_rank_one():
-    # counting formula against the walk and closed-form routes
+    # counting formula against the closed form
     for n, ctx in ((2, C21), (3, C31)):
         for total in range(4):
             for mu in compositions(n, total):
@@ -232,14 +263,54 @@ def test_theta_oracle_exists_for_dual_weights():
     assert multidegree(f) == (1, 1)
 
 
+C32 = RepContext(3, 2, 2)
+CORRUPTIBLE = [(C22, ((1, 0), (0, 1))), (C22, ((0, 1), (1, 1))),
+               (C32, ((0, 1, 0), (1, 0, 1))), (C32, ((1, 0, 1), (0, 1, 0)))]
+
+
+def _corruptions(rec):
+    terms = rec.poly.terms
+    first = min(terms)
+    doubled = dict(terms)
+    doubled[first] = terms[first] + terms[first]
+    dropped = {m: c for m, c in terms.items() if m != first}
+    w = rec.weight
+    flat = [0] * len(first)
+    flat[0] = 1
+    return {
+        "doubled": MacdonaldRecord(rec.index, LaurentPoly(
+            rec.poly.r, rec.poly.n, rec.poly.k, doubled), w),
+        "dropped": MacdonaldRecord(rec.index, LaurentPoly(
+            rec.poly.r, rec.poly.n, rec.poly.k, dropped), w),
+        "weights swapped": MacdonaldRecord(
+            rec.index, rec.poly, (w[1], w[0]) + w[2:]),
+        "times x11": MacdonaldRecord(
+            rec.index, rec.poly.mul_monomial(tuple(flat)), w),
+    }
+
+
 def test_check_record_rejects_corrupted_records():
+    for ctx, mu in CORRUPTIBLE:
+        rec = E(ctx, mu)
+        assert check_record(ctx, rec)
+        # several terms, and some denominator for check_record to clear
+        assert len(rec.poly.terms) >= 2
+        assert any(c.den != {0: 1} for c in rec.poly.terms.values())
+        for name, bad in _corruptions(rec).items():
+            assert not check_record(ctx, bad), (mu, name)
     rec = E(C22, ((1, 0), (0, 1)))
-    wrong_poly = MacdonaldRecord(rec.index, rec.poly.mul_monomial((1, 0, 0, 0)),
-                                 rec.weight)
-    assert not check_record(C22, wrong_poly)
     wrong_weight = MacdonaldRecord(rec.index, rec.poly,
                                    weight_of(C22, ((0, 1), (0, 1))))
     assert not check_record(C22, wrong_weight)
+
+
+def test_check_record_accepts_a_scaled_record():
+    for ctx, mu in CORRUPTIBLE:
+        rec = E(ctx, mu)
+        t, one = ctx.scalar_t(), ctx.scalar_one()
+        c = (one + t * ctx.scalar_q(1)) / (one - ctx.scalar_q(2))
+        scaled = MacdonaldRecord(rec.index, rec.poly.smul(c), rec.weight)
+        assert check_record(ctx, scaled), mu
 
 
 # ---------------------------------------------------------------------------

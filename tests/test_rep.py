@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dahamac.field import Scalar
-from dahamac.laurent import LaurentPoly
+from dahamac.laurent import LaurentPoly, poly_dumps
 from dahamac.rep import (
     RepContext,
     apply_Delta_n,
     apply_operator_expr,
     apply_pi,
-    apply_pi_tilde,
     apply_T,
     apply_T_inv,
     apply_theta,
@@ -139,15 +138,60 @@ def test_theta_weight_on_constants():
             ctx.one().smul(ctx.scalar_t(i - 1))
 
 
+def _Y_by_definition(ctx, i, p):
+    """t^(n-i) T_1 ... T_{i-1} pi T_{n-1}^-1 ... T_i^-1."""
+    for j in range(i, ctx.n):
+        p = apply_T_inv(ctx, j, p)
+    p = apply_pi(ctx, p)
+    for j in range(1, i):
+        p = apply_T(ctx, j, p)
+    return p.smul(ctx.scalar_t(ctx.n - i))
+
+
+def _theta_by_definition(ctx, i, p):
+    """t^(i-1) T_{i-1}^-1 ... T_1^-1 pi T_{n-1} ... T_i."""
+    for j in range(i, ctx.n):
+        p = apply_T(ctx, j, p)
+    p = apply_pi(ctx, p)
+    for j in range(1, i):
+        p = apply_T_inv(ctx, j, p)
+    return p.smul(ctx.scalar_t(i - 1))
+
+
+def _laurent_input(ctx):
+    """Three terms with negative exponents in every group, carrying
+    t^-1 + q1, 1/(1 - t q2) and -3/2."""
+    t, one = ctx.scalar_t(), ctx.scalar_one()
+    q2 = ctx.scalar_q(min(2, ctx.k))
+    coeffs = (t.inv() + ctx.scalar_q(1), (one - t * q2).inv(),
+              Scalar.integer(-3, ctx.k) / Scalar.integer(2, ctx.k))
+    terms = {}
+    for s, c in enumerate(coeffs):
+        flat = tuple((pos * (s + 2) + s) % 4 - 1
+                     for pos in range(ctx.r * ctx.n))
+        terms[flat] = c
+    return LaurentPoly(ctx.r, ctx.n, ctx.k, terms)
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (4, 1), (2, 3)])
+def test_integral_Y_and_theta_match_their_definitions(n, r):
+    ctx = RepContext(n, r, r)
+    p = _laurent_input(ctx)
+    assert len(p.terms) == 3
+    assert all(any(-1 in m[g * n:(g + 1) * n] for m in p.terms)
+               for g in range(r))
+    for i in range(1, n + 1):
+        assert poly_dumps(apply_Y(ctx, i, p)) == \
+            poly_dumps(_Y_by_definition(ctx, i, p))
+        assert poly_dumps(apply_theta(ctx, i, p)) == \
+            poly_dumps(_theta_by_definition(ctx, i, p))
+
+
 @given(polys22())
 def test_Y_operators_commute(p):
     lhs = apply_Y(CTX22, 1, apply_Y(CTX22, 2, p))
     rhs = apply_Y(CTX22, 2, apply_Y(CTX22, 1, p))
     assert lhs == rhs
-
-
-def test_pi_tilde_on_one():
-    assert apply_pi_tilde(CTX21, CTX21.one()) == var(CTX21, 1, 1)
 
 
 # ---------------------------------------------------------------------------
