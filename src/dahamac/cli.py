@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 
-from .field import Scalar, render_scalar, scalar_to_json
+from .field import MAX_EXP, Scalar, render_scalar, scalar_to_json
 from .laurent import LaurentPoly, render_poly, poly_to_json, poly_from_json
 from .rep import RepContext, verify_daha_relations, apply_operator_expr, \
     degrees_upto, _monomials_upto
@@ -60,8 +60,11 @@ class SessionConfig:
     def bound(self):
         if self.max_deg is None:
             return (1,) * self.r
-        if len(self.max_deg) != self.r or any(b < 0 for b in self.max_deg):
-            raise UsageError("--max-deg needs r nonnegative entries")
+        # pi turns an x-exponent into a q-exponent, which a Scalar caps
+        # at MAX_EXP; past 2^63 rep.degrees_upto would overflow
+        if len(self.max_deg) != self.r \
+                or any(not 0 <= b <= MAX_EXP for b in self.max_deg):
+            raise UsageError(f"--max-deg needs r entries in 0..{MAX_EXP}")
         return self.max_deg
 
 
@@ -378,21 +381,22 @@ def cmd_stability(nu_spec, n_max, q_count=None):
 # argument plumbing
 
 
-def _add_common(sub, with_bound=False):
+def _add_common(sub, verify=False):
     sub.add_argument("--n", type=int, required=True,
                      help="number of variables per group")
     sub.add_argument("--r", type=int, default=1,
                      help="number of variable groups (default 1)")
     sub.add_argument("--q-count", type=int, default=None,
                      help="session parameter count (default r)")
-    sub.add_argument("--format", choices=("text", "latex", "json"),
-                     default="text")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized round-trip spot-checks")
     sub.add_argument("--out", default=None, help="write output to a file")
-    if with_bound:
+    if verify:
         sub.add_argument("--max-deg", default=None,
                          help="componentwise degree bound, e.g. \"2,1\"")
+        sub.add_argument("--seed", type=int, default=None,
+                         help="seed for randomized round-trip spot-checks")
+    else:
+        sub.add_argument("--format", choices=("text", "latex", "json"),
+                         default="text")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -428,7 +432,7 @@ def build_parser():
                    help="orbit index in the same grammar as --mu")
 
     v = cmds.add_parser("verify", help="run an identity suite")
-    _add_common(v, with_bound=True)
+    _add_common(v, verify=True)
     v.add_argument("--suite", required=True,
                    help="one of " + ", ".join(SUITES))
 
@@ -466,8 +470,9 @@ def _dispatch(args):
     config = SessionConfig(
         n=args.n, r=args.r,
         q_count=args.q_count if args.q_count is not None else args.r,
-        fmt=args.format, max_deg=_parse_bound(getattr(args, "max_deg", None)),
-        seed=args.seed)
+        fmt=getattr(args, "format", "text"),
+        max_deg=_parse_bound(getattr(args, "max_deg", None)),
+        seed=getattr(args, "seed", None))
     if args.command == "e":
         return 0, cmd_e(config, args.mu)
     if args.command == "p":

@@ -438,14 +438,8 @@ def _f_norm(num, den):
 def _f_reduce(num, den):
     if not num:
         return {}, {0: 1}
-    ic = p_icontent(den)
-    if ic not in (0, 1):
-        icn = igcd(ic, p_icontent(num))
-        if icn > 1:
-            num = p_idiv(num, icn)
-            den = p_idiv(den, icn)
     if _is_one(den):
-        return _f_norm(num, den)
+        return num, den
     _, num, den = p_gcd(num, den)
     return _f_norm(num, den)
 
@@ -467,9 +461,6 @@ class Scalar:
         self.num = num
         self.den = den
         self.k = k
-
-    def nparams(self):
-        return self.k
 
     # -- constructors ------------------------------------------------------
 

@@ -316,7 +316,7 @@ def poly_from_json(d) -> LaurentPoly:
         if len(rows) != r or any(len(row) != n for row in rows):
             raise ValueError(f"exponent rows must be {r} rows of {n}")
         c = scalar_from_json(item["coeff"])
-        if c.is_zero() or c.nparams() != k:
+        if c.is_zero() or c.k != k:
             raise ValueError(f"coefficients must be nonzero, in {k} "
                              "q-parameters")
         terms[tuple(int(e) for row in rows for e in row)] = c

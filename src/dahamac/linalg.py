@@ -49,7 +49,7 @@ def rref(rows):
 def nullspace(rows):
     """Basis of {x : A x = 0} for a nonempty A given as a list of rows."""
     ncols = len(rows[0])
-    k = rows[0][0].nparams()
+    k = rows[0][0].k
     mat, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -65,7 +65,7 @@ def nullspace(rows):
 def mat_vec_rows(vec, rows):
     """Row vector times matrix (matrix given as list of rows)."""
     ncols = len(rows[0])
-    k = vec[0].nparams()
+    k = vec[0].k
     out = [Scalar.zero(k) for _ in range(ncols)]
     for i, vi in enumerate(vec):
         if vi.is_zero():
@@ -89,7 +89,7 @@ def joint_left_kernel(mats, shifts):
     the coordinates of the running kernel basis.
     """
     dim = len(mats[0])
-    k = shifts[0].nparams()
+    k = shifts[0].k
     kernel = []
     for j in range(dim):
         v = [Scalar.zero(k) for _ in range(dim)]

@@ -26,8 +26,8 @@ from . import affine
 from .field import Scalar
 from .laurent import LaurentPoly, clear_poly_denominators, \
     coefficient_of_group1, group1_rows, multidegree
-from .rep import RepContext, apply_T, apply_pi, apply_Y, apply_theta, \
-    matrix_of, component_basis
+from .rep import RepContext, apply_T, apply_pi, apply_Y, matrix_of, \
+    component_basis
 from .linalg import joint_left_kernel
 
 
@@ -167,34 +167,17 @@ def E(ctx: RepContext, mu_tuple) -> MacdonaldRecord:
     if hit is not None:
         return hit
 
-    shifted = []
-    prefactor = [0] * (ctx.r * ctx.n)
-    trivial = True
-    for jj, comp in enumerate(mu_tuple):
-        s, c = affine.omega_normalize(comp)
-        shifted.append(s)
-        if c:
-            trivial = False
-            for pos in range(ctx.n):
-                prefactor[jj * ctx.n + pos] = -c
-    shifted = tuple(shifted)
-
-    if not trivial:
-        inner = E(ctx, shifted)
-        poly = inner.poly.mul_monomial(tuple(prefactor))
-        degs = [sum(comp) for comp in shifted]
-        for jj in range(ctx.r):
-            c = (degs[jj] - sum(mu_tuple[jj])) // ctx.n
-            if c:
-                base = tuple(mu_tuple[:jj + 1]) + tuple(shifted[jj + 1:])
-                poly = poly.smul(shift_factor(ctx, base, jj + 1, c).inv())
-                degs[jj] -= c * ctx.n
-        rec = MacdonaldRecord(mu_tuple, poly, weight_of(ctx, mu_tuple))
-        _E_CACHE[key] = rec
-        return rec
-
+    shifted, shifts = zip(*map(affine.omega_normalize, mu_tuple))
     ell = next((i for i, comp in enumerate(mu_tuple, 1) if any(comp)), 0)
-    if ell:
+    if any(shifts):
+        cur = E(ctx, shifted).poly.mul_monomial(
+            tuple(-c for c in shifts for _ in range(ctx.n)))
+        for j, c in enumerate(shifts, 1):
+            if c:
+                base = mu_tuple[:j] + shifted[j:]
+                cur = cur.smul(shift_factor(ctx, base, j, c).inv())
+        alpha = weight_of(ctx, mu_tuple)
+    elif ell:
         nu = (0,) * ctx.n
         start = E(ctx, mu_tuple[:ell - 1] + (nu,) + mu_tuple[ell:])
         cur, alpha = start.poly, start.weight
@@ -226,11 +209,6 @@ def _y_matrices(ctx: RepContext, d):
     return hit
 
 
-def _theta_matrices(ctx: RepContext, d):
-    return [matrix_of(ctx, lambda p, i=i: apply_theta(ctx, i, p), d)
-            for i in range(1, ctx.n + 1)]
-
-
 def _joint_eigenvector(ctx: RepContext, mats, weight, d) -> LaurentPoly:
     """The vector v with v M_i = weight_i v for every i, unique up to
     scale, as a polynomial on the component of multidegree d."""
@@ -243,10 +221,6 @@ def _joint_eigenvector(ctx: RepContext, mats, weight, d) -> LaurentPoly:
                                              kernel[0]) if not c.is_zero()})
 
 
-def _normalize_leading(poly):
-    return poly.smul(poly.terms[min(poly.terms)].inv())
-
-
 def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
     """Joint Y-eigenvector found by exact linear algebra, first
     basis-ordered coefficient normalized to 1."""
@@ -254,14 +228,9 @@ def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
     if any(e < 0 for comp in mu_tuple for e in comp):
         raise ValueError("oracle needs a nonnegative index")
     d = index_multidegree(mu_tuple)
-    return _normalize_leading(_joint_eigenvector(
-        ctx, _y_matrices(ctx, d), weight_of(ctx, mu_tuple), d))
-
-
-def eigen_oracle_theta(ctx: RepContext, target_weight, d) -> LaurentPoly:
-    """Joint theta-eigenvector for a target weight on a component."""
-    return _normalize_leading(_joint_eigenvector(
-        ctx, _theta_matrices(ctx, d), target_weight, d))
+    poly = _joint_eigenvector(ctx, _y_matrices(ctx, d),
+                              weight_of(ctx, mu_tuple), d)
+    return poly.smul(poly.terms[min(poly.terms)].inv())
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,13 @@ def apply_T(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
     return full + acc.smul(one_minus_t)
 
 
+def _apply_tT_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
+    """t T_j^{-1} = T_j + (t-1), with no division by t."""
+    return apply_T(ctx, j, p) + p.smul(Scalar.t(ctx.k) - Scalar.one(ctx.k))
+
+
 def apply_T_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
-    _check_j(ctx, j)
-    tinv = Scalar.t(ctx.k).inv()
-    shift = (Scalar.t(ctx.k) - Scalar.integer(1, ctx.k)) * tinv
-    return apply_T(ctx, j, p).smul(tinv) + p.smul(shift)
+    return _apply_tT_inv(ctx, j, p).smul(Scalar.t(ctx.k).inv())
 
 
 def apply_X(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
@@ -127,11 +129,6 @@ def apply_pi(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
             c = c * Scalar.param_monomial(ctx.k, 0, qexp)
         out[tuple(e for row in rows for e in row)] = c
     return LaurentPoly(r, n, ctx.k, out)
-
-
-def _apply_tT_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
-    """t T_j^{-1} = T_j + (t-1), with no division by t."""
-    return apply_T(ctx, j, p) + p.smul(Scalar.t(ctx.k) - Scalar.one(ctx.k))
 
 
 def apply_Y(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:

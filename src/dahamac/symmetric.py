@@ -20,9 +20,8 @@ from .field import Scalar
 from .laurent import LaurentPoly
 from .rep import RepContext, apply_T, apply_Delta_n, symmetrize_eps, \
     matrix_of, compositions, t_bracket
-from .nonsym import E, weight_of, _joint_eigenvector, _theta_matrices, \
-    _P_CACHE
-from .linalg import rref, transpose
+from .nonsym import E, weight_of, _P_CACHE
+from .linalg import rref
 
 
 @dataclass(frozen=True)
@@ -134,47 +133,3 @@ def verify_spectrum(ctx, n, r, d) -> dict:
             "count": len(indices), "eps_dim": eps_dim,
             "count_matches_dim": count_ok}
 
-
-def paper_normalization(ctx: RepContext, nu_tuple) -> Scalar:
-    """Scalar making the matching dual-weight coordinate equal to 1.
-
-    nu is read as P reads it: the symmetrized polynomial is eps(E(mu))
-    with mu = gamma_inverse(nu), expanded against the joint
-    theta-eigenvector whose weight equals the Y-weight of E(mu); that
-    eigenvector is taken monic at its lexicographically greatest
-    exponent.  The returned scalar s is the unique one for which
-    s * eps(E(mu)) has coordinate 1 there.
-    """
-    nu_tuple = tuple(tuple(int(e) for e in comp) for comp in nu_tuple)
-    if not is_orbit_index(nu_tuple):
-        raise ValueError("not an orbit index")
-    if any(e < 0 for comp in nu_tuple for e in comp):
-        raise ValueError("positive indices only")
-    mu = affine.gamma_inverse(nu_tuple)
-    alpha = weight_of(ctx, mu)
-    d = tuple(sum(comp) for comp in nu_tuple)
-    sym = symmetrize_eps(ctx, E(ctx, mu).poly)
-    if sym.is_zero():
-        raise ArithmeticError(f"symmetrizer kills E at {mu}")
-    mats = _theta_matrices(ctx, d)
-    v_f = _joint_eigenvector(ctx, mats, alpha, d)
-    v_f = v_f.smul(v_f.terms[max(v_f.terms)].inv())
-    # dual pairing vector: column eigenvector for the same weight
-    u = _joint_eigenvector(ctx, [transpose(m) for m in mats], alpha, d)
-    pair_f = _pair(v_f, u)
-    if pair_f.is_zero():
-        raise ArithmeticError("degenerate dual pairing")
-    coord = _pair(sym, u) / pair_f
-    if coord.is_zero():
-        raise ArithmeticError(
-            f"matching dual coordinate vanishes at {nu_tuple}")
-    return coord.inv()
-
-
-def _pair(a: LaurentPoly, b: LaurentPoly) -> Scalar:
-    """Sum of the products of the coefficients a and b share."""
-    total = Scalar.zero(a.k)
-    for m, c in a.terms.items():
-        if m in b.terms:
-            total = total + c * b.terms[m]
-    return total

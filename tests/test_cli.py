@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from dahamac.cli import SUITES, build_parser, main, parse_index, \
     parse_ragged
-from dahamac.field import Scalar
+from dahamac.field import MAX_EXP, Scalar
 from dahamac.laurent import poly_from_json
 from dahamac.nonsym import E
 from dahamac.rep import RepContext, apply_T
@@ -279,6 +279,27 @@ def test_double_dash_value_exits_2(command, flag, tmp_path, monkeypatch):
     assert code == 2 and out == ""
     assert err == f"error: argument {flag}: expected one argument\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("e", "--seed=3"), ("p", "--seed=3"), ("apply", "--seed=3"),
+    ("verify", "--format=json")])
+def test_flag_of_another_command_exits_2(command, flag):
+    # --seed only seeds verify's spot-checks, --format only renders
+    # e, p and apply
+    code, out, err = _exit_code_out_err([command, *_VALID_ARGV[command], flag])
+    assert code == 2 and out == ""
+    assert err == f"error: unrecognized arguments: {flag}\n"
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_max_deg_past_limit_exits_2(suite):
+    # an entry past 2^63 overflowed in rep.degrees_upto with a traceback
+    for bound in (MAX_EXP + 1, 10**20):
+        code, out, err = _exit_code_out_err(
+            ["verify", "--n=2", f"--suite={suite}", f"--max-deg={bound}"])
+        assert code == 2 and out == ""
+        assert err == f"error: --max-deg needs r entries in 0..{MAX_EXP}\n"
 
 
 _EXPR_TOKENS = ("T1", "T2", "T5", "Tinv1", "X1", "X3", "Xinv2", "pi", "t",

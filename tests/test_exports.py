@@ -1,0 +1,69 @@
+"""Every public module-level function and class in dahamac has a user.
+
+A name counts as used when the program, the scripts, the benchmark or
+the acceptance file refers to it outside its own definition: as a
+Name, an Attribute, an imported name, or a string constant (the
+benchmark's tracer names its targets by string).  The unit tests do
+not count, so a function only they call is a dead export.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dahamac"
+USERS = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+         *(ROOT / "perfbench").glob("*.py"),
+         ROOT / "tests" / "test_acceptance.py"]
+
+# names kept without a user in the program, each for a test
+ALLOWED = {
+    "affine.act": "the reference action that checks coset_word",
+    "nonsym.clear_cache": "empties the memo caches between tests",
+}
+
+
+def _referenced(node):
+    """The names node refers to."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node
+
+
+def test_every_public_definition_has_a_user():
+    trees = {path: ast.parse(path.read_text()) for path in USERS}
+    counts = Counter(name for tree in trees.values()
+                     for name in _referenced(tree))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _public_definitions(trees[path]):
+            # a reference inside the definition itself (recursion) does
+            # not count
+            own = sum(name == node.name for name in _referenced(node))
+            key = f"{path.stem}.{node.name}"
+            if counts[node.name] == own and key not in ALLOWED:
+                unused.append(key)
+    assert unused == []
+
+
+def test_allowed_names_still_exist():
+    for key in ALLOWED:
+        module, name = key.split(".")
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        assert name in {node.name for node in _public_definitions(tree)}

@@ -22,7 +22,6 @@ from dahamac.nonsym import (
     check_record,
     clear_cache,
     eigen_oracle_Y,
-    eigen_oracle_theta,
     index_multidegree,
     kappa,
     knop_sahi_check,
@@ -252,15 +251,6 @@ def test_oracle_agrees_up_to_scale():
 def test_oracle_rejects_negative_indices():
     with pytest.raises(ValueError):
         eigen_oracle_Y(C21, ((-1, 0),))
-
-
-def test_theta_oracle_exists_for_dual_weights():
-    # the second commuting family has a joint eigenvector at the same
-    # weight, on the same graded component
-    mu = ((1, 0), (0, 1))
-    f = eigen_oracle_theta(C22, weight_of(C22, mu), (1, 1))
-    assert not f.is_zero()
-    assert multidegree(f) == (1, 1)
 
 
 C32 = RepContext(3, 2, 2)

@@ -20,7 +20,6 @@ from dahamac.symmetric import (
     delta_eigenvalue,
     enumerate_orbit_indices,
     is_orbit_index,
-    paper_normalization,
     verify_spectrum,
 )
 
@@ -365,25 +364,3 @@ def test_spectrum_collision_three_variables():
     assert E(ctx, pair[0]).poly != E(ctx, pair[1]).poly
     assert weight_of(ctx, pair[0]) != weight_of(ctx, pair[1])
 
-
-# ---------------------------------------------------------------------------
-# the matching-coordinate normalization
-
-
-def test_paper_normalization_values():
-    one = Scalar.one(1)
-    t = Scalar.t(1)
-    assert paper_normalization(C21, ((2, 0),)) == t + one
-    # nu is read as P reads it, through gamma_inverse
-    t2 = Scalar.t(2)
-    q2 = Scalar.q(2, 2)
-    assert paper_normalization(C22, ((1, 0), (0, 1))) == t2 + Scalar.one(2)
-    assert paper_normalization(C22, ((1, 0), (1, 0))) == \
-        (t2 + Scalar.one(2)) * q2
-
-
-def test_paper_normalization_guards():
-    with pytest.raises(ValueError):
-        paper_normalization(C21, ((0, 1),))
-    with pytest.raises(ValueError):
-        paper_normalization(C21, ((-1, -1),))
