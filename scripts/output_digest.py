@@ -10,6 +10,12 @@ operation.  Polynomials render as `poly_dumps`, scalars as
 items sorted by key.  Two trees that give the same digest computed the
 same outputs, byte for byte.  --limit N runs only the first N
 operations of the shuffled list.
+
+The extra workload e-box is not a benchmark workload: it builds the E
+record of every index with entries -2..2 and sum |e| <= 3 at each
+(n, r) of E_BOX_SHAPES, 929 indices of which 717 have a negative
+entry, so it covers the omega-shift route of E that no benchmark
+workload reaches.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -26,6 +34,34 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from dahamac.field import Scalar, render_scalar  # noqa: E402
 from dahamac.laurent import LaurentPoly, poly_dumps  # noqa: E402
+
+E_BOX_SHAPES = ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))
+
+
+def e_box_ops(order):
+    """The e-box operations (n, r, index), shuffled by order."""
+    ops = []
+    for n, r in E_BOX_SHAPES:
+        for flat in itertools.product(range(-2, 3), repeat=n * r):
+            if sum(map(abs, flat)) <= 3:
+                ops.append((n, r, tuple(flat[i * n:(i + 1) * n]
+                                        for i in range(r))))
+    random.Random(order).shuffle(ops)
+    return ops
+
+
+def outputs(workload, order, limit=None):
+    """The outputs of the workload's first limit operations, in order."""
+    if workload == "e-box":
+        from dahamac.nonsym import E
+        from dahamac.rep import RepContext
+
+        for n, r, mu in e_box_ops(order)[:limit]:
+            yield E(RepContext(n, r, r), mu)
+        return
+    ops, ctxs = workloads.make_ops(workload, order)
+    for op in ops[:limit]:
+        yield workloads.run_op(op, ctxs)
 
 
 def render(obj) -> str:
@@ -48,18 +84,18 @@ def render(obj) -> str:
 
 def digest(workload, order, limit=None):
     """(SHA-256 hex digest, number of operations run)."""
-    ops, ctxs = workloads.make_ops(workload, order)
-    ops = ops[:limit]
     h = hashlib.sha256()
-    for op in ops:
-        h.update(render(workloads.run_op(op, ctxs)).encode() + b"\n")
-    return h.hexdigest(), len(ops)
+    count = 0
+    for out in outputs(workload, order, limit):
+        h.update(render(out).encode() + b"\n")
+        count += 1
+    return h.hexdigest(), count
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        choices=workloads.WORKLOADS)
+                        choices=(*workloads.WORKLOADS, "e-box"))
     parser.add_argument("--order", required=True)
     parser.add_argument("--limit", type=int, default=None)
     args = parser.parse_args(argv)

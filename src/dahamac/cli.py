@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 
-from .field import MAX_EXP, Scalar, render_scalar, scalar_to_json
+from .field import MAX_EXP, render_scalar, scalar_to_json
 from .laurent import LaurentPoly, render_poly, poly_to_json, poly_from_json
 from .rep import RepContext, verify_daha_relations, apply_operator_expr, \
     degrees_upto, _monomials_upto
@@ -306,17 +306,17 @@ _SUITE_RUNNERS = (
 
 def _roundtrip_spotcheck(config):
     rng = random.Random(config.seed)
+    ctx = config.ctx()
     size = config.r * config.n
     ok = True
     for _ in range(20):
         terms = {}
         for _ in range(rng.randrange(1, 4)):
             flat = tuple(rng.randrange(-2, 4) for _ in range(size))
-            coeff = Scalar.param_monomial(
-                config.q_count, rng.randrange(-2, 3),
-                {rng.randrange(1, config.q_count + 1): rng.randrange(-2, 3)},
-                rng.choice((1, 2, -3)))
-            terms[flat] = coeff
+            terms[flat] = ctx.scalar(
+                t=rng.randrange(-2, 3),
+                q={rng.randrange(1, config.q_count + 1): rng.randrange(-2, 3)},
+                c=rng.choice((1, 2, -3)))
         p = LaurentPoly(config.r, config.n, config.q_count, terms)
         ok = ok and poly_from_json(json.loads(json.dumps(
             poly_to_json(p)))) == p

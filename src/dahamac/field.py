@@ -482,23 +482,28 @@ class Scalar:
 
     @staticmethod
     def q(i, k, e=1):
-        if not 1 <= i <= k:
-            raise ValueError(f"q_{i} outside session with {k} parameters")
         return Scalar.param_monomial(k, 0, {i: e})
 
     @staticmethod
     def param_monomial(k, e_t, qexps, coeff=1):
-        """c * t^e_t * prod q_i^{e_i}; negative exponents go to the den."""
+        """c * t^e_t * prod q_i^{e_i}; negative exponents go to the den.
+
+        ValueError for a q index outside 1..k."""
+        for i in qexps:
+            if not 1 <= i <= k:
+                raise ValueError(f"q_{i} outside session with {k} parameters")
         if coeff == 0:
             return Scalar.zero(k)
-        ex = [e_t] + [qexps.get(i, 0) for i in range(1, k + 1)]
-        num = {_pack([max(e, 0) for e in ex]): coeff}
-        den = {_pack([max(-e, 0) for e in ex]): 1}
-        if coeff < 0:
-            num = p_neg(num)
-            den = p_neg(den)
-        # num/den share no variables so this is already reduced
-        return Scalar(num, den, k, reduced=True)
+        num = den = 0
+        for i, e in ((0, e_t), *qexps.items()):
+            if abs(e) > MAX_EXP:
+                raise ValueError(f"exponent {abs(e)} outside 0..{MAX_EXP}")
+            if e > 0:
+                num |= e << (k - i) * FIELD_BITS
+            elif e < 0:
+                den |= -e << (k - i) * FIELD_BITS
+        # num/den share no variables and den is monic: already canonical
+        return Scalar({num: coeff}, {den: 1}, k, reduced=True)
 
     # -- predicates --------------------------------------------------------
 

@@ -1,12 +1,13 @@
 """Exact linear algebra over the coefficient field, sized for the tiny
-graded components that the verification suites touch."""
+graded components that the verification suites touch.
+
+The field is whatever the inputs' scalars belong to: zero and one are
+taken from the inputs, never built here."""
 
 from __future__ import annotations
 
-from .field import Scalar
 
-
-def _weight(s: Scalar) -> int:
+def _weight(s) -> int:
     return len(s.num) + len(s.den)
 
 
@@ -46,27 +47,25 @@ def rref(rows):
     return mat, pivots
 
 
-def nullspace(rows):
-    """Basis of {x : A x = 0} for a nonempty A given as a list of rows."""
+def nullspace(rows, zero, one):
+    """Basis of {x : A x = 0} for a nonempty A given as a list of rows,
+    with zero and one those of A's field."""
     ncols = len(rows[0])
-    k = rows[0][0].k
     mat, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Scalar.zero(k) for _ in range(ncols)]
-        v[fc] = Scalar.one(k)
+        v = [zero] * ncols
+        v[fc] = one
         for prow, pcol in enumerate(pivots):
             v[pcol] = -mat[prow][fc]
         basis.append(v)
     return basis
 
 
-def mat_vec_rows(vec, rows):
+def mat_vec_rows(vec, rows, zero):
     """Row vector times matrix (matrix given as list of rows)."""
-    ncols = len(rows[0])
-    k = vec[0].k
-    out = [Scalar.zero(k) for _ in range(ncols)]
+    out = [zero] * len(rows[0])
     for i, vi in enumerate(vec):
         if vi.is_zero():
             continue
@@ -85,25 +84,26 @@ def joint_left_kernel(mats, shifts):
     """Vectors v with v (M_i - shift_i I) = 0 for every i.
 
     mats is a list of square matrices (rows convention), shifts a list
-    of Scalars.  Works by intersecting kernels one matrix at a time in
+    of nonzero scalars, from the first of which the field's zero and one
+    are taken.  Works by intersecting kernels one matrix at a time in
     the coordinates of the running kernel basis.
     """
     dim = len(mats[0])
-    k = shifts[0].k
+    zero, one = shifts[0] - shifts[0], shifts[0] / shifts[0]
     kernel = []
     for j in range(dim):
-        v = [Scalar.zero(k) for _ in range(dim)]
-        v[j] = Scalar.one(k)
+        v = [zero] * dim
+        v[j] = one
         kernel.append(v)
     for M, a in zip(mats, shifts):
         shifted = [list(row) for row in M]
         for j in range(dim):
             shifted[j][j] = shifted[j][j] - a
-        constraint = [mat_vec_rows(v, shifted) for v in kernel]
-        coeffs = nullspace(transpose(constraint))
+        constraint = [mat_vec_rows(v, shifted, zero) for v in kernel]
+        coeffs = nullspace(transpose(constraint), zero, one)
         new_kernel = []
         for c in coeffs:
-            v = [Scalar.zero(k) for _ in range(dim)]
+            v = [zero] * dim
             for s, cs in enumerate(c):
                 if not cs.is_zero():
                     for j in range(dim):

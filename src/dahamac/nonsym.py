@@ -52,11 +52,10 @@ def _normalize_index(mu_tuple, n):
 # weights
 
 
-def psi_step(k, ell, g, w):
-    """One Psi step for parameter q_ell in a k-parameter session."""
+def psi_step(ctx: RepContext, ell, g, w):
+    """One Psi step for parameter q_ell."""
     if g == affine.PI:
-        qinv = Scalar.q(ell, k).inv()
-        return (qinv * w[-1],) + tuple(w[:-1])
+        return (ctx.scalar(q={ell: -1}) * w[-1],) + tuple(w[:-1])
     j = g
     out = list(w)
     out[j - 1], out[j] = out[j], out[j - 1]
@@ -64,7 +63,7 @@ def psi_step(k, ell, g, w):
 
 
 def base_weight(ctx: RepContext):
-    return tuple(Scalar.t(ctx.k, ctx.n - i) for i in range(1, ctx.n + 1))
+    return tuple(ctx.scalar(t=ctx.n - i) for i in range(1, ctx.n + 1))
 
 
 def weight_of(ctx: RepContext, mu_tuple):
@@ -81,7 +80,7 @@ def weight_of(ctx: RepContext, mu_tuple):
         for ell, g in enumerate(gamma, start=1):
             if g[i - 1]:
                 qexps[ell] = -g[i - 1]
-        out.append(Scalar.param_monomial(ctx.k, ctx.n - sigma[i - 1], qexps))
+        out.append(ctx.scalar(t=ctx.n - sigma[i - 1], q=qexps))
     return tuple(out)
 
 
@@ -95,8 +94,7 @@ def kappa(ctx: RepContext, mu):
     for j in range(1, n + 1):
         beta = sum(1 for kk in range(j - 1) if mu[kk] > mu[j - 1]) \
             + sum(1 for kk in range(j, n) if mu[j - 1] <= mu[kk])
-        out.append(Scalar.param_monomial(
-            ctx.k, beta, {1: -mu[j - 1]}))
+        out.append(ctx.scalar(t=beta, q={1: -mu[j - 1]}))
     return tuple(out)
 
 
@@ -127,15 +125,9 @@ def shift_factor(ctx: RepContext, mu_tuple, j, c) -> Scalar:
     mu_tuple = _normalize_index(mu_tuple, ctx.n)
     if not 1 <= j <= ctx.r:
         raise ValueError("component index out of range")
-    out = Scalar.one(ctx.k)
-    earlier = sum(sum(comp) for comp in mu_tuple[:j - 1])
-    if earlier:
-        out = out * ctx.scalar_q(j, -c * earlier)
-    for m in range(j + 1, ctx.r + 1):
-        d = sum(mu_tuple[m - 1])
-        if d:
-            out = out * ctx.scalar_q(m, -c * d)
-    return out
+    qexps = {m: -c * sum(mu_tuple[m - 1]) for m in range(j + 1, ctx.r + 1)}
+    qexps[j] = -c * sum(sum(comp) for comp in mu_tuple[:j - 1])
+    return ctx.scalar(q=qexps)
 
 
 def raise_step(ctx: RepContext, ell, g, nu, alpha, p) -> LaurentPoly:
@@ -150,10 +142,9 @@ def raise_step(ctx: RepContext, ell, g, nu, alpha, p) -> LaurentPoly:
         flat = [0] * (ctx.r * ctx.n)
         flat[(ell - 1) * ctx.n] = 1
         p = apply_pi(ctx, p).mul_monomial(tuple(flat))
-        return p.smul(ctx.scalar_q(ell, nu[-1])) if nu[-1] else p
-    t = Scalar.t(ctx.k)
-    one = Scalar.one(ctx.k)
-    c = (t - one) / (one - alpha[g - 1] / alpha[g])
+        return p.smul(ctx.scalar(q={ell: nu[-1]})) if nu[-1] else p
+    one = ctx.scalar()
+    c = (ctx.scalar(t=1) - one) / (one - alpha[g - 1] / alpha[g])
     return apply_T(ctx, g, p) + p.smul(c)
 
 
@@ -184,7 +175,7 @@ def E(ctx: RepContext, mu_tuple) -> MacdonaldRecord:
         for g in affine.coset_word(mu_tuple[ell - 1]):
             cur = raise_step(ctx, ell, g, nu, alpha, cur)
             nu = affine.act_gen(g, nu)
-            alpha = psi_step(ctx.k, ell, g, alpha)
+            alpha = psi_step(ctx, ell, g, alpha)
     else:
         cur, alpha = ctx.one(), base_weight(ctx)
     rec = MacdonaldRecord(mu_tuple, cur, alpha)

@@ -28,6 +28,10 @@ with polynomial coefficients every denominator that appears is a
 q-monomial.  The symmetrizer eps is the normalized sum of t^{-l(w)} T_w
 over the finite symmetric group, and
 Delta_n = eps (Y_1 + ... + Y_n - [n]_t) eps.
+
+RepContext names the coefficient field Q(t, q_1..q_k), and its one
+constructor RepContext.scalar builds every scalar that this module and
+the modules above it create.
 """
 
 from __future__ import annotations
@@ -57,14 +61,10 @@ class RepContext:
     def one(self):
         return LaurentPoly.one(self.r, self.n, self.k)
 
-    def scalar_one(self):
-        return Scalar.one(self.k)
-
-    def scalar_t(self, e=1):
-        return Scalar.t(self.k, e)
-
-    def scalar_q(self, i, e=1):
-        return Scalar.q(i, self.k, e)
+    def scalar(self, c=1, t=0, q=None) -> Scalar:
+        """c * t^t * prod_l q_l^q[l]; negative exponents go to the
+        denominator, and a q index outside 1..k is a ValueError."""
+        return Scalar.param_monomial(self.k, t, q or {}, c)
 
 
 def _check_j(ctx, j):
@@ -77,7 +77,7 @@ def apply_T(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
     full = p
     for i in range(1, ctx.r + 1):
         full = swap_vars(full, i, j)
-    one_minus_t = Scalar.integer(1, ctx.k) - Scalar.t(ctx.k)
+    one_minus_t = ctx.scalar() - ctx.scalar(t=1)
     acc = None
     cur = p
     for grp in range(1, ctx.r + 1):
@@ -90,11 +90,11 @@ def apply_T(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
 
 def _apply_tT_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
     """t T_j^{-1} = T_j + (t-1), with no division by t."""
-    return apply_T(ctx, j, p) + p.smul(Scalar.t(ctx.k) - Scalar.one(ctx.k))
+    return apply_T(ctx, j, p) + p.smul(ctx.scalar(t=1) - ctx.scalar())
 
 
 def apply_T_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
-    return _apply_tT_inv(ctx, j, p).smul(Scalar.t(ctx.k).inv())
+    return _apply_tT_inv(ctx, j, p).smul(ctx.scalar(t=-1))
 
 
 def apply_X(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
@@ -126,7 +126,7 @@ def apply_pi(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
                 qexp[i + 1] = -last
             rows.append((row[-1],) + row[:-1])
         if qexp:
-            c = c * Scalar.param_monomial(ctx.k, 0, qexp)
+            c = c * ctx.scalar(q=qexp)
         out[tuple(e for row in rows for e in row)] = c
     return LaurentPoly(r, n, ctx.k, out)
 
@@ -181,11 +181,11 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
     """
     norm, p = clear_poly_denominators(p)
     for m in range(2, ctx.n + 1):
-        acc = p.smul(Scalar.t(ctx.k, m - 1))
+        acc = p.smul(ctx.scalar(t=m - 1))
         cur = p
         for j in range(m - 1, 0, -1):
             cur = apply_T(ctx, j, cur)
-            acc = acc + (cur.smul(Scalar.t(ctx.k, j - 1)) if j > 1 else cur)
+            acc = acc + (cur.smul(ctx.scalar(t=j - 1)) if j > 1 else cur)
         p = acc
         norm = norm * t_bracket(ctx, m)
     if monic_at is not None:
@@ -198,9 +198,9 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
 
 def t_bracket(ctx: RepContext, m=None) -> Scalar:
     """[m]_t = 1 + t + ... + t^(m-1), with m = n by default."""
-    total = Scalar.zero(ctx.k)
+    total = ctx.scalar(0)
     for e in range(ctx.n if m is None else m):
-        total = total + Scalar.t(ctx.k, e)
+        total = total + ctx.scalar(t=e)
     return total
 
 
@@ -250,8 +250,8 @@ def parse_operator_expr(text: str):
     return terms
 
 
-def _coeff_from_parts(parts, k):
-    c = Scalar.one(k)
+def _coeff_from_parts(parts, ctx):
+    c = ctx.scalar()
     for tok in parts:
         if "^" in tok:
             base, _, e = tok.partition("^")
@@ -259,11 +259,11 @@ def _coeff_from_parts(parts, k):
         else:
             base, e = tok, 1
         if base == "t":
-            c = c * Scalar.t(k, e)
+            c = c * ctx.scalar(t=e)
         elif base.startswith("q") and base[1:].isdigit():
-            c = c * Scalar.q(int(base[1:]), k, e)
+            c = c * ctx.scalar(q={int(base[1:]): e})
         elif base.lstrip("-").isdigit():
-            f = Scalar.integer(int(base) ** abs(e), k)
+            f = ctx.scalar(int(base) ** abs(e))
             c = c * (f if e >= 0 else f.inv())
         else:
             raise ValueError(f"unknown token {tok!r} in operator expression")
@@ -288,7 +288,7 @@ def apply_operator_expr(ctx: RepContext, expr, p: LaurentPoly) -> LaurentPoly:
                 cur = apply_X(ctx, tok[1], cur)
             elif tok[0] == "Xinv":
                 cur = apply_X_inv(ctx, tok[1], cur)
-        c = _coeff_from_parts(coeff_parts, ctx.k)
+        c = _coeff_from_parts(coeff_parts, ctx)
         total = total + cur.smul(c)
     return total
 
@@ -333,10 +333,10 @@ def matrix_of(ctx: RepContext, op, d):
     """
     basis = component_basis(ctx, d)
     index = {m: c for c, m in enumerate(basis)}
-    zero = Scalar.zero(ctx.k)
+    zero, one = ctx.scalar(0), ctx.scalar()
     mat = []
     for m in basis:
-        image = op(LaurentPoly(ctx.r, ctx.n, ctx.k, {m: ctx.scalar_one()}))
+        image = op(LaurentPoly(ctx.r, ctx.n, ctx.k, {m: one}))
         row = [zero] * len(basis)
         for mm, c in image.terms.items():
             if mm not in index:
@@ -362,10 +362,10 @@ def verify_daha_relations(ctx: RepContext, degree_bound) -> dict:
     Returns {"ok": bool, "checks": [{"relation": name, "ok": bool,
     "failures": [monomial texts]}...]}.
     """
-    n, k = ctx.n, ctx.k
-    t = Scalar.t(k)
-    q1 = Scalar.q(1, k)
-    one = Scalar.one(k)
+    n = ctx.n
+    t = ctx.scalar(t=1)
+    q1 = ctx.scalar(q={1: 1})
+    one = ctx.scalar()
 
     def T(j):
         return lambda p: apply_T(ctx, j, p)

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affine import gamma_inverse
 from .field import Scalar
 from .laurent import LaurentPoly, is_positive
 from .rep import RepContext, apply_T, apply_theta, apply_Delta_n, \
     symmetrize_eps, _monomials_upto
-from .symmetric import P, delta_eigenvalue, is_orbit_index
+from .symmetric import P, is_orbit_index
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def verify_quotient_relations(n, r, degree_bound, k=None):
         k = r
     big = RepContext(n + 1, r, k)
     small = RepContext(n, r, k)
-    tn = Scalar.t(k, n)
+    tn = big.scalar(t=n)
     report = {"n": n, "r": r, "bound": tuple(degree_bound), "ok": True}
     identities = {}
 
@@ -113,7 +112,7 @@ def verify_quotient_relations(n, r, degree_bound, k=None):
         if failures:
             report["ok"] = False
 
-    one = Scalar.one(k)
+    one = big.scalar()
     monomials = [LaurentPoly(big.r, big.n, big.k, {flat: one})
                  for flat in _monomials_upto(big, degree_bound)]
     for j in range(1, n):
@@ -169,11 +168,13 @@ class StableFamily:
 
     members maps n to the record at size n.  projections maps n to
     whether the size-(n+1) member projects onto the size-n one.
-    stable_value is the closed-form eigenvalue read off the shortest
-    member; remark_value is the partition-shape closed form (None when
-    some component is not a partition).  errors lists every detected
-    discrepancy in plain words; an empty list means the family is
-    stable in range.
+    stable_value is the eigenvalue of the shortest member, the closed
+    form delta_eigenvalue at its E label; while P's eigenvalue is
+    delta_eigenvalue, matches_stable_formula therefore equals
+    eigenvalue_constant.  remark_value is the partition-shape closed
+    form (None when some component is not a partition).  errors lists
+    every detected discrepancy in plain words; an empty list means the
+    family is stable in range.
     """
 
     index: StableIndex
@@ -202,15 +203,12 @@ def remark_eigenvalue(nu: StableIndex, k=None):
     for c in nu.components:
         if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
             return None
-    total = Scalar.zero(k)
+    ctx = RepContext(max(nu.ell, 1), nu.r, k)
+    total = ctx.scalar(0)
     for i in range(nu.ell):
-        qexps = {}
-        for j, c in enumerate(nu.components, start=1):
-            part = c[i] if i < len(c) else 0
-            if part:
-                qexps[j] = -part
-        total = total + (Scalar.param_monomial(k, 0, qexps)
-                         - Scalar.one(k)) * Scalar.t(k, i)
+        qexps = {j: -c[i] for j, c in enumerate(nu.components, start=1)
+                 if i < len(c)}
+        total = total + ctx.scalar(t=i, q=qexps) - ctx.scalar(t=i)
     return total
 
 
@@ -238,16 +236,14 @@ def stable_family(nu: StableIndex, n_max, k=None) -> StableFamily:
         if not projections[n]:
             errors.append(f"projection mismatch: the size-{n + 1} member "
                           f"does not project onto the size-{n} member")
-    base = members[start].eigenvalue
+    stable_value = members[start].eigenvalue
     eigenvalue_constant = True
     for n in range(start + 1, n_max + 1):
-        if members[n].eigenvalue != base:
+        if members[n].eigenvalue != stable_value:
             eigenvalue_constant = False
             errors.append(f"eigenvalue n-dependence detected: the value "
                           f"at size {n} differs from the value at size "
                           f"{start}")
-    stable_value = delta_eigenvalue(RepContext(start, nu.r, k),
-                                    gamma_inverse(iota(nu, start)))
     matches_stable_formula = all(
         members[n].eigenvalue == stable_value for n in members)
     if not matches_stable_formula:

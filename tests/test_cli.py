@@ -172,6 +172,13 @@ def test_apply_generator_out_of_range(capsys):
     assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
 
+def test_apply_q_outside_session_names_it(capsys):
+    code, out, err = run(capsys, "apply", "--n", "2", "--mu", "1,0",
+                         "--expr", "q5 T1")
+    assert (code, out, err) == \
+        (2, "", "error: q_5 outside session with 1 parameters\n")
+
+
 def test_apply_poly_with_empty_denominator(capsys):
     poly = {"r": 1, "n": 2, "params": 1, "terms": [
         {"exp": [[1, 0]], "coeff": {"num": [["1", [0, 0]]], "den": []}}]}

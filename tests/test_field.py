@@ -82,6 +82,8 @@ def test_reduction_cancels_mixed_factor():
 def test_monomial_rendering():
     s = Scalar.param_monomial(K, -1, {1: 2, 2: -3}, 5)
     assert render_scalar(s) == "5*q1^2/(t*q2^3)"
+    s = Scalar.param_monomial(K, 1, {1: -2}, -2)
+    assert render_scalar(s) == "-2*t/q1^2"
 
 
 def test_negative_power():
@@ -125,6 +127,27 @@ def test_equal_scalars_hash_equal():
     a = (ONE - T**2) / (ONE - T)
     b = ONE + T
     assert a == b and hash(a) == hash(b)
+
+
+@given(st.integers(-6, 6), st.integers(-3, 3),
+       st.dictionaries(st.integers(1, K), st.integers(-3, 3)))
+def test_param_monomial_is_canonical(coeff, e_t, qexps):
+    a = Scalar.param_monomial(K, e_t, qexps, coeff)
+    assert a.den[max(a.den)] > 0
+    # the same value through arithmetic, which normalises every result
+    b = Scalar.integer(coeff, K) * Scalar.t(K, e_t)
+    for i, e in qexps.items():
+        b = b * Scalar.q(i, K, e)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("qexps", [{0: 1}, {3: 1}, {3: 0}, {1: 1, 5: -2}])
+def test_param_monomial_rejects_q_outside_session(qexps):
+    bad = next(i for i in qexps if not 1 <= i <= K)
+    with pytest.raises(ValueError,
+                       match=f"^q_{bad} outside session with {K} parameters$"):
+        Scalar.param_monomial(K, 0, qexps)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def _psi_weight(ctx, mu_tuple):
     for ell in range(ctx.r, 0, -1):
         shifted, c = affine.omega_normalize(mu_tuple[ell - 1])
         for g in affine.coset_word(shifted):
-            alpha = psi_step(ctx.k, ell, g, alpha)
+            alpha = psi_step(ctx, ell, g, alpha)
         if c:
             f = Scalar.q(ell, ctx.k, c)
             alpha = tuple(a * f for a in alpha)
@@ -297,8 +297,8 @@ def test_check_record_rejects_corrupted_records():
 def test_check_record_accepts_a_scaled_record():
     for ctx, mu in CORRUPTIBLE:
         rec = E(ctx, mu)
-        t, one = ctx.scalar_t(), ctx.scalar_one()
-        c = (one + t * ctx.scalar_q(1)) / (one - ctx.scalar_q(2))
+        t, one = ctx.scalar(t=1), ctx.scalar()
+        c = (one + t * ctx.scalar(q={1: 1})) / (one - ctx.scalar(q={2: 1}))
         scaled = MacdonaldRecord(rec.index, rec.poly.smul(c), rec.weight)
         assert check_record(ctx, scaled), mu
 

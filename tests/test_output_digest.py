@@ -25,3 +25,10 @@ def test_output_digest_is_one_stable_line():
                         first)
     assert _digest_line("eigen", 12) == first
     assert _digest_line("eigen", 11) != first
+
+
+def test_e_box_digest_is_one_stable_line():
+    first = _digest_line("e-box", 12)
+    assert re.fullmatch(r"e-box order=1/0 ops=12 sha256=[0-9a-f]{64}\n",
+                        first)
+    assert _digest_line("e-box", 12) == first

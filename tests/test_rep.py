@@ -52,10 +52,18 @@ def test_context_validation():
         RepContext(2, 2, 1)  # more groups than q parameters
 
 
+def test_context_scalar():
+    assert CTX22.scalar() == Scalar.one(2) and CTX22.scalar(0).is_zero()
+    assert CTX22.scalar(-3, t=-1, q={2: 2}) == \
+        Scalar.integer(-3, 2) * Scalar.q(2, 2, 2) / Scalar.t(2)
+    with pytest.raises(ValueError, match="q_3 outside session"):
+        CTX22.scalar(q={3: 1})
+
+
 def test_demazure_lusztig_on_degree_one():
     x11, x12 = var(CTX21, 1, 1), var(CTX21, 1, 2)
-    t = CTX21.scalar_t()
-    one = CTX21.scalar_one()
+    t = CTX21.scalar(t=1)
+    one = CTX21.scalar()
     assert apply_T(CTX21, 1, x11) == x12 + x11.smul(one - t)
     assert apply_T(CTX21, 1, x12) == x11.smul(t)
     # constants are fixed: the quadratic has eigenvalues 1 and -t
@@ -63,8 +71,8 @@ def test_demazure_lusztig_on_degree_one():
 
 
 def test_pinned_T_matrix():
-    t = CTX21.scalar_t()
-    one = CTX21.scalar_one()
+    t = CTX21.scalar(t=1)
+    one = CTX21.scalar()
     zero = Scalar.zero(1)
     mat = matrix_of(CTX21, lambda p: apply_T(CTX21, 1, p), (1,))
     assert mat == [[zero, t], [one, one - t]]
@@ -74,8 +82,8 @@ def test_pinned_T_matrix():
 @given(polys22())
 def test_hecke_quadratic_relation(p):
     # (T - 1)(T + t) = 0
-    t = CTX22.scalar_t()
-    one = CTX22.scalar_one()
+    t = CTX22.scalar(t=1)
+    one = CTX22.scalar()
     tp = apply_T(CTX22, 1, p)
     assert apply_T(CTX22, 1, tp) == tp.smul(one - t) + p.smul(t)
 
@@ -128,14 +136,15 @@ def test_X_operators():
 def test_Y_weight_on_constants():
     ctx = RepContext(3, 2, 2)
     for i in (1, 2, 3):
-        assert apply_Y(ctx, i, ctx.one()) == ctx.one().smul(ctx.scalar_t(3 - i))
+        assert apply_Y(ctx, i, ctx.one()) == \
+            ctx.one().smul(ctx.scalar(t=3 - i))
 
 
 def test_theta_weight_on_constants():
     ctx = RepContext(3, 2, 2)
     for i in (1, 2, 3):
         assert apply_theta(ctx, i, ctx.one()) == \
-            ctx.one().smul(ctx.scalar_t(i - 1))
+            ctx.one().smul(ctx.scalar(t=i - 1))
 
 
 def _Y_by_definition(ctx, i, p):
@@ -145,7 +154,7 @@ def _Y_by_definition(ctx, i, p):
     p = apply_pi(ctx, p)
     for j in range(1, i):
         p = apply_T(ctx, j, p)
-    return p.smul(ctx.scalar_t(ctx.n - i))
+    return p.smul(ctx.scalar(t=ctx.n - i))
 
 
 def _theta_by_definition(ctx, i, p):
@@ -155,15 +164,15 @@ def _theta_by_definition(ctx, i, p):
     p = apply_pi(ctx, p)
     for j in range(1, i):
         p = apply_T_inv(ctx, j, p)
-    return p.smul(ctx.scalar_t(i - 1))
+    return p.smul(ctx.scalar(t=i - 1))
 
 
 def _laurent_input(ctx):
     """Three terms with negative exponents in every group, carrying
     t^-1 + q1, 1/(1 - t q2) and -3/2."""
-    t, one = ctx.scalar_t(), ctx.scalar_one()
-    q2 = ctx.scalar_q(min(2, ctx.k))
-    coeffs = (t.inv() + ctx.scalar_q(1), (one - t * q2).inv(),
+    t, one = ctx.scalar(t=1), ctx.scalar()
+    q2 = ctx.scalar(q={min(2, ctx.k): 1})
+    coeffs = (t.inv() + ctx.scalar(q={1: 1}), (one - t * q2).inv(),
               Scalar.integer(-3, ctx.k) / Scalar.integer(2, ctx.k))
     terms = {}
     for s, c in enumerate(coeffs):
@@ -200,8 +209,8 @@ def test_Y_operators_commute(p):
 
 def test_eps_on_degree_one():
     x11, x12 = var(CTX21, 1, 1), var(CTX21, 1, 2)
-    one = CTX21.scalar_one()
-    t = CTX21.scalar_t()
+    one = CTX21.scalar()
+    t = CTX21.scalar(t=1)
     expected = (x11 + x12).smul((one + t).inv())
     assert symmetrize_eps(CTX21, x11) == expected
     # x12 symmetrizes to the same line scaled by t: T x12 = t x11
@@ -279,7 +288,7 @@ def test_operator_expr_matches_Y():
 def test_operator_expr_linear_combination():
     p = var(CTX21, 1, 1)
     out = apply_operator_expr(CTX21, "2 T1 + t X1", p)
-    t = CTX21.scalar_t()
+    t = CTX21.scalar(t=1)
     expected = apply_T(CTX21, 1, p).smul(Scalar.integer(2, 1)) + \
         apply_X(CTX21, 1, p).smul(t)
     assert out == expected
