@@ -61,7 +61,7 @@ class SessionConfig:
         if self.max_deg is None:
             return (1,) * self.r
         # pi turns an x-exponent into a q-exponent, which a Scalar caps
-        # at MAX_EXP; past 2^63 rep.degrees_upto would overflow
+        # at MAX_EXP
         if len(self.max_deg) != self.r \
                 or any(not 0 <= b <= MAX_EXP for b in self.max_deg):
             raise UsageError(f"--max-deg needs r entries in 0..{MAX_EXP}")

@@ -37,7 +37,6 @@ the modules above it create.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .field import Scalar
 from .laurent import LaurentPoly, clear_poly_denominators, swap_vars, xi
@@ -308,8 +307,15 @@ def compositions(total, n):
 
 
 def degrees_upto(bound):
-    """Multidegrees componentwise at most bound, in lex order."""
-    return product(*(range(b + 1) for b in bound))
+    """Multidegrees componentwise at most bound, in lex order, made one
+    at a time: memory stays linear in len(bound) however large its
+    entries."""
+    if not bound:
+        yield ()
+        return
+    for head in range(bound[0] + 1):
+        for rest in degrees_upto(bound[1:]):
+            yield (head,) + rest
 
 
 def component_basis(ctx: RepContext, d):

@@ -239,10 +239,23 @@ def test_index_multidegree():
 # eigen oracles
 
 
+C32 = RepContext(3, 2, 2)
+# every index of the 20-dim (4,1) component of degree 3, every index of
+# the 18-dim (3,2) component of degree (2,1), and one index of the
+# 36-dim (3,2) component of degree (2,2)
+ORACLE_CASES = [
+    *((C22, mu) for mu in [((1, 0), (0, 1)), ((0, 1), (1, 0)),
+                           ((1, 1), (1, 0))]),
+    *((RepContext(4, 1, 1), (mu,)) for mu in compositions(4, 3)),
+    *((C32, (a, b)) for a in compositions(3, 2) for b in compositions(3, 1)),
+    (C32, ((0, 1, 1), (0, 2, 0))),
+]
+
+
 def test_oracle_agrees_up_to_scale():
-    for mu in [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 0))]:
-        rec = E(C22, mu)
-        oracle = eigen_oracle_Y(C22, mu)
+    for ctx, mu in ORACLE_CASES:
+        rec = E(ctx, mu)
+        oracle = eigen_oracle_Y(ctx, mu)
         lead = max(oracle.terms)
         ratio = rec.poly.terms[lead] / oracle.terms[lead]
         assert oracle.smul(ratio) == rec.poly
@@ -253,7 +266,6 @@ def test_oracle_rejects_negative_indices():
         eigen_oracle_Y(C21, ((-1, 0),))
 
 
-C32 = RepContext(3, 2, 2)
 CORRUPTIBLE = [(C22, ((1, 0), (0, 1))), (C22, ((0, 1), (1, 1))),
                (C32, ((0, 1, 0), (1, 0, 1))), (C32, ((1, 0, 1), (0, 1, 0)))]
 

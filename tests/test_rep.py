@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dahamac.field import Scalar
+from dahamac.field import MAX_EXP, Scalar
 from dahamac.laurent import LaurentPoly, poly_dumps
 from dahamac.rep import (
     RepContext,
@@ -19,6 +22,7 @@ from dahamac.rep import (
     apply_X_inv,
     apply_Y,
     component_basis,
+    degrees_upto,
     matrix_of,
     parse_operator_expr,
     symmetrize_eps,
@@ -298,3 +302,22 @@ def test_component_basis_shape():
     basis = component_basis(CTX22, (1, 1))
     assert basis == [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
     assert len(component_basis(CTX31, (2,))) == 6
+
+
+def test_degrees_upto_in_lex_order():
+    for bound in [(), (0,), (2,), (1, 0, 2), (2, 1)]:
+        assert list(degrees_upto(bound)) == list(
+            itertools.product(*(range(b + 1) for b in bound)))
+
+
+def test_degrees_upto_is_lazy_at_the_exponent_limit():
+    tracemalloc.start()
+    try:
+        first = next(iter(degrees_upto((MAX_EXP,))))
+        second = list(itertools.islice(degrees_upto((MAX_EXP, MAX_EXP)), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (0,)
+    assert second == [(0, 0), (0, 1), (0, 2)]
+    assert peak < 100_000
