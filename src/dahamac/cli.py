@@ -367,7 +367,6 @@ def cmd_stability(nu_spec, n_max, q_count=None):
                         for n, ok in sorted(fam.projections.items())},
         "eigenvalue_constant": fam.eigenvalue_constant,
         "stable_value": render_scalar(fam.stable_value),
-        "matches_stable_formula": fam.matches_stable_formula,
         "remark_value": None if fam.remark_value is None
         else render_scalar(fam.remark_value),
         "matches_remark": fam.matches_remark,
@@ -446,7 +445,9 @@ def build_parser():
     a = cmds.add_parser("apply", help="apply an operator expression")
     _add_common(a)
     a.add_argument("--expr", required=True,
-                   help="e.g. \"t^2 pi Tinv2 Tinv1\" (rightmost first)")
+                   help="generators T<j>, Tinv<j>, X<i>, Xinv<i>, Y<i>, "
+                   "pi with t, q<i> and integer weights, e.g. "
+                   "\"t^2 pi Tinv2 Tinv1 + Y1\" (rightmost first)")
     a.add_argument("--poly", default=None, help="polynomial as JSON text")
     a.add_argument("--poly-file", default=None,
                    help="file holding polynomial JSON")

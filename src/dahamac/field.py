@@ -718,6 +718,8 @@ def _poly_from_json(items):
         if not int(c) or any(e < 0 for e in m):
             raise ValueError("scalar JSON needs nonzero coefficients and "
                              "nonnegative exponents")
+        if m in out:
+            raise ValueError(f"scalar JSON repeats the exponent {m}")
         out[m] = int(c)
     return out
 
@@ -729,7 +731,8 @@ def scalar_to_json(s: Scalar) -> dict:
 
 def scalar_from_json(d) -> Scalar:
     """Decode scalar_to_json output into canonical form; ValueError on
-    an empty denominator, exponents of unequal or zero length, or an
+    an empty denominator, exponents of unequal or zero length, an
+    exponent repeated within the numerator or the denominator, or an
     exponent past MAX_EXP."""
     num = _poly_from_json(d["num"])
     den = _poly_from_json(d["den"])

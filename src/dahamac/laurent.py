@@ -137,10 +137,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def coeff_of(self, rows):
-        flat = tuple(e for row in rows for e in row)
-        return self.terms.get(flat, Scalar.zero(self.k))
-
     def __repr__(self):
         return f"LaurentPoly({render_poly(self)})"
 
@@ -307,8 +303,8 @@ def poly_to_json(p: LaurentPoly) -> dict:
 
 def poly_from_json(d) -> LaurentPoly:
     """Decode poly_to_json output; ValueError unless every term has r
-    exponent rows of n integers and a nonzero coefficient in params
-    parameters."""
+    exponent rows of n integers, an exponent no other term has and a
+    nonzero coefficient in params parameters."""
     r, n, k = d["r"], d["n"], d["params"]
     terms = {}
     for item in d["terms"]:
@@ -319,7 +315,10 @@ def poly_from_json(d) -> LaurentPoly:
         if c.is_zero() or c.k != k:
             raise ValueError(f"coefficients must be nonzero, in {k} "
                              "q-parameters")
-        terms[tuple(int(e) for row in rows for e in row)] = c
+        m = tuple(int(e) for row in rows for e in row)
+        if m in terms:
+            raise ValueError(f"polynomial JSON repeats the exponent {m}")
+        terms[m] = c
     return LaurentPoly(r, n, k, terms)
 
 

@@ -29,6 +29,11 @@ q-monomial.  The symmetrizer eps is the normalized sum of t^{-l(w)} T_w
 over the finite symmetric group, and
 Delta_n = eps (Y_1 + ... + Y_n - [n]_t) eps.
 
+apply_operator_expr is the one interpreter of operator words: sums of
+t-, q- and integer-weighted words in the tokens T<j>, Tinv<j>, X<i>,
+Xinv<i>, Y<i> and pi.  The `apply` command evaluates them, and
+verify_daha_relations states each defining relation as two of them.
+
 RepContext names the coefficient field Q(t, q_1..q_k), and its one
 constructor RepContext.scalar builds every scalar that this module and
 the modules above it create.
@@ -36,6 +41,8 @@ the modules above it create.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .field import Scalar
@@ -216,7 +223,10 @@ def apply_Delta_n(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
 # operator expressions
 
 
-_GEN_TOKENS = ("Tinv", "T", "Xinv", "X")
+# generator token -> action on (ctx, index, p); pi, with no index, is
+# the one token outside it
+_GENERATORS = {"Tinv": apply_T_inv, "T": apply_T, "Xinv": apply_X_inv,
+               "X": apply_X, "Y": apply_Y}
 
 
 def parse_operator_expr(text: str):
@@ -225,7 +235,7 @@ def parse_operator_expr(text: str):
     Grammar: terms split on '+'; each term is whitespace-separated
     tokens among t, q<i> (with optional ^<int> exponent, possibly
     negative), an optional leading integer, and the generators T<j>,
-    Tinv<j>, X<i>, Xinv<i>, pi.  Generator tokens apply rightmost
+    Tinv<j>, X<i>, Xinv<i>, Y<i>, pi.  Generator tokens apply rightmost
     first.
     """
     terms = []
@@ -239,7 +249,7 @@ def parse_operator_expr(text: str):
             if tok == "pi":
                 word.append(("pi",))
                 continue
-            gen = next((g for g in _GEN_TOKENS if tok.startswith(g)
+            gen = next((g for g in _GENERATORS if tok.startswith(g)
                         and tok[len(g):].isdigit()), None)
             if gen is not None:
                 word.append((gen, int(tok[len(gen):])))
@@ -262,7 +272,12 @@ def _coeff_from_parts(parts, ctx):
         elif base.startswith("q") and base[1:].isdigit():
             c = c * ctx.scalar(q={int(base[1:]): e})
         elif base.lstrip("-").isdigit():
-            f = ctx.scalar(int(base) ** abs(e))
+            b = int(base)
+            # an int past this many digits cannot be printed
+            limit = sys.get_int_max_str_digits()
+            if abs(b) > 1 and limit and abs(e) * math.log10(abs(b)) >= limit:
+                raise ValueError(f"{tok} has more than {limit} digits")
+            f = ctx.scalar(b ** abs(e))
             c = c * (f if e >= 0 else f.inv())
         else:
             raise ValueError(f"unknown token {tok!r} in operator expression")
@@ -273,22 +288,17 @@ def apply_operator_expr(ctx: RepContext, expr, p: LaurentPoly) -> LaurentPoly:
     """Apply a parsed (or textual) operator expression to p."""
     if isinstance(expr, str):
         expr = parse_operator_expr(expr)
-    total = ctx.zero()
+    total = None
     for coeff_parts, word in expr:
         cur = p
         for tok in reversed(word):
             if tok[0] == "pi":
                 cur = apply_pi(ctx, cur)
-            elif tok[0] == "T":
-                cur = apply_T(ctx, tok[1], cur)
-            elif tok[0] == "Tinv":
-                cur = apply_T_inv(ctx, tok[1], cur)
-            elif tok[0] == "X":
-                cur = apply_X(ctx, tok[1], cur)
-            elif tok[0] == "Xinv":
-                cur = apply_X_inv(ctx, tok[1], cur)
-        c = _coeff_from_parts(coeff_parts, ctx)
-        total = total + cur.smul(c)
+            else:
+                cur = _GENERATORS[tok[0]](ctx, tok[1], cur)
+        if coeff_parts:
+            cur = cur.smul(_coeff_from_parts(coeff_parts, ctx))
+        total = cur if total is None else total + cur
     return total
 
 
@@ -369,90 +379,45 @@ def verify_daha_relations(ctx: RepContext, degree_bound) -> dict:
     "failures": [monomial texts]}...]}.
     """
     n = ctx.n
-    t = ctx.scalar(t=1)
-    q1 = ctx.scalar(q={1: 1})
-    one = ctx.scalar()
-
-    def T(j):
-        return lambda p: apply_T(ctx, j, p)
-
-    def Tinv(j):
-        return lambda p: apply_T_inv(ctx, j, p)
-
-    def X(i):
-        return lambda p: apply_X(ctx, i, p)
-
-    def Y(i):
-        return lambda p: apply_Y(ctx, i, p)
-
-    def chain(*ops):
-        def go(p):
-            for op in reversed(ops):
-                p = op(p)
-            return p
-        return go
-
-    def scaled(c, op):
-        return lambda p: op(p).smul(c)
-
-    relations = []
-
-    def rel(name, lhs, rhs):
-        relations.append((name, lhs, rhs))
-
-    def quadratic(i):
-        def go(p):
-            tp = apply_T(ctx, i, p)
-            return apply_T(ctx, i, tp) + tp.smul(t - one)
-        return go
-
+    # (T-1)(T+t) = T^2 + tT - T - t
+    relations = [(f"(T{i}-1)(T{i}+t)=0", f"T{i} T{i} + t T{i}", f"T{i} + t")
+                 for i in range(1, n)]
+    relations += [(f"T{i}T{i+1}T{i}=T{i+1}T{i}T{i+1}", f"T{i} T{i+1} T{i}",
+                   f"T{i+1} T{i} T{i+1}") for i in range(1, n - 1)]
+    relations += [(f"T{i}T{j}=T{j}T{i}", f"T{i} T{j}", f"T{j} T{i}")
+                  for i in range(1, n) for j in range(i + 2, n)]
     for i in range(1, n):
-        rel(f"(T{i}-1)(T{i}+t)=0", quadratic(i), scaled(t, lambda p: p))
-    for i in range(1, n - 1):
-        rel(f"T{i}T{i+1}T{i}=T{i+1}T{i}T{i+1}",
-            chain(T(i), T(i + 1), T(i)),
-            chain(T(i + 1), T(i), T(i + 1)))
+        relations.append((f"Tinv{i}X{i}Tinv{i}=t^-1X{i+1}",
+                          f"Tinv{i} X{i} Tinv{i}", f"t^-1 X{i+1}"))
+        relations += [(f"T{i}X{j}=X{j}T{i}", f"T{i} X{j}", f"X{j} T{i}")
+                      for j in range(1, n + 1) if j not in (i, i + 1)]
+    relations += [(f"X{i}X{j}=X{j}X{i}", f"X{i} X{j}", f"X{j} X{i}")
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for i in range(1, n):
-        for j in range(i + 2, n):
-            rel(f"T{i}T{j}=T{j}T{i}", chain(T(i), T(j)), chain(T(j), T(i)))
-    for i in range(1, n):
-        rel(f"Tinv{i}X{i}Tinv{i}=t^-1X{i+1}",
-            chain(Tinv(i), X(i), Tinv(i)),
-            scaled(t.inv(), X(i + 1)))
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                rel(f"T{i}X{j}=X{j}T{i}", chain(T(i), X(j)),
-                    chain(X(j), T(i)))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rel(f"X{i}X{j}=X{j}X{i}", chain(X(i), X(j)), chain(X(j), X(i)))
-    for i in range(1, n):
-        rel(f"T{i}Y{i}T{i}=tY{i+1}",
-            chain(T(i), Y(i), T(i)), scaled(t, Y(i + 1)))
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                rel(f"T{i}Y{j}=Y{j}T{i}", chain(T(i), Y(j)),
-                    chain(Y(j), T(i)))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rel(f"Y{i}Y{j}=Y{j}Y{i}", chain(Y(i), Y(j)), chain(Y(j), Y(i)))
+        relations.append((f"T{i}Y{i}T{i}=tY{i+1}", f"T{i} Y{i} T{i}",
+                          f"t Y{i+1}"))
+        relations += [(f"T{i}Y{j}=Y{j}T{i}", f"T{i} Y{j}", f"Y{j} T{i}")
+                      for j in range(1, n + 1) if j not in (i, i + 1)]
+    relations += [(f"Y{i}Y{j}=Y{j}Y{i}", f"Y{i} Y{j}", f"Y{j} Y{i}")
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if n >= 2:
-        rel("Y1T1X1=X2Y1T1",
-            chain(Y(1), T(1), X(1)), chain(X(2), Y(1), T(1)))
+        relations.append(("Y1T1X1=X2Y1T1", "Y1 T1 X1", "X2 Y1 T1"))
     # pi substitutes q^-1 x_1, so moving Y_1 past X_1..X_n costs q^-1:
     # the product relation reads q Y1 X1..Xn = X1..Xn Y1.
-    allX = chain(*[X(i) for i in range(1, n + 1)])
-    rel("qY1X1..Xn=X1..XnY1",
-        scaled(q1, chain(Y(1), allX)), chain(allX, Y(1)))
+    all_x = " ".join(f"X{i}" for i in range(1, n + 1))
+    relations.append(("qY1X1..Xn=X1..XnY1", f"q1 Y1 {all_x}", f"{all_x} Y1"))
 
     mons = list(_monomials_upto(ctx, degree_bound))
     checks = []
     all_ok = True
+    one = ctx.scalar()
     for name, lhs, rhs in relations:
+        lhs, rhs = parse_operator_expr(lhs), parse_operator_expr(rhs)
         failures = []
         for m in mons:
             p = LaurentPoly(ctx.r, ctx.n, ctx.k, {m: one})
-            if lhs(p) != rhs(p):
+            if apply_operator_expr(ctx, lhs, p) != \
+                    apply_operator_expr(ctx, rhs, p):
                 failures.append(str(m))
         ok = not failures
         all_ok = all_ok and ok

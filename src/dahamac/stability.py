@@ -169,9 +169,8 @@ class StableFamily:
     members maps n to the record at size n.  projections maps n to
     whether the size-(n+1) member projects onto the size-n one.
     stable_value is the eigenvalue of the shortest member, the closed
-    form delta_eigenvalue at its E label; while P's eigenvalue is
-    delta_eigenvalue, matches_stable_formula therefore equals
-    eigenvalue_constant.  remark_value is the partition-shape closed
+    form delta_eigenvalue at its E label, so eigenvalue_constant says
+    that every member has it.  remark_value is the partition-shape closed
     form (None when some component is not a partition).  errors lists
     every detected discrepancy in plain words; an empty list means the
     family is stable in range.
@@ -182,7 +181,6 @@ class StableFamily:
     projections: dict
     eigenvalue_constant: bool
     stable_value: Scalar
-    matches_stable_formula: bool
     remark_value: Scalar | None
     matches_remark: bool | None
     errors: tuple
@@ -244,11 +242,6 @@ def stable_family(nu: StableIndex, n_max, k=None) -> StableFamily:
             errors.append(f"eigenvalue n-dependence detected: the value "
                           f"at size {n} differs from the value at size "
                           f"{start}")
-    matches_stable_formula = all(
-        members[n].eigenvalue == stable_value for n in members)
-    if not matches_stable_formula:
-        errors.append("stable closed-form eigenvalue differs from the "
-                      "computed eigenvalue at some size in range")
     remark_value = remark_eigenvalue(nu, k)
     matches_remark = None
     if remark_value is not None:
@@ -259,5 +252,5 @@ def stable_family(nu: StableIndex, n_max, k=None) -> StableFamily:
                           "from the computed eigenvalue at some size in "
                           "range")
     return StableFamily(nu, members, projections, eigenvalue_constant,
-                        stable_value, matches_stable_formula,
-                        remark_value, matches_remark, tuple(errors))
+                        stable_value, remark_value, matches_remark,
+                        tuple(errors))

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from dahamac.cli import SUITES, build_parser, main, parse_index, \
     parse_ragged
 from dahamac.field import MAX_EXP, Scalar
-from dahamac.laurent import poly_from_json
+from dahamac.laurent import LaurentPoly, poly_from_json
 from dahamac.nonsym import E
-from dahamac.rep import RepContext, apply_T
+from dahamac.rep import RepContext, apply_T, apply_Y
 
 
 def run(capsys, *argv):
@@ -187,6 +187,41 @@ def test_apply_poly_with_empty_denominator(capsys):
     assert code == 2 and "denominator" in err and err.count("\n") == 1
 
 
+def _poly_json(terms):
+    """A one-parameter n=2 polynomial JSON; terms are (exp, num, den)."""
+    return json.dumps({"r": 1, "n": 2, "params": 1, "terms": [
+        {"exp": [exp], "coeff": {"num": num, "den": den}}
+        for exp, num, den in terms]})
+
+
+@pytest.mark.parametrize("poly", [
+    # two terms at x[1,1]: the decoder kept the last and printed 2*x[1,1]
+    _poly_json([([1, 0], [["1", [0, 0]]], [["1", [0, 0]]]),
+                ([1, 0], [["2", [0, 0]]], [["1", [0, 0]]])]),
+    # a numerator 1 + 2 written as two terms at one exponent read as 2
+    _poly_json([([1, 0], [["1", [0, 0]], ["2", [0, 0]]], [["1", [0, 0]]])]),
+    # a denominator 1 - 1 is zero, yet it read as -1
+    _poly_json([([1, 0], [["1", [0, 0]]], [["1", [0, 0]], ["-1", [0, 0]]])]),
+])
+def test_apply_poly_with_repeated_exponent_exits_2(capsys, poly):
+    code, out, err = run(capsys, "apply", "--n", "2", "--expr", "1",
+                         "--poly", poly)
+    assert code == 2 and out == ""
+    assert "repeats the exponent" in err and err.count("\n") == 1
+
+
+def test_apply_Y(capsys):
+    code, out, _ = run(capsys, "apply", "--n", "3", "--r", "2", "--mu",
+                       "0,1,0|1,0,0", "--expr", "Y2", "--format", "json")
+    assert code == 0
+    ctx = RepContext(3, 2, 2)
+    p = LaurentPoly.monomial(2, 3, 2, ((0, 1, 0), (1, 0, 0)))
+    assert poly_from_json(json.loads(out)["poly"]) == apply_Y(ctx, 2, p)
+    code, out, err = run(capsys, "apply", "--n", "3", "--r", "2", "--mu",
+                         "0,1,0|1,0,0", "--expr", "Y4")
+    assert (code, out, err) == (2, "", "error: Y index out of range\n")
+
+
 def test_missing_files_exit_with_one_line(capsys, tmp_path):
     missing = str(tmp_path / "missing" / "file")
     for argv in (("--poly-file", missing), ("--mu", "1,0", "--out", missing)):
@@ -222,6 +257,9 @@ def _poly_with_exponent(e):
     ("--mu", "1,0", "--expr", "t^2147483648 T1"),
     ("--mu", "1,0", "--expr", "q1^-2147483648 T1"),
     ("--poly", _poly_with_exponent(2**31), "--expr", "T1"),
+    # 7^40000000000 has more digits than Python prints; it used to be
+    # computed until a timeout
+    ("--mu", "1,0", "--expr", "7^40000000000 T1"),
 ])
 def test_apply_exponent_past_limit_exits_2(capsys, given_input):
     code, out, err = run(capsys, "apply", "--n", "2", *given_input)
@@ -309,9 +347,9 @@ def test_verify_max_deg_past_limit_exits_2(suite):
         assert err == f"error: --max-deg needs r entries in 0..{MAX_EXP}\n"
 
 
-_EXPR_TOKENS = ("T1", "T2", "T5", "Tinv1", "X1", "X3", "Xinv2", "pi", "t",
-                "t^-2", "q1", "q2^3", "q9", "2", "-3", "0^-1", "2^-1", "+",
-                "x", "^", "T")
+_EXPR_TOKENS = ("T1", "T2", "T5", "Tinv1", "X1", "X3", "Xinv2", "Y1", "Y4",
+                "pi", "t", "t^-2", "q1", "q2^3", "q9", "2", "-3", "0^-1",
+                "2^-1", "7^40000000000", "+", "x", "^", "T")
 _MONOMIAL = st.lists(st.integers(-1, 2), max_size=3)
 _PARAM_POLY = st.lists(
     st.tuples(st.sampled_from(["1", "-2", "0", "x"]), _MONOMIAL).map(list),

@@ -54,7 +54,7 @@ def test_monomial_and_var_agree():
 
 def test_product_of_variables():
     p = var(1, 1) * var(1, 1) * var(2, 2, -1)
-    assert p.coeff_of(((2, 0), (0, -1))) == ONE
+    assert p.terms[(2, 0, 0, -1)] == ONE
     assert len(p.terms) == 1
 
 

@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from dahamac import rep
 from dahamac.field import MAX_EXP, Scalar
 from dahamac.laurent import LaurentPoly, poly_dumps
 from dahamac.rep import (
@@ -263,11 +264,36 @@ def test_defining_relations_rank_two():
     assert "qY1X1..Xn=X1..XnY1" in names
 
 
+@pytest.mark.parametrize("ctx, bound", [(CTX31, (2,)),
+                                        (RepContext(3, 2, 2), (1, 1))])
+def test_defining_relations_catch_a_wrong_pi(monkeypatch, ctx, bound):
+    # one extra q_1 on pi's image whenever a term has a nonzero last
+    # group-1 exponent: Y still commutes with T, but not with X or Y
+    n = ctx.n
+    right_pi = apply_pi
+    q1 = ctx.scalar(q={1: 1})
+
+    def wrong_pi(ctx, p):
+        image = right_pi(ctx, p)
+        if any(m[n - 1] for m in p.terms):
+            image = image.smul(q1)
+        return image
+
+    monkeypatch.setattr(rep, "apply_pi", wrong_pi)
+    report = verify_daha_relations(ctx, bound)
+    assert not report["ok"]
+    assert [chk["relation"] for chk in report["checks"]
+            if not chk["ok"]] == ["Y1Y2=Y2Y1", "Y1Y3=Y3Y1", "Y2Y3=Y3Y2",
+                                  "qY1X1..Xn=X1..XnY1"]
+
+
 def test_parse_operator_expr():
     terms = parse_operator_expr("t^2 pi Tinv3 Tinv2 Tinv1")
     assert terms == [(["t^2"], [("pi",), ("Tinv", 3), ("Tinv", 2), ("Tinv", 1)])]
     terms = parse_operator_expr("2 T1 + q1^-1 X2")
     assert terms == [(["2"], [("T", 1)]), (["q1^-1"], [("X", 2)])]
+    assert parse_operator_expr("q1 Y1 X1 Xinv2") == \
+        [(["q1"], [("Y", 1), ("X", 1), ("Xinv", 2)])]
     # unknown words survive parsing as coefficient tokens and are
     # rejected when the coefficient is built
     with pytest.raises(ValueError):
@@ -287,6 +313,13 @@ def test_operator_expr_matches_Y():
     p = LaurentPoly.monomial(1, 3, 1, ((1, 0, 2),))
     via_expr = apply_operator_expr(ctx, "t^2 pi Tinv2 Tinv1", p)
     assert via_expr == apply_Y(ctx, 1, p)
+    for ctx, mu in ((CTX31, ((1, 0, 2),)), (RepContext(3, 2, 2),
+                                            ((0, 1, 0), (1, 0, 1)))):
+        p = LaurentPoly.monomial(ctx.r, ctx.n, ctx.k, mu)
+        for i in range(1, ctx.n + 1):
+            assert apply_operator_expr(ctx, f"Y{i}", p) == apply_Y(ctx, i, p)
+    with pytest.raises(IndexError, match="Y index out of range"):
+        apply_operator_expr(CTX31, "Y4", CTX31.one())
 
 
 def test_operator_expr_linear_combination():

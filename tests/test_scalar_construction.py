@@ -21,8 +21,6 @@ ALLOWED = {
     "laurent.LaurentPoly.monomial":
         "the default coefficient 1, for a polynomial built without a "
         "context",
-    "laurent.LaurentPoly.coeff_of":
-        "the zero coefficient of a monomial the polynomial lacks",
 }
 
 

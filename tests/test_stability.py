@@ -178,8 +178,7 @@ def test_stable_family_rank_one():
     assert fam.ok and not fam.errors
     assert sorted(fam.members) == [2, 3]
     assert fam.projections == {2: True}
-    assert fam.eigenvalue_constant and fam.matches_stable_formula
-    assert fam.matches_remark
+    assert fam.eigenvalue_constant and fam.matches_remark
     assert fam.stable_value == remark_eigenvalue(fam.index, k=1)
 
 
@@ -192,7 +191,7 @@ def test_stable_family_rank_two_transient():
     q1, q2 = Scalar.q(1, 2), Scalar.q(2, 2)
     assert fam.stable_value == (q1 * q2).inv() - one
     assert all(m.eigenvalue == fam.stable_value for m in fam.members.values())
-    assert fam.matches_stable_formula and fam.matches_remark
+    assert fam.matches_remark
 
 
 def test_stable_family_skips_remark_when_undefined():
