@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 
-from .field import MAX_EXP, render_scalar, scalar_to_json
+from .field import MAX_EXP, integer, render_scalar, scalar_to_json
 from .laurent import LaurentPoly, render_poly, poly_to_json, poly_from_json
 from .rep import RepContext, verify_daha_relations, apply_operator_expr, \
     degrees_upto, _monomials_upto
@@ -71,7 +71,7 @@ class SessionConfig:
 def parse_index(spec, n, r):
     """r groups of n integers: entries ',', groups '|'."""
     try:
-        comps = tuple(tuple(int(e) for e in part.split(","))
+        comps = tuple(tuple(integer(e) for e in part.split(","))
                       for part in spec.split("|"))
     except ValueError:
         raise UsageError(f"cannot parse index {spec!r}")
@@ -87,7 +87,7 @@ def parse_ragged(spec):
     for part in spec.split("|"):
         part = part.strip()
         try:
-            comps.append(tuple(int(e) for e in part.split(","))
+            comps.append(tuple(integer(e) for e in part.split(","))
                          if part else ())
         except ValueError:
             raise UsageError(f"cannot parse index {spec!r}")
@@ -192,9 +192,7 @@ def _suite_eigen(config):
         ok_all = ok_all and ok
         weights.append(rec.weight)
         rows.append({"name": format_index(mu), "ok": ok})
-    distinct = all(weights[i] != weights[j]
-                   for i in range(len(weights))
-                   for j in range(i + 1, len(weights)))
+    distinct = len(set(weights)) == len(weights)
     rows.append({"name": "weights pairwise distinct", "ok": distinct})
     return ok_all and distinct, rows
 
@@ -381,17 +379,17 @@ def cmd_stability(nu_spec, n_max, q_count=None):
 
 
 def _add_common(sub, verify=False):
-    sub.add_argument("--n", type=int, required=True,
+    sub.add_argument("--n", type=integer, required=True,
                      help="number of variables per group")
-    sub.add_argument("--r", type=int, default=1,
+    sub.add_argument("--r", type=integer, default=1,
                      help="number of variable groups (default 1)")
-    sub.add_argument("--q-count", type=int, default=None,
+    sub.add_argument("--q-count", type=integer, default=None,
                      help="session parameter count (default r)")
     sub.add_argument("--out", default=None, help="write output to a file")
     if verify:
         sub.add_argument("--max-deg", default=None,
                          help="componentwise degree bound, e.g. \"2,1\"")
-        sub.add_argument("--seed", type=int, default=None,
+        sub.add_argument("--seed", type=integer, default=None,
                          help="seed for randomized round-trip spot-checks")
     else:
         sub.add_argument("--format", choices=("text", "latex", "json"),
@@ -438,8 +436,8 @@ def build_parser():
     s = cmds.add_parser("stability", help="truncation-stable family")
     s.add_argument("--nu", required=True,
                    help="ragged stable index, e.g. \"1,1|2\"")
-    s.add_argument("--n-max", type=int, required=True)
-    s.add_argument("--q-count", type=int, default=None)
+    s.add_argument("--n-max", type=integer, required=True)
+    s.add_argument("--q-count", type=integer, default=None)
     s.add_argument("--out", default=None)
 
     a = cmds.add_parser("apply", help="apply an operator expression")
@@ -460,7 +458,7 @@ def _parse_bound(text):
     if text is None:
         return None
     try:
-        return tuple(int(e) for e in text.split(","))
+        return tuple(integer(e) for e in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse degree bound {text!r}")
 

@@ -707,6 +707,19 @@ def render_scalar(s: Scalar, latex=False) -> str:
     return f"{ntxt}/{dtxt}"
 
 
+def integer(value):
+    """An integer from outside the program: an int but not a bool, or
+    ASCII digits with an optional leading '-' and surrounding space;
+    anything else (2.5, True, "1_0", "+1") is a ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        digits = value.strip().removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _poly_to_json(p, k):
     return [[str(c), list(_unpack(m, k))] for m, c in sorted(p.items())]
 
@@ -714,13 +727,13 @@ def _poly_to_json(p, k):
 def _poly_from_json(items):
     out = {}
     for c, m in items:
-        m = tuple(int(e) for e in m)
-        if not int(c) or any(e < 0 for e in m):
+        c, m = integer(c), tuple(integer(e) for e in m)
+        if not c or any(e < 0 for e in m):
             raise ValueError("scalar JSON needs nonzero coefficients and "
                              "nonnegative exponents")
         if m in out:
             raise ValueError(f"scalar JSON repeats the exponent {m}")
-        out[m] = int(c)
+        out[m] = c
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .field import Scalar, clear_denominators, scalar_to_json, \
+from .field import Scalar, clear_denominators, integer, scalar_to_json, \
     scalar_from_json
 
 
@@ -104,11 +104,6 @@ class LaurentPoly:
                 elif not c.is_zero():
                     out[m] = c
         return LaurentPoly(self.r, self.n, self.k, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.smul(other)
-        return NotImplemented
 
     def smul(self, c: Scalar):
         if c.is_zero():
@@ -305,7 +300,7 @@ def poly_from_json(d) -> LaurentPoly:
     """Decode poly_to_json output; ValueError unless every term has r
     exponent rows of n integers, an exponent no other term has and a
     nonzero coefficient in params parameters."""
-    r, n, k = d["r"], d["n"], d["params"]
+    r, n, k = integer(d["r"]), integer(d["n"]), integer(d["params"])
     terms = {}
     for item in d["terms"]:
         rows = item["exp"]
@@ -315,7 +310,7 @@ def poly_from_json(d) -> LaurentPoly:
         if c.is_zero() or c.k != k:
             raise ValueError(f"coefficients must be nonzero, in {k} "
                              "q-parameters")
-        m = tuple(int(e) for row in rows for e in row)
+        m = tuple(integer(e) for row in rows for e in row)
         if m in terms:
             raise ValueError(f"polynomial JSON repeats the exponent {m}")
         terms[m] = c

@@ -6,16 +6,16 @@ zero index is 1, and the first nonzero component ell is raised from
 zero by a greedy affine walk on E of the same index with component ell
 zeroed.  The walk applies the cycling move q_ell^{nu_n} x_{ell,1} pi at
 pi steps and the Hecke intertwiner T_j + (t-1)/(1 - alpha(j)/alpha(j+1))
-at s_j steps, with nu the component and alpha the weight before the
-move.  The rows before ell are zero, so T_j and pi act on the
-polynomial as on one in groups ell..r alone: xi_j of a zero row is 0
-and pi charges nothing for it.  Negative entries are removed up front
-by shifting components along the all-ones vector and remembering the
-monomial prefactor.
+at s_j steps, with nu the component and alpha the weight of the index
+before the move.  The rows before ell are zero, so T_j and pi act on
+the polynomial as on one in groups ell..r alone: xi_j of a zero row is
+0 and pi charges nothing for it.  Negative entries are removed up
+front by shifting components along the all-ones vector and remembering
+the monomial prefactor.
 
-The walk tracks the weight step by step through psi_step; weight_of
-reads it off the closed form through the gamma twist, and the rank-1
-counting formula kappa gives a third route.
+Every weight, the walk's and the record's, is read off the closed form
+weight_of, through the gamma twist; the rank-1 counting formula kappa
+is an independent check of it.
 """
 
 from __future__ import annotations
@@ -50,20 +50,6 @@ def _normalize_index(mu_tuple, n):
 
 # ---------------------------------------------------------------------------
 # weights
-
-
-def psi_step(ctx: RepContext, ell, g, w):
-    """One Psi step for parameter q_ell."""
-    if g == affine.PI:
-        return (ctx.scalar(q={ell: -1}) * w[-1],) + tuple(w[:-1])
-    j = g
-    out = list(w)
-    out[j - 1], out[j] = out[j], out[j - 1]
-    return tuple(out)
-
-
-def base_weight(ctx: RepContext):
-    return tuple(ctx.scalar(t=ctx.n - i) for i in range(1, ctx.n + 1))
 
 
 def weight_of(ctx: RepContext, mu_tuple):
@@ -130,21 +116,21 @@ def shift_factor(ctx: RepContext, mu_tuple, j, c) -> Scalar:
     return ctx.scalar(q=qexps)
 
 
-def raise_step(ctx: RepContext, ell, g, nu, alpha, p) -> LaurentPoly:
-    """One letter g of the walk raising component ell of p.
+def raise_step(ctx: RepContext, ell, g, index, p) -> LaurentPoly:
+    """One letter g of the walk raising component ell of p = E(index).
 
     At pi this is q_ell^{nu_n} x_{ell,1} pi, with nu component ell of
-    p's index; at s_j the intertwiner T_j + (t-1)/(1 - alpha_j /
-    alpha_{j+1}), with alpha p's weight.  Only the argument the letter
-    reads is used.
+    the index; at s_j the intertwiner T_j + (t-1)/(1 - alpha_j /
+    alpha_{j+1}), with alpha the index's weight.
     """
     if g == affine.PI:
+        last = index[ell - 1][-1]
         flat = [0] * (ctx.r * ctx.n)
         flat[(ell - 1) * ctx.n] = 1
         p = apply_pi(ctx, p).mul_monomial(tuple(flat))
-        return p.smul(ctx.scalar(q={ell: nu[-1]})) if nu[-1] else p
-    one = ctx.scalar()
-    c = (ctx.scalar(t=1) - one) / (one - alpha[g - 1] / alpha[g])
+        return p.smul(ctx.scalar(q={ell: last})) if last else p
+    alpha = weight_of(ctx, index)
+    c = -ctx.one_minus_t / (ctx.scalar() - alpha[g - 1] / alpha[g])
     return apply_T(ctx, g, p) + p.smul(c)
 
 
@@ -167,18 +153,16 @@ def E(ctx: RepContext, mu_tuple) -> MacdonaldRecord:
             if c:
                 base = mu_tuple[:j] + shifted[j:]
                 cur = cur.smul(shift_factor(ctx, base, j, c).inv())
-        alpha = weight_of(ctx, mu_tuple)
     elif ell:
-        nu = (0,) * ctx.n
-        start = E(ctx, mu_tuple[:ell - 1] + (nu,) + mu_tuple[ell:])
-        cur, alpha = start.poly, start.weight
+        index = mu_tuple[:ell - 1] + ((0,) * ctx.n,) + mu_tuple[ell:]
+        cur = E(ctx, index).poly
         for g in affine.coset_word(mu_tuple[ell - 1]):
-            cur = raise_step(ctx, ell, g, nu, alpha, cur)
-            nu = affine.act_gen(g, nu)
-            alpha = psi_step(ctx, ell, g, alpha)
+            cur = raise_step(ctx, ell, g, index, cur)
+            index = index[:ell - 1] + (affine.act_gen(g, index[ell - 1]),) \
+                + index[ell:]
     else:
-        cur, alpha = ctx.one(), base_weight(ctx)
-    rec = MacdonaldRecord(mu_tuple, cur, alpha)
+        cur = ctx.one()
+    rec = MacdonaldRecord(mu_tuple, cur, weight_of(ctx, mu_tuple))
     _E_CACHE[key] = rec
     return rec
 
@@ -245,9 +229,8 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
     base = E(ctx, mu_tuple)
     kind = move[0]
     if kind == "pi":
-        comp = mu_tuple[0]
-        target = (affine.act_gen(affine.PI, comp),) + mu_tuple[1:]
-        rhs = raise_step(ctx, 1, affine.PI, comp, None, base.poly)
+        target = (affine.act_gen(affine.PI, mu_tuple[0]),) + mu_tuple[1:]
+        rhs = raise_step(ctx, 1, affine.PI, mu_tuple, base.poly)
         return E(ctx, target).poly == rhs
     if kind == "s":
         _, j, ell = move
@@ -261,8 +244,7 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
         if not affine.bruhat_less(gamma[ell - 1], moved[ell - 1]):
             raise ValueError("move hypothesis fails: row not raised")
         target = affine.gamma_inverse(moved)
-        rhs = raise_step(ctx, ell, j, None, weight_of(ctx, mu_tuple),
-                         base.poly)
+        rhs = raise_step(ctx, ell, j, mu_tuple, base.poly)
         return E(ctx, target).poly == rhs
     if kind == "shift":
         _, j, c = move

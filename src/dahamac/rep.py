@@ -44,8 +44,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
-from .field import Scalar
+from .field import Scalar, integer
 from .laurent import LaurentPoly, clear_poly_denominators, swap_vars, xi
 
 
@@ -72,6 +73,11 @@ class RepContext:
         denominator, and a q index outside 1..k is a ValueError."""
         return Scalar.param_monomial(self.k, t, q or {}, c)
 
+    @cached_property
+    def one_minus_t(self) -> Scalar:
+        """1 - t, built once; cached in the instance dict, not in ==."""
+        return self.scalar() - self.scalar(t=1)
+
 
 def _check_j(ctx, j):
     if not 1 <= j <= ctx.n - 1:
@@ -80,23 +86,19 @@ def _check_j(ctx, j):
 
 def apply_T(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
     _check_j(ctx, j)
-    full = p
-    for i in range(1, ctx.r + 1):
-        full = swap_vars(full, i, j)
-    one_minus_t = ctx.scalar() - ctx.scalar(t=1)
     acc = None
     cur = p
     for grp in range(1, ctx.r + 1):
         piece = xi(cur, grp, j)
         acc = piece if acc is None else acc + piece
-        if grp < ctx.r:
-            cur = swap_vars(cur, grp, j)
-    return full + acc.smul(one_minus_t)
+        cur = swap_vars(cur, grp, j)
+    # cur is now s_j in every group
+    return cur + acc.smul(ctx.one_minus_t)
 
 
 def _apply_tT_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
     """t T_j^{-1} = T_j + (t-1), with no division by t."""
-    return apply_T(ctx, j, p) + p.smul(ctx.scalar(t=1) - ctx.scalar())
+    return apply_T(ctx, j, p) + p.smul(-ctx.one_minus_t)
 
 
 def apply_T_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
@@ -236,7 +238,7 @@ def parse_operator_expr(text: str):
     tokens among t, q<i> (with optional ^<int> exponent, possibly
     negative), an optional leading integer, and the generators T<j>,
     Tinv<j>, X<i>, Xinv<i>, Y<i>, pi.  Generator tokens apply rightmost
-    first.
+    first.  Every index, exponent and integer is read by field.integer.
     """
     terms = []
     for chunk in text.split("+"):
@@ -249,30 +251,39 @@ def parse_operator_expr(text: str):
             if tok == "pi":
                 word.append(("pi",))
                 continue
-            gen = next((g for g in _GENERATORS if tok.startswith(g)
-                        and tok[len(g):].isdigit()), None)
+            gen = _prefixed_int(tok, _GENERATORS)
             if gen is not None:
-                word.append((gen, int(tok[len(gen):])))
+                word.append(gen)
                 continue
             coeff_parts.append(tok)
         terms.append((coeff_parts, word))
     return terms
 
 
+def _prefixed_int(tok, prefixes):
+    """(prefix, integer) for the first prefix that tok starts with and
+    whose rest reads as an integer, as Tinv2 does, else None."""
+    for g in prefixes:
+        if tok.startswith(g):
+            try:
+                return g, integer(tok[len(g):])
+            except ValueError:
+                pass
+    return None
+
+
 def _coeff_from_parts(parts, ctx):
     c = ctx.scalar()
     for tok in parts:
-        if "^" in tok:
-            base, _, e = tok.partition("^")
-            e = int(e)
-        else:
-            base, e = tok, 1
+        base, caret, e = tok.partition("^")
+        e = integer(e) if caret else 1
+        q, b = _prefixed_int(base, ("q",)), _prefixed_int(base, ("",))
         if base == "t":
             c = c * ctx.scalar(t=e)
-        elif base.startswith("q") and base[1:].isdigit():
-            c = c * ctx.scalar(q={int(base[1:]): e})
-        elif base.lstrip("-").isdigit():
-            b = int(base)
+        elif q:
+            c = c * ctx.scalar(q={q[1]: e})
+        elif b:
+            b = b[1]
             # an int past this many digits cannot be printed
             limit = sys.get_int_max_str_digits()
             if abs(b) > 1 and limit and abs(e) * math.log10(abs(b)) >= limit:

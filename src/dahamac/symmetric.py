@@ -122,8 +122,7 @@ def verify_spectrum(ctx, n, r, d) -> dict:
         all_ok = all_ok and ok
         rows.append({"index": nu, "ok": ok, "invariant": invariant,
                      "eigen": eigen, "eigenvalue": repr(rec.eigenvalue)})
-    distinct = all(values[i] != values[j]
-                   for i in range(len(values)) for j in range(i + 1, len(values)))
+    distinct = len(set(values)) == len(values)
     eps_mat = matrix_of(ctx, lambda p: symmetrize_eps(ctx, p), d)
     _, pivots = rref(eps_mat)
     eps_dim = len(pivots)

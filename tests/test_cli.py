@@ -210,6 +210,63 @@ def test_apply_poly_with_repeated_exponent_exits_2(capsys, poly):
     assert "repeats the exponent" in err and err.count("\n") == 1
 
 
+def _poly_header(**header):
+    """The polynomial x[1,1] at n=2, r=1, one parameter, with some of
+    its header fields replaced."""
+    return json.dumps({**{"r": 1, "n": 2, "params": 1}, **header, "terms": [
+        {"exp": [[1, 0]], "coeff": {"num": [["1", [0, 0]]],
+                                    "den": [["1", [0, 0]]]}}]})
+
+
+_ONE = [["1", [0, 0]]]
+
+
+@pytest.mark.parametrize("argv", [
+    # a JSON-number coefficient 2.5 printed 2*x[1,1]
+    ["--poly", _poly_json([([1, 0], [[2.5, [0, 0]]], _ONE)])],
+    # an exponent 1.9 printed x[1,1]
+    ["--poly", _poly_json([([1.9, 0], _ONE, _ONE)])],
+    # a q-exponent 0.9 was dropped
+    ["--poly", _poly_json([([1, 0], [["1", [0, 0.9]]], _ONE)])],
+    # true read as 1, "1_0" as 10
+    ["--poly", _poly_json([([1, 0], [[True, [0, 0]]], _ONE)])],
+    ["--poly", _poly_json([([True, 0], _ONE, _ONE)])],
+    ["--poly", _poly_json([([1, 0], [["1_0", [0, 0]]], _ONE)])],
+    ["--poly", _poly_json([([1, 0], [["1", [0, "1_0"]]], _ONE)])],
+    ["--poly", _poly_json([(["1_0", 0], _ONE, _ONE)])],
+    # header fields: 2.0 and 1.0 ended in a traceback, true ran and
+    # echoed true
+    ["--poly", _poly_header(n=2.0)],
+    ["--poly", _poly_header(r=1.0), "--format", "json"],
+    ["--poly", _poly_header(r=True, params=True), "--format", "json"],
+    # flags and the index and expression grammars
+    ["--n", "1_0", "--mu", ",".join("1" + "0" * 9)],
+    ["--mu", "1_0,0"],
+    ["--mu", "\u0663,0"],
+    ["--mu", "1,0", "--expr", "2^1_0 T1"],
+    ["--mu", "1,0", "--expr", "t^\u0663 T1"],
+])
+def test_apply_reads_integers_strictly(argv):
+    code, out, err = _exit_code_out_err(
+        ["apply", "--n", "2", "--expr", "1", *argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["e", "--n", "1", "--r", "1_0", "--mu", "|".join("1" + "0" * 9)],
+    ["e", "--n", "2", "--q-count", "1_0", "--mu", "1,0"],
+    ["verify", "--n", "1", "--suite", "eigen", "--max-deg", "1_0"],
+    ["verify", "--n", "1", "--suite", "eigen", "--seed", "1_0"],
+    ["stability", "--nu", "1_0", "--n-max", "2"],
+    ["stability", "--nu", "1", "--n-max", "\u0662"],
+])
+def test_flags_read_integers_strictly(argv):
+    code, out, err = _exit_code_out_err(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_apply_Y(capsys):
     code, out, _ = run(capsys, "apply", "--n", "3", "--r", "2", "--mu",
                        "0,1,0|1,0,0", "--expr", "Y2", "--format", "json")
@@ -349,23 +406,34 @@ def test_verify_max_deg_past_limit_exits_2(suite):
 
 _EXPR_TOKENS = ("T1", "T2", "T5", "Tinv1", "X1", "X3", "Xinv2", "Y1", "Y4",
                 "pi", "t", "t^-2", "q1", "q2^3", "q9", "2", "-3", "0^-1",
-                "2^-1", "7^40000000000", "+", "x", "^", "T")
-_MONOMIAL = st.lists(st.integers(-1, 2), max_size=3)
+                "2^-1", "7^40000000000", "+", "x", "^", "T", "T1_0",
+                "t^1.5", "2^1_0", "q1_0")
+
+
+def _int_like(lo, hi):
+    """Integers in lo..hi half the time, else a value that only looks
+    like one: a float, a bool or "1_0"."""
+    return st.one_of(st.integers(lo, hi),
+                     st.sampled_from([float(hi), lo + 0.5, True, "1_0"]))
+
+
+_MONOMIAL = st.lists(_int_like(-1, 2), max_size=3)
 _PARAM_POLY = st.lists(
-    st.tuples(st.sampled_from(["1", "-2", "0", "x"]), _MONOMIAL).map(list),
+    st.tuples(st.sampled_from(["1", "-2", "0", "x", 2.5, True, "1_0"]),
+              _MONOMIAL).map(list),
     max_size=2)
 _POLY_JSON = st.fixed_dictionaries({
-    "r": st.integers(0, 2), "n": st.integers(0, 3),
-    "params": st.integers(0, 2),
+    "r": _int_like(0, 2), "n": _int_like(0, 3),
+    "params": _int_like(0, 2),
     "terms": st.lists(st.fixed_dictionaries({
-        "exp": st.lists(st.lists(st.integers(-2, 2), max_size=3),
+        "exp": st.lists(st.lists(_int_like(-2, 2), max_size=3),
                         max_size=2),
         "coeff": st.fixed_dictionaries({"num": _PARAM_POLY,
                                         "den": _PARAM_POLY}),
     }), max_size=2),
 }).map(json.dumps)
 _INPUT = st.one_of(
-    st.text("0123-,| a", max_size=8).map(lambda mu: "--mu=" + mu),
+    st.text("0123-,| a_.", max_size=8).map(lambda mu: "--mu=" + mu),
     st.one_of(_POLY_JSON, st.text(max_size=8),
               st.sampled_from(["{}", "[]", "null", '{"r": 1}'])
               ).map(lambda text: "--poly=" + text))
@@ -376,7 +444,7 @@ _EXTRA_FLAGS = ("--bogus", "--n", "--r=x", "--format=yaml", "--seed=3",
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(0, 3), r=st.integers(0, 2),
+@given(n=_int_like(0, 3), r=_int_like(0, 2),
        expr=st.lists(st.sampled_from(_EXPR_TOKENS), max_size=5),
        given_input=_INPUT,
        extra=st.lists(st.sampled_from(_EXTRA_FLAGS), max_size=1))
@@ -406,11 +474,11 @@ def _e_p_argv(draw):
         _index_text(max(r, 1), max(n, 1)),
         st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
             lambda shape: _index_text(*shape)),
-        st.text("012-,| a", max_size=6)))
+        st.text("012-,| a_.", max_size=6)))
     flag = "--mu=" if command == "e" else "--nu="
     argv = [command, f"--n={n}", f"--r={r}", flag + index,
             "--format=" + draw(st.sampled_from(["text", "json", "latex"]))]
-    return argv + _optional_flag(draw, "--q-count", st.integers(0, 3))
+    return argv + _optional_flag(draw, "--q-count", _int_like(0, 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -427,13 +495,13 @@ def _verify_argv(draw):
     bound = draw(st.one_of(
         st.lists(st.integers(0, 1), min_size=r, max_size=r),
         st.lists(st.integers(-1, 1), max_size=3),
-        st.text("01-, a", max_size=5)))
+        st.text("01-, a_.", max_size=5)))
     if isinstance(bound, list):
         bound = ",".join(map(str, bound))
     return (["verify", f"--suite={suite}", f"--n={n}", f"--r={r}",
              "--max-deg=" + bound]
-            + _optional_flag(draw, "--q-count", st.integers(0, 3))
-            + _optional_flag(draw, "--seed", st.integers(-1, 3)))
+            + _optional_flag(draw, "--q-count", _int_like(0, 3))
+            + _optional_flag(draw, "--seed", _int_like(-1, 3)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -444,11 +512,11 @@ def test_verify_fuzz_fails_cleanly(argv):
 
 @st.composite
 def _stability_argv(draw):
-    comp = st.lists(st.integers(-1, 2).map(str), max_size=2).map(",".join)
+    comp = st.lists(_int_like(-1, 2).map(str), max_size=2).map(",".join)
     nu = draw(st.lists(comp, min_size=1, max_size=2).map("|".join))
     return (["stability", "--nu=" + nu,
-             f"--n-max={draw(st.integers(-1, 3))}"]
-            + _optional_flag(draw, "--q-count", st.integers(0, 3)))
+             f"--n-max={draw(_int_like(-1, 3))}"]
+            + _optional_flag(draw, "--q-count", _int_like(0, 3)))
 
 
 @settings(max_examples=100, deadline=None)

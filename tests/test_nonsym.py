@@ -18,14 +18,12 @@ from dahamac.laurent import LaurentPoly, multidegree
 from dahamac.nonsym import (
     E,
     MacdonaldRecord,
-    base_weight,
     check_record,
     clear_cache,
     eigen_oracle_Y,
     index_multidegree,
     kappa,
     knop_sahi_check,
-    psi_step,
     shift_factor,
     verify_triangular,
     weight_of,
@@ -50,9 +48,27 @@ def compositions(n, total):
 # weights
 
 
+# The reference walk: the weight carried letter by letter along the
+# coset words, independent of weight_of's closed form.
+
+
+def psi_step(ctx, ell, g, w):
+    """One Psi step for parameter q_ell."""
+    if g == affine.PI:
+        return (ctx.scalar(q={ell: -1}) * w[-1],) + tuple(w[:-1])
+    out = list(w)
+    out[g - 1], out[g] = out[g], out[g - 1]
+    return tuple(out)
+
+
+def base_weight(ctx):
+    return tuple(ctx.scalar(t=ctx.n - i) for i in range(1, ctx.n + 1))
+
+
 def test_base_weight():
     ctx = RepContext(3, 2, 2)
     assert base_weight(ctx) == (Scalar.t(2, 2), Scalar.t(2, 1), Scalar.t(2, 0))
+    assert E(ctx, ((0, 0, 0),) * 2).weight == base_weight(ctx)
 
 
 def test_weight_anchor_rank_three():
@@ -66,9 +82,9 @@ def test_weight_anchor_rank_three():
 
 
 def _psi_weight(ctx, mu_tuple):
-    """The weight by the step-by-step Psi walk that E's construction
-    takes: each component, last to first, from base_weight along the
-    coset word of its omega-normalised shape, then the omega shift."""
+    """The weight by the step-by-step Psi walk along E's construction:
+    each component, last to first, from base_weight along the coset
+    word of its omega-normalised shape, then the omega shift."""
     alpha = base_weight(ctx)
     for ell in range(ctx.r, 0, -1):
         shifted, c = affine.omega_normalize(mu_tuple[ell - 1])
@@ -144,6 +160,15 @@ def test_rank_one_monic_triangular_box():
                 assert rec.poly.terms[mu].is_one()
                 assert verify_triangular(ctx, mu, ())
                 assert check_record(ctx, rec)
+
+
+def test_long_walk_stays_a_loop():
+    # the coset word of (1500,) has 1500 letters; a recursion per letter
+    # would pass Python's recursion limit
+    ctx = RepContext(1, 1, 1)
+    rec = E(ctx, ((1500,),))
+    assert rec.poly == LaurentPoly.var(1, 1, 1, 1, 1, 1500)
+    assert rec.weight == (Scalar.q(1, 1, -1500),)
 
 
 def test_negative_entries_reduce_along_omega_rank_one():
