@@ -29,11 +29,12 @@ coefficient), and zero is 0/1.  Every operation returns canonical
 output, so representation equality implies field equality; == still
 cross-multiplies so that it is correct on any inputs.
 
-p_gcd(f, g) returns (h, f/h, g/h).  It uses the heuristic gcd of Char,
-Geddes and Gonnet (evaluate at a large integer, reconstruct by balanced
-digits, verify by exact division); the verifying division leaves the
-cofactors, and a candidate of 1 needs no division.  A primitive PRS is
-the verified fallback.
+p_gcd(f, g) returns (h, f/h, g/h).  A single-term operand, or a
+shorter operand that divides the longer exactly, settles it directly.
+Otherwise it uses the heuristic gcd of Char, Geddes and Gonnet (evaluate
+at a large integer, reconstruct by balanced digits, verify by exact
+division); the verifying division leaves the cofactors, and a candidate
+of 1 needs no division.  A primitive PRS is the verified fallback.
 """
 
 from __future__ import annotations
@@ -404,6 +405,13 @@ def p_gcd(f, g):
     G = _guards(accf | accg)
     if len(f) == 1 or len(g) == 1:
         return _monomial_gcd(f, g, G)
+    # when the shorter operand divides the longer, it is the gcd
+    short, long_ = (f, g) if len(f) <= len(g) else (g, f)
+    quo = p_exact_div(long_, short, G)
+    if quo is not None:
+        s = -1 if short[max(short)] < 0 else 1
+        h, hq = p_iscale(short, s), p_iscale(quo, s)
+        return (h, {0: s}, hq) if short is f else (h, hq, {0: s})
     top = (min(accf, accg).bit_length() - 1) // FIELD_BITS * FIELD_BITS
     vs = _shared_vars(accf, accg, range(top, -1, -FIELD_BITS))
     if vs:

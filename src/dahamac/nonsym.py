@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine
-from .field import Scalar
+from .field import Scalar, integer
 from .laurent import LaurentPoly, clear_poly_denominators, \
     coefficient_of_group1, group1_rows, multidegree
 from .rep import RepContext, apply_T, apply_pi, apply_Y, matrix_of, \
@@ -41,7 +41,7 @@ class MacdonaldRecord:
 def _normalize_index(mu_tuple, n):
     out = []
     for comp in mu_tuple:
-        comp = tuple(int(e) for e in comp)
+        comp = tuple(integer(e) for e in comp)
         if len(comp) != n:
             raise ValueError("component length mismatch")
         out.append(comp)
@@ -75,7 +75,7 @@ def kappa(ctx: RepContext, mu):
     if ctx.r != 1:
         raise ValueError("kappa is a rank-1 formula")
     n = ctx.n
-    mu = tuple(int(e) for e in mu)
+    mu = tuple(integer(e) for e in mu)
     out = []
     for j in range(1, n + 1):
         beta = sum(1 for kk in range(j - 1) if mu[kk] > mu[j - 1]) \
@@ -276,7 +276,7 @@ def verify_triangular(ctx: RepContext, mu, beta_tuple) -> bool:
     E_{(0, beta)} and that every other group-1 exponent lies strictly
     below mu in the Bruhat order.
     """
-    mu = tuple(int(e) for e in mu)
+    mu = tuple(integer(e) for e in mu)
     if any(e < 0 for e in mu):
         raise ValueError("triangularity check needs nonnegative mu")
     beta_tuple = _normalize_index(beta_tuple, ctx.n) if beta_tuple else ()
@@ -300,14 +300,23 @@ def index_multidegree(mu_tuple):
 def check_record(ctx: RepContext, rec: MacdonaldRecord) -> bool:
     """Direct Y-eigen re-verification of a record.
 
-    The check runs on D E rather than E, with D the lcm of E's
-    coefficient denominators: Y_i is linear and D is a nonzero scalar,
-    so Y_i(D E) = w_i D E holds exactly when Y_i E = w_i E does.  D E
-    has polynomial coefficients, and Y_i in its integral form (see rep)
-    divides them by nothing but q-monomials, so every gcd it needs is
-    a monomial one.
+    The check runs on c E rather than E, with c = D prod_ell
+    q_ell^(M_ell): D is the lcm of E's coefficient denominators and M_ell
+    the largest x-exponent in group ell (0 if none is positive).  Y_i
+    is linear and c is a nonzero scalar, so Y_i(c E) = w_i c E holds
+    exactly when Y_i E = w_i E does.  c E has coefficients in Z[t, q].
+    In Y_i's integral form (see rep) the T_j factors have coefficients
+    in Z[t] and raise no exponent of a group past its largest, and pi
+    divides group ell's coefficients by q_ell^(last exponent) <=
+    q_ell^(M_ell), so no coefficient inside Y_i has a denominator.
     """
     _, poly = clear_poly_denominators(rec.poly)
+    n = ctx.n
+    tops = {ell: max((e for m in poly.terms
+                      for e in m[(ell - 1) * n:ell * n]), default=0)
+            for ell in range(1, ctx.r + 1)}
+    poly = poly.smul(ctx.scalar(q={ell: e for ell, e in tops.items()
+                                   if e > 0}))
     for i in range(1, ctx.n + 1):
         if apply_Y(ctx, i, poly) != poly.smul(rec.weight[i - 1]):
             return False

@@ -14,8 +14,8 @@ generator actions are
 and the derived elements
 
     T_j^{-1} = (T_j - (1-t)) / t,
-    Y_i      = t^{n-i} T_1 ... T_{i-1} pi T_{n-1}^{-1} ... T_i^{-1}
-             = T_1 ... T_{i-1} pi (T_{n-1} + t-1) ... (T_i + t-1),
+    Y_i      = t^{n-i} T_{i-1} ... T_1 pi T_{n-1}^{-1} ... T_i^{-1}
+             = T_{i-1} ... T_1 pi (T_{n-1} + t-1) ... (T_i + t-1),
     theta_i  = t^{i-1} T_{i-1}^{-1} ... T_1^{-1} pi T_{n-1} ... T_i
              = (T_{i-1} + t-1) ... (T_1 + t-1) pi T_{n-1} ... T_i,
 
@@ -185,7 +185,8 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
     fraction.  The integral image is divided once, by
     D prod_{m<=n} [m]_t, or with monic_at by its own coefficient at that
     flat exponent tuple (ArithmeticError if it has none); either way
-    one reduction per output coefficient.
+    one reduction per distinct output coefficient: the image's
+    coefficients repeat along S_n orbits.
     """
     norm, p = clear_poly_denominators(p)
     for m in range(2, ctx.n + 1):
@@ -201,7 +202,15 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
         if norm is None:
             raise ArithmeticError(
                 f"symmetrized polynomial has no term at x^{monic_at}")
-    return p.smul(norm.inv())
+    inv = norm.inv()
+    quotients = {}
+    terms = {}
+    for m, c in p.terms.items():
+        qc = quotients.get(c)
+        if qc is None:
+            qc = quotients[c] = c * inv
+        terms[m] = qc
+    return LaurentPoly(p.r, p.n, p.k, terms)
 
 
 def t_bracket(ctx: RepContext, m=None) -> Scalar:

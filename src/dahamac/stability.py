@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import Scalar
+from .field import Scalar, integer
 from .laurent import LaurentPoly, is_positive
 from .rep import RepContext, apply_T, apply_theta, apply_Delta_n, \
     symmetrize_eps, _monomials_upto
@@ -37,7 +37,7 @@ class StableIndex:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(tuple(int(e) for e in c) for c in self.components)
+        comps = tuple(tuple(integer(e) for e in c) for c in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("need at least one component")

@@ -303,6 +303,36 @@ def test_gcd_matches_sympy(sympy, a, b, common):
                       field.p_mul(_packed(b), common))
 
 
+@given(_PARAM_POLYS, _PARAM_POLYS, st.integers(-6, 6).filter(bool))
+def test_gcd_of_a_planted_divisor_matches_sympy(sympy, f, h, c):
+    """g = f h in both argument orders, f with an integer content c of
+    either sign, so the shorter operand often divides the longer."""
+    f = field.p_iscale(_packed(f), c)
+    g = field.p_mul(f, _packed(h))
+    _check_gcd_triple(sympy, f, g)
+    _check_gcd_triple(sympy, g, f)
+
+
+def test_gcd_when_the_shorter_operand_is_the_multiple(sympy):
+    # 1 - t^3 = (1 - t)(1 + t + t^2): the two-term operand is the multiple
+    f = _packed({(0, 0, 0): 1, (3, 0, 0): -1})
+    g = _packed({(0, 0, 0): 1, (1, 0, 0): 1, (2, 0, 0): 1})
+    _check_gcd_triple(sympy, f, g)
+    _check_gcd_triple(sympy, g, f)
+
+
+def test_a_dividing_operand_needs_no_heuristic_gcd(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the heuristic gcd ran")
+
+    monkeypatch.setattr(field, "_heu", unreachable)
+    f = _packed({(1, 0, 0): -6, (0, 1, 0): 12})      # -6 t + 12 q1
+    h = _packed({(0, 0, 0): 1, (1, 0, 1): 1})         # 1 + t q2
+    g = field.p_mul(f, h)
+    assert field.p_gcd(g, f) == (field.p_neg(f), field.p_neg(h), {0: -1})
+    assert field.p_gcd(f, g) == (field.p_neg(f), {0: -1}, field.p_neg(h))
+
+
 @given(_PARAM_POLYS, _PARAM_POLYS, _PARAM_POLYS)
 def test_gcd_fallback_matches_sympy(sympy, a, b, common):
     def heuristic_fails(*args):

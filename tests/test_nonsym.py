@@ -123,6 +123,19 @@ def test_kappa_rejects_higher_rank():
         kappa(C22, (1, 0))
 
 
+@pytest.mark.parametrize("mu", [(1.5, 0), (True, 0), (0, "1.0")])
+def test_kappa_rejects_non_integer_entries(mu):
+    with pytest.raises(ValueError):
+        kappa(C21, mu)
+
+
+@pytest.mark.parametrize("mu", [((1.9, True),), ((1, 1.0),), ((1, "x"),)])
+def test_E_rejects_non_integer_entries(mu):
+    # a float or a bool entry is an error, not truncated to an int
+    with pytest.raises(ValueError):
+        E(C21, mu)
+
+
 def test_weight_shape_guards():
     with pytest.raises(ValueError):
         weight_of(C21, ((1, 0), (0, 1)))
@@ -295,7 +308,7 @@ CORRUPTIBLE = [(C22, ((1, 0), (0, 1))), (C22, ((0, 1), (1, 1))),
                (C32, ((0, 1, 0), (1, 0, 1))), (C32, ((1, 0, 1), (0, 1, 0)))]
 
 
-def _corruptions(rec):
+def _corruptions(ctx, rec):
     terms = rec.poly.terms
     first = min(terms)
     doubled = dict(terms)
@@ -313,6 +326,8 @@ def _corruptions(rec):
             rec.index, rec.poly, (w[1], w[0]) + w[2:]),
         "times x11": MacdonaldRecord(
             rec.index, rec.poly.mul_monomial(tuple(flat)), w),
+        "weight times q_1": MacdonaldRecord(
+            rec.index, rec.poly, tuple(x * ctx.scalar(q={1: 1}) for x in w)),
     }
 
 
@@ -323,12 +338,22 @@ def test_check_record_rejects_corrupted_records():
         # several terms, and some denominator for check_record to clear
         assert len(rec.poly.terms) >= 2
         assert any(c.den != {0: 1} for c in rec.poly.terms.values())
-        for name, bad in _corruptions(rec).items():
+        for name, bad in _corruptions(ctx, rec).items():
             assert not check_record(ctx, bad), (mu, name)
     rec = E(C22, ((1, 0), (0, 1)))
     wrong_weight = MacdonaldRecord(rec.index, rec.poly,
                                    weight_of(C22, ((0, 1), (0, 1))))
     assert not check_record(C22, wrong_weight)
+
+
+@pytest.mark.parametrize("ctx, mu", [
+    (C22, ((-1, 0), (0, 2))),
+    (C32, ((0, -1, 1), (2, -1, 0))),
+    (RepContext(2, 3, 3), ((1, -2), (0, 0), (-1, 1))),
+])
+def test_check_record_accepts_negative_entries(ctx, mu):
+    # rows whose largest exponent is 0 or negative charge no q power
+    assert check_record(ctx, E(ctx, mu))
 
 
 def test_check_record_accepts_a_scaled_record():
@@ -429,6 +454,13 @@ def test_triangular_box_rank_two():
 def test_triangular_rejects_negative_leading_index():
     with pytest.raises(ValueError):
         verify_triangular(C21, (-1, 0), ())
+
+
+def test_triangular_rejects_non_integer_entries():
+    with pytest.raises(ValueError):
+        verify_triangular(C21, (1.0, 0), ())
+    with pytest.raises(ValueError):
+        verify_triangular(C22, (1, 0), ((0, 0.5),))
 
 
 def test_direct_eigen_equations():

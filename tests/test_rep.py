@@ -153,7 +153,8 @@ def test_theta_weight_on_constants():
 
 
 def _Y_by_definition(ctx, i, p):
-    """t^(n-i) T_1 ... T_{i-1} pi T_{n-1}^-1 ... T_i^-1."""
+    """t^(n-i) T_{i-1} ... T_1 pi T_{n-1}^-1 ... T_i^-1, rightmost factor
+    first."""
     for j in range(i, ctx.n):
         p = apply_T_inv(ctx, j, p)
     p = apply_pi(ctx, p)

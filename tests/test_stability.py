@@ -47,6 +47,13 @@ def test_stable_index_rejects():
         StableIndex(((0, 1), (1, 1)))
 
 
+@pytest.mark.parametrize("comps", [((2.7, 1),), ((1, True),), ((1.0,),)])
+def test_stable_index_rejects_non_integer_entries(comps):
+    # 2.7 is an error, not the component (2, 1)
+    with pytest.raises(ValueError):
+        StableIndex(comps)
+
+
 def test_stable_index_degenerate_empty_component():
     nu = StableIndex(((),))
     assert nu.r == 1 and nu.ell == 0

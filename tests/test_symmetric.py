@@ -120,6 +120,12 @@ def test_P_rejects_non_orbit_index():
         P(C22, ((1, 1), (0, 1)))
 
 
+@pytest.mark.parametrize("nu", [((2.0, 1),), ((True, 0),), ((1.5, 0),)])
+def test_P_rejects_non_integer_entries(nu):
+    with pytest.raises(ValueError):
+        P(C21, nu)
+
+
 def test_P_is_hecke_invariant_and_eigen():
     for nu in [((2, 0),), ((2, 1),)]:
         rec = P(C21, nu)
