@@ -138,9 +138,10 @@ def cmd_apply(config: SessionConfig, expr, poly_text=None, poly_file=None,
     given = [x for x in (poly_text, poly_file, mu_spec) if x is not None]
     if len(given) != 1:
         raise UsageError("give exactly one of --poly, --poly-file, --mu")
+    ctx = config.ctx()
     if mu_spec is not None:
         mu = parse_index(mu_spec, config.n, config.r)
-        p = LaurentPoly.monomial(config.r, config.n, config.q_count, mu)
+        p = LaurentPoly.monomial(ctx.r, ctx.n, ctx.k, mu, ctx.scalar())
     else:
         text = poly_text
         if poly_file is not None:
@@ -154,7 +155,7 @@ def cmd_apply(config: SessionConfig, expr, poly_text=None, poly_file=None,
             raise UsageError("polynomial shape does not match --n/--r/"
                              "--q-count")
     try:
-        image = apply_operator_expr(config.ctx(), expr, p)
+        image = apply_operator_expr(ctx, expr, p)
     except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise UsageError(str(exc))
     if config.fmt == "json":

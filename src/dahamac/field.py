@@ -22,12 +22,14 @@ ValueError, whether it comes in through a constructor or JSON or
 arises in a product (the guard bit of a product field is set); it
 never wraps.
 
-A Scalar is a reduced fraction of two such polynomials.  Canonical
-form: gcd(num, den) is a unit, the integer content of den is positive
-(the sign rides on the lexicographically leading denominator
-coefficient), and zero is 0/1.  Every operation returns canonical
-output, so representation equality implies field equality; == still
-cross-multiplies so that it is correct on any inputs.
+A Scalar is a fraction of two such polynomials in canonical form:
+gcd(num, den) is a unit, the lexicographically leading coefficient of
+den is positive, and zero is 0/1.  Every operation returns canonical
+output and scalar_from_json reduces what it reads, so two Scalars are
+equal as field elements exactly when their (k, num, den) are equal;
+== and hash read that triple and nothing else.  Outside this module,
+only RepContext.scalar calls a Scalar constructor, and nothing reads
+num or den.
 
 p_gcd(f, g) returns (h, f/h, g/h).  A single-term operand, or a
 shorter operand that divides the longer exactly, settles it directly.
@@ -457,15 +459,15 @@ def _f_reduce(num, den):
 
 
 class Scalar:
-    """An element of Q(t, q_1, ..., q_k), stored as a reduced fraction."""
+    """An element of Q(t, q_1, ..., q_k), stored as a fraction in
+    canonical form; the constructor stores what it is given, so its
+    callers pass canonical num and den."""
 
     __slots__ = ("num", "den", "k")
 
-    def __init__(self, num, den, k, reduced=False):
+    def __init__(self, num, den, k):
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
-        if not reduced:
-            num, den = _f_reduce(num, den)
         self.num = num
         self.den = den
         self.k = k
@@ -474,7 +476,7 @@ class Scalar:
 
     @staticmethod
     def zero(k):
-        return Scalar({}, {0: 1}, k, reduced=True)
+        return Scalar({}, {0: 1}, k)
 
     @staticmethod
     def one(k):
@@ -482,7 +484,7 @@ class Scalar:
 
     @staticmethod
     def integer(c, k):
-        return Scalar({0: c} if c else {}, {0: 1}, k, reduced=True)
+        return Scalar({0: c} if c else {}, {0: 1}, k)
 
     @staticmethod
     def t(k, e=1):
@@ -511,7 +513,7 @@ class Scalar:
             elif e < 0:
                 den |= -e << (k - i) * FIELD_BITS
         # num/den share no variables and den is monic: already canonical
-        return Scalar({num: coeff}, {den: 1}, k, reduced=True)
+        return Scalar({num: coeff}, {den: 1}, k)
 
     # -- predicates --------------------------------------------------------
 
@@ -520,6 +522,16 @@ class Scalar:
 
     def is_one(self):
         return _is_one(self.num) and _is_one(self.den)
+
+    def is_monomial(self):
+        """True for c * t^a * prod q_i^b_i with c != 0, exponents of
+        either sign."""
+        return len(self.num) == 1 and len(self.den) == 1
+
+    def term_count(self):
+        """Terms in the numerator plus terms in the denominator: the
+        size of the exact arithmetic this scalar takes part in."""
+        return len(self.num) + len(self.den)
 
     def _check(self, other):
         if not isinstance(other, Scalar):
@@ -542,22 +554,21 @@ class Scalar:
             num = p_add(n1, n2)
             if not num:
                 return Scalar.zero(k)
-            return Scalar(*_f_reduce(num, d1), k, reduced=True)
+            return Scalar(*_f_reduce(num, d1), k)
         g0, d1r, d2r = p_gcd(d1, d2)
         if _is_one(g0):
             num = p_add(p_mul(n1, d2), p_mul(n2, d1))
             if not num:
                 return Scalar.zero(k)
-            return Scalar(*_f_norm(num, p_mul(d1, d2)), k, reduced=True)
+            return Scalar(*_f_norm(num, p_mul(d1, d2)), k)
         tn = p_add(p_mul(n1, d2r), p_mul(n2, d1r))
         if not tn:
             return Scalar.zero(k)
         _, tn, g0 = p_gcd(tn, g0)
-        return Scalar(*_f_norm(tn, p_mul(p_mul(d1r, d2r), g0)), k,
-                      reduced=True)
+        return Scalar(*_f_norm(tn, p_mul(p_mul(d1r, d2r), g0)), k)
 
     def __neg__(self):
-        return Scalar(p_neg(self.num), self.den, self.k, reduced=True)
+        return Scalar(p_neg(self.num), self.den, self.k)
 
     def __sub__(self, other):
         return self + (-other)
@@ -573,12 +584,12 @@ class Scalar:
             _, n1, d2 = p_gcd(n1, d2)
         if not _is_one(d1):
             _, n2, d1 = p_gcd(n2, d1)
-        return Scalar(*_f_norm(p_mul(n1, n2), p_mul(d1, d2)), k, reduced=True)
+        return Scalar(*_f_norm(p_mul(n1, n2), p_mul(d1, d2)), k)
 
     def inv(self):
         if not self.num:
             raise ZeroDivisionError("inverting the zero scalar")
-        return Scalar(*_f_norm(self.den, self.num), self.k, reduced=True)
+        return Scalar(*_f_norm(self.den, self.num), self.k)
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -595,14 +606,11 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.num == other.num and self.den == other.den:
-            return True
-        # cross-multiply so equality holds regardless of representation
-        return p_add(p_mul(self.num, other.den),
-                     p_neg(p_mul(other.num, self.den))) == {}
+        return (self.k == other.k and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()),
+        return hash((self.k, frozenset(self.num.items()),
                      frozenset(self.den.items())))
 
     def __repr__(self):
@@ -651,9 +659,9 @@ def clear_denominators(scalars, k):
             for kk, m in mult.items():
                 mult[kk] = p_mul(m, den_g)
         mult[key] = lcm_g
-    out = [Scalar(p_mul(c.num, mult[key]), {0: 1}, k, reduced=True)
+    out = [Scalar(p_mul(c.num, mult[key]), {0: 1}, k)
            for c, key in zip(scalars, keys)]
-    return Scalar(lcm, {0: 1}, k, reduced=True), out
+    return Scalar(lcm, {0: 1}, k), out
 
 
 # ---------------------------------------------------------------------------
@@ -763,5 +771,5 @@ def scalar_from_json(d) -> Scalar:
     if len(lengths) != 1 or 0 in lengths:
         raise ValueError("scalar JSON exponents differ in length")
     k = lengths.pop() - 1
-    return Scalar({_pack(m): c for m, c in num.items()},
-                  {_pack(m): c for m, c in den.items()}, k)
+    return Scalar(*_f_reduce({_pack(m): c for m, c in num.items()},
+                             {_pack(m): c for m, c in den.items()}), k)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .field import Scalar, clear_denominators, integer, scalar_to_json, \
+from .field import clear_denominators, integer, scalar_to_json, \
     scalar_from_json
 
 
@@ -27,34 +27,15 @@ class LaurentPoly:
         self.k = k
         self.terms = terms if terms is not None else {}
 
-    # -- constructors ------------------------------------------------------
-
     @staticmethod
-    def zero(r, n, k):
-        return LaurentPoly(r, n, k)
-
-    @staticmethod
-    def monomial(r, n, k, rows, coeff=None):
+    def monomial(r, n, k, rows, coeff):
         """coeff * prod x_{i,j}^{rows[i-1][j-1]}."""
-        if coeff is None:
-            coeff = Scalar.one(k)
         flat = tuple(e for row in rows for e in row)
         if len(flat) != r * n:
             raise ValueError("exponent matrix shape mismatch")
         if coeff.is_zero():
             return LaurentPoly(r, n, k)
         return LaurentPoly(r, n, k, {flat: coeff})
-
-    @staticmethod
-    def one(r, n, k):
-        return LaurentPoly.monomial(r, n, k, [[0] * n for _ in range(r)])
-
-    @staticmethod
-    def var(r, n, k, i, j, e=1):
-        """The single variable x_{i,j}^e."""
-        rows = [[0] * n for _ in range(r)]
-        rows[i - 1][j - 1] = e
-        return LaurentPoly.monomial(r, n, k, rows)
 
     def _check(self, other):
         if (self.r, self.n, self.k) != (other.r, other.n, other.k):
@@ -84,8 +65,6 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.smul(other)
         self._check(other)
         out = {}
         a, b = self.terms, other.terms
@@ -105,7 +84,7 @@ class LaurentPoly:
                     out[m] = c
         return LaurentPoly(self.r, self.n, self.k, out)
 
-    def smul(self, c: Scalar):
+    def smul(self, c):
         if c.is_zero():
             return LaurentPoly(self.r, self.n, self.k)
         return LaurentPoly(self.r, self.n, self.k,
@@ -257,7 +236,7 @@ def render_term(p, m, c, latex=False):
     if c.is_one() and vs:
         return body
     ctxt = render_scalar(c, latex)
-    if len(c.num) > 1 or not c.den or not _scalar_is_monomial(c):
+    if not c.is_monomial():
         if latex:
             # \frac bodies are unambiguous already; bare sums are not
             if not ctxt.startswith("\\frac"):
@@ -267,10 +246,6 @@ def render_term(p, m, c, latex=False):
     if not vs:
         return ctxt
     return f"{ctxt}{' ' if latex else '*'}{body}"
-
-
-def _scalar_is_monomial(c):
-    return len(c.num) == 1 and len(c.den) == 1
 
 
 def render_poly(p: LaurentPoly, latex=False) -> str:

@@ -18,10 +18,6 @@ from __future__ import annotations
 from collections import Counter
 
 
-def _weight(s) -> int:
-    return len(s.num) + len(s.den)
-
-
 def rref(rows):
     """Reduced row echelon form of a matrix given as a list of rows,
     up to the order of its rows.
@@ -42,7 +38,8 @@ def rref(rows):
     reduced, pivots = [], []
     while todo := {i: row for i, row in todo.items() if row}:
         count = Counter(j for row in todo.values() for j in row)
-        *_, col, i = min(((len(row) - 1) * (count[j] - 1), _weight(a), j, i)
+        *_, col, i = min(((len(row) - 1) * (count[j] - 1), a.term_count(),
+                          j, i)
                          for i, row in todo.items() for j, a in row.items())
         prow = todo.pop(i)
         inv = prow.pop(col).inv()

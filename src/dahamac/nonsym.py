@@ -76,6 +76,8 @@ def kappa(ctx: RepContext, mu):
         raise ValueError("kappa is a rank-1 formula")
     n = ctx.n
     mu = tuple(integer(e) for e in mu)
+    if len(mu) != n:
+        raise ValueError("component length mismatch")
     out = []
     for j in range(1, n + 1):
         beta = sum(1 for kk in range(j - 1) if mu[kk] > mu[j - 1]) \
@@ -248,6 +250,8 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
         return E(ctx, target).poly == rhs
     if kind == "shift":
         _, j, c = move
+        if not 1 <= j <= ctx.r:
+            raise ValueError("component index out of range")
         shifted = tuple(e + c for e in mu_tuple[j - 1])
         target = mu_tuple[:j - 1] + (shifted,) + mu_tuple[j:]
         flat = [0] * (ctx.r * ctx.n)

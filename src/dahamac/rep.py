@@ -63,10 +63,11 @@ class RepContext:
             raise ValueError("need r <= k")
 
     def zero(self):
-        return LaurentPoly.zero(self.r, self.n, self.k)
+        return LaurentPoly(self.r, self.n, self.k)
 
     def one(self):
-        return LaurentPoly.one(self.r, self.n, self.k)
+        return LaurentPoly.monomial(self.r, self.n, self.k,
+                                    [[0] * self.n] * self.r, self.scalar())
 
     def scalar(self, c=1, t=0, q=None) -> Scalar:
         """c * t^t * prod_l q_l^q[l]; negative exponents go to the

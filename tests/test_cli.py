@@ -272,7 +272,7 @@ def test_apply_Y(capsys):
                        "0,1,0|1,0,0", "--expr", "Y2", "--format", "json")
     assert code == 0
     ctx = RepContext(3, 2, 2)
-    p = LaurentPoly.monomial(2, 3, 2, ((0, 1, 0), (1, 0, 0)))
+    p = LaurentPoly.monomial(2, 3, 2, ((0, 1, 0), (1, 0, 0)), ctx.scalar())
     assert poly_from_json(json.loads(out)["poly"]) == apply_Y(ctx, 2, p)
     code, out, err = run(capsys, "apply", "--n", "3", "--r", "2", "--mu",
                          "0,1,0|1,0,0", "--expr", "Y4")

@@ -52,6 +52,15 @@ def scalars(draw, allow_zero=True):
     return num / den
 
 
+_PARAM_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
+
+
+def _packed(p):
+    return {field._pack(m): c for m, c in p.items()}
+
+
 points = st.tuples(
     st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=7),
     st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=7),
@@ -129,6 +138,12 @@ def test_equal_scalars_hash_equal():
     assert a == b and hash(a) == hash(b)
 
 
+def test_equality_reads_the_parameter_count():
+    # t with one parameter and q_1 with two have the same packed key
+    a, b = Scalar.t(1), Scalar.q(1, 2)
+    assert a != b and len({a, b}) == 2
+
+
 @given(st.integers(-6, 6), st.integers(-3, 3),
        st.dictionaries(st.integers(1, K), st.integers(-3, 3)))
 def test_param_monomial_is_canonical(coeff, e_t, qexps):
@@ -181,7 +196,7 @@ def test_clear_denominators_is_the_lcm(cs):
     # factor, not even an integer one
     common = {}
     for c in cs:
-        cofactor = d / Scalar(c.den, {0: 1}, K, reduced=True)
+        cofactor = d / Scalar(c.den, {0: 1}, K)
         assert cofactor.den == {0: 1}
         common = field.p_gcd(common, cofactor.num)[0]
     assert common == {0: 1}
@@ -217,6 +232,29 @@ def test_subtraction_of_self_is_zero(a):
 @given(scalars())
 def test_json_roundtrip(a):
     assert scalar_from_json(scalar_to_json(a)) == a
+
+
+def assert_canonical(s):
+    """gcd(num, den) is 1, den's lex-leading coefficient is positive,
+    and zero is 0/1."""
+    assert field.p_gcd(s.num, s.den)[0] == {0: 1}
+    assert s.den[max(s.den)] > 0
+    assert s.num or s.den == {0: 1}
+
+
+@given(scalars(), scalars(), scalars(allow_zero=False),
+       st.integers(-3, 3), _PARAM_POLYS)
+def test_every_result_is_canonical(a, b, c, e, common):
+    d, cleared = field.clear_denominators([a, b, c], K)
+    # the JSON of a with num and den both multiplied by common
+    common = _packed(common)
+    blown_up = {"num": field._poly_to_json(field.p_mul(a.num, common), K),
+                "den": field._poly_to_json(field.p_mul(a.den, common), K)}
+    decoded = scalar_from_json(blown_up)
+    assert decoded == a
+    for s in (a + b, a - b, a * b, a / c, c.inv(), c ** e, d, *cleared,
+              decoded):
+        assert_canonical(s)
 
 
 def test_json_decoding_reduces_to_canonical_form():
@@ -271,15 +309,6 @@ def test_exponent_limit_survives_json():
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
-
-
-_PARAM_POLYS = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
-    st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
-
-
-def _packed(p):
-    return {field._pack(m): c for m, c in p.items()}
 
 
 def _check_gcd_triple(sympy, f, g):

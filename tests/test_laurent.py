@@ -25,8 +25,15 @@ ONE = Scalar.one(K)
 T = Scalar.t(K)
 
 
-def var(i, j, e=1):
-    return LaurentPoly.var(R, N, K, i, j, e)
+def var(i, j, e=1, r=R):
+    """x_{i,j}^e with coefficient 1, in r groups of N variables."""
+    flat = [0] * (r * N)
+    flat[(i - 1) * N + j - 1] = e
+    return LaurentPoly(r, N, K, {tuple(flat): ONE})
+
+
+def one(r=R):
+    return LaurentPoly(r, N, K, {(0,) * (r * N): ONE})
 
 
 @st.composite
@@ -48,8 +55,11 @@ def polys(draw, r=R, n=N):
 
 
 def test_monomial_and_var_agree():
-    assert LaurentPoly.monomial(R, N, K, ((1, 0), (0, 0))) == var(1, 1)
-    assert LaurentPoly.monomial(R, N, K, ((0, 0), (0, 2))) == var(2, 2, 2)
+    assert LaurentPoly.monomial(R, N, K, ((1, 0), (0, 0)), ONE) == var(1, 1)
+    assert LaurentPoly.monomial(R, N, K, ((0, 0), (0, 2)), ONE) == \
+        var(2, 2, 2)
+    assert LaurentPoly.monomial(R, N, K, ((0, 0), (0, 2)), ONE - ONE) == \
+        LaurentPoly(R, N, K)
 
 
 def test_product_of_variables():
@@ -59,14 +69,14 @@ def test_product_of_variables():
 
 
 def test_shape_mismatch_rejected():
-    q = LaurentPoly.one(1, 2, K)
+    q = one(1)
     with pytest.raises(ValueError):
         var(1, 1) + q
     assert (var(1, 1) == q) is False
 
 
 def test_mul_monomial_accepts_rows_and_flat():
-    m = LaurentPoly.monomial(R, N, K, ((1, 0), (0, 1)))
+    m = LaurentPoly.monomial(R, N, K, ((1, 0), (0, 1)), ONE)
     by_flat = m.mul_monomial((0, 1, 0, 0))
     assert by_flat == var(1, 1) * var(1, 2) * var(2, 2)
     with pytest.raises(ValueError):
@@ -133,7 +143,7 @@ def test_index_guards():
 def test_multidegree():
     p = var(1, 1) * var(2, 2) + var(1, 2).smul(T) * var(2, 1)
     assert multidegree(p) == (1, 1)
-    assert multidegree(LaurentPoly.zero(R, N, K)) == (0, 0)
+    assert multidegree(LaurentPoly(R, N, K)) == (0, 0)
     with pytest.raises(ValueError):
         multidegree(var(1, 1) + var(2, 1))
 
@@ -144,10 +154,10 @@ def test_is_positive():
 
 
 def test_group1_extraction():
-    tail = LaurentPoly.var(1, N, K, 1, 1).smul(T)
+    tail = var(1, 1, r=1).smul(T)
     p = LaurentPoly(R, N, K, {(0, 1, 1, 0): T, (1, 0, 0, 0): ONE})
     assert coefficient_of_group1(p, (0, 1)) == tail
-    assert coefficient_of_group1(p, (1, 0)) == LaurentPoly.one(1, N, K)
+    assert coefficient_of_group1(p, (1, 0)) == one(1)
     assert coefficient_of_group1(p, (2, 0)).is_zero()
     assert group1_rows(p) == {(0, 1), (1, 0)}
 
@@ -186,8 +196,8 @@ def test_render_negative_monomial_coefficient():
 
 
 def test_render_constants():
-    assert render_poly(LaurentPoly.one(R, N, K)) == "1"
-    assert render_poly(LaurentPoly.zero(R, N, K)) == "0"
+    assert render_poly(one()) == "1"
+    assert render_poly(LaurentPoly(R, N, K)) == "0"
 
 
 @given(polys())

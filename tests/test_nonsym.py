@@ -118,6 +118,13 @@ def test_kappa_matches_weight_of_rank_one():
                 assert kappa(ctx, mu) == weight_of(ctx, (mu,))
 
 
+@pytest.mark.parametrize("mu", [(1, 0, 5), (1,)])
+def test_kappa_rejects_wrong_length(mu):
+    # neither truncated to n entries nor an IndexError
+    with pytest.raises(ValueError, match="component length mismatch"):
+        kappa(C21, mu)
+
+
 def test_kappa_rejects_higher_rank():
     with pytest.raises(ValueError):
         kappa(C22, (1, 0))
@@ -148,9 +155,9 @@ def test_weight_shape_guards():
 
 
 def test_rank_one_anchors():
-    x11 = LaurentPoly.var(1, 2, 1, 1, 1)
-    x12 = LaurentPoly.var(1, 2, 1, 1, 2)
     one = Scalar.one(1)
+    x11 = LaurentPoly.monomial(1, 2, 1, ((1, 0),), one)
+    x12 = LaurentPoly.monomial(1, 2, 1, ((0, 1),), one)
     t = Scalar.t(1)
     q = Scalar.q(1, 1)
 
@@ -180,7 +187,7 @@ def test_long_walk_stays_a_loop():
     # would pass Python's recursion limit
     ctx = RepContext(1, 1, 1)
     rec = E(ctx, ((1500,),))
-    assert rec.poly == LaurentPoly.var(1, 1, 1, 1, 1, 1500)
+    assert rec.poly == LaurentPoly.monomial(1, 1, 1, ((1500,),), ctx.scalar())
     assert rec.weight == (Scalar.q(1, 1, -1500),)
 
 
@@ -406,6 +413,13 @@ def test_shift_move_rank_two_needs_other_components_constant():
         assert knop_sahi_check(C22, ((1, 0), (1, 0)), ("shift", 1, c))
         assert knop_sahi_check(C22, ((0, 1), (2, 0)), ("shift", 2, c))
         assert not shift_factor(C22, ((1, 0), (1, 0)), 1, c).is_one()
+
+
+@pytest.mark.parametrize("j", [0, 3, -1])
+def test_shift_move_rejects_component_index(j):
+    # checked before mu[j - 1] is read: j = 0 would read mu[-1]
+    with pytest.raises(ValueError, match="component index out of range"):
+        knop_sahi_check(C22, ((1, 0), (0, 1)), ("shift", j, 1))
 
 
 def test_shift_factor_values():

@@ -35,8 +35,15 @@ CTX22 = RepContext(2, 2, 2)
 CTX31 = RepContext(3, 1, 1)
 
 
+def mono(ctx, rows):
+    """prod x_{i,j}^{rows[i-1][j-1]} with coefficient 1."""
+    return LaurentPoly.monomial(ctx.r, ctx.n, ctx.k, rows, ctx.scalar())
+
+
 def var(ctx, i, j, e=1):
-    return LaurentPoly.var(ctx.r, ctx.n, ctx.k, i, j, e)
+    rows = [[0] * ctx.n for _ in range(ctx.r)]
+    rows[i - 1][j - 1] = e
+    return mono(ctx, rows)
 
 
 @st.composite
@@ -102,14 +109,14 @@ def test_T_inverse(p):
 def test_braid_relation():
     ctx = CTX31
     for m in [((1, 2, 0),), ((2, 0, 1),), ((0, 1, 1),)]:
-        p = LaurentPoly.monomial(1, 3, 1, m)
+        p = mono(ctx, m)
         lhs = apply_T(ctx, 1, apply_T(ctx, 2, apply_T(ctx, 1, p)))
         rhs = apply_T(ctx, 2, apply_T(ctx, 1, apply_T(ctx, 2, p)))
         assert lhs == rhs
 
 
 def test_pi_cycles_rows_with_q_charge():
-    p = LaurentPoly.monomial(2, 2, 2, ((2, 3), (0, 1)))
+    p = mono(CTX22, ((2, 3), (0, 1)))
     out = apply_pi(CTX22, p)
     expected = LaurentPoly.monomial(
         2, 2, 2, ((3, 2), (1, 0)),
@@ -120,7 +127,7 @@ def test_pi_cycles_rows_with_q_charge():
 def test_pi_X_commutation():
     # pi X_1 = X_2 pi, while the wrap-around picks up the charge:
     # pi X_n = q^{-1} X_1 pi
-    p = LaurentPoly.monomial(1, 2, 1, ((1, 1),))
+    p = mono(CTX21, ((1, 1),))
     q_inv = Scalar.q(1, 1, -1)
     lhs = apply_pi(CTX21, apply_X(CTX21, 1, p))
     rhs = apply_X(CTX21, 2, apply_pi(CTX21, p))
@@ -311,12 +318,12 @@ def test_operator_expr_applies_rightmost_first():
 def test_operator_expr_matches_Y():
     # Y_1 = t^{n-1} pi Tinv_{n-1} ... Tinv_1 at n = 3
     ctx = CTX31
-    p = LaurentPoly.monomial(1, 3, 1, ((1, 0, 2),))
+    p = mono(ctx, ((1, 0, 2),))
     via_expr = apply_operator_expr(ctx, "t^2 pi Tinv2 Tinv1", p)
     assert via_expr == apply_Y(ctx, 1, p)
     for ctx, mu in ((CTX31, ((1, 0, 2),)), (RepContext(3, 2, 2),
                                             ((0, 1, 0), (1, 0, 1)))):
-        p = LaurentPoly.monomial(ctx.r, ctx.n, ctx.k, mu)
+        p = mono(ctx, mu)
         for i in range(1, ctx.n + 1):
             assert apply_operator_expr(ctx, f"Y{i}", p) == apply_Y(ctx, i, p)
     with pytest.raises(IndexError, match="Y index out of range"):

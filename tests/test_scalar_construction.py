@@ -1,10 +1,12 @@
-"""Every scalar the program builds comes from its RepContext.
+"""Every scalar the program builds comes from its RepContext, and only
+field.py reads a scalar's fraction.
 
 RepContext.scalar is the one constructor outside field.py, so the
 coefficient field is decided in one place.  This file parses
 src/dahamac with ast and fails on a call of a Scalar constructor
 (Scalar(...), Scalar.zero, .one, .integer, .t, .q, .param_monomial)
-anywhere else, apart from the entries of ALLOWED.
+anywhere else, apart from the entries of ALLOWED, and on any read of
+an attribute num or den outside field.py.
 """
 
 from __future__ import annotations
@@ -17,11 +19,8 @@ CONSTRUCTORS = {"zero", "one", "integer", "t", "q", "param_monomial"}
 THE_CONSTRUCTOR = "rep.RepContext.scalar"
 
 # call sites kept outside the context, each with its reason
-ALLOWED = {
-    "laurent.LaurentPoly.monomial":
-        "the default coefficient 1, for a polynomial built without a "
-        "context",
-}
+ALLOWED = {}
+FRACTION = {"num", "den"}
 
 
 def _is_scalar(node):
@@ -51,11 +50,17 @@ def _call_sites(node, prefix):
         yield from _call_sites(child, prefix)
 
 
-def _sites():
-    sites = []
+def _modules():
+    """(name, tree) of every module of the package but field.py."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "field.py":
-            sites.extend(_call_sites(ast.parse(path.read_text()), path.stem))
+            yield path.stem, ast.parse(path.read_text())
+
+
+def _sites():
+    sites = []
+    for name, tree in _modules():
+        sites.extend(_call_sites(tree, name))
     return sites
 
 
@@ -67,3 +72,10 @@ def test_scalars_are_built_by_the_context():
 
 def test_the_constructor_and_allowed_sites_still_call_one():
     assert set(_sites()) >= {THE_CONSTRUCTOR, *ALLOWED}
+
+
+def test_only_field_reads_the_fraction():
+    reads = [f"{name}:{node.lineno}" for name, tree in _modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in FRACTION]
+    assert reads == []

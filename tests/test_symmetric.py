@@ -77,9 +77,9 @@ def test_orbit_enumeration_covers_sorted_orbits():
 
 
 def test_rank_one_values():
-    x11 = LaurentPoly.var(1, 2, 1, 1, 1)
-    x12 = LaurentPoly.var(1, 2, 1, 1, 2)
     one = Scalar.one(1)
+    x11 = LaurentPoly.monomial(1, 2, 1, ((1, 0),), one)
+    x12 = LaurentPoly.monomial(1, 2, 1, ((0, 1),), one)
     t = Scalar.t(1)
     q = Scalar.q(1, 1)
 
