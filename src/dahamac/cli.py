@@ -39,6 +39,16 @@ class UsageError(Exception):
     pass
 
 
+# A packed monomial has q_count + 1 fields of 32 bits whether or not the
+# parameters occur, so every key and guard mask grows with --q-count.
+MAX_Q_COUNT = 1000
+
+
+def _check_q_count(q_count):
+    if q_count > MAX_Q_COUNT:
+        raise UsageError(f"--q-count must be at most {MAX_Q_COUNT}")
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     n: int
@@ -53,6 +63,7 @@ class SessionConfig:
             raise UsageError("need n >= 1")
         if self.r < 1 or self.q_count < self.r:
             raise UsageError("need 1 <= r <= q_count")
+        _check_q_count(self.q_count)
 
     def ctx(self):
         return RepContext(self.n, self.r, self.q_count)
@@ -353,6 +364,8 @@ def cmd_stability(nu_spec, n_max, q_count=None):
         raise UsageError(str(exc))
     if n_max < max(nu.ell, 1):
         raise UsageError("--n-max must be at least the longest component")
+    if q_count is not None:
+        _check_q_count(q_count)
     fam = stable_family(nu, n_max, k=q_count)
     members = {}
     for n in sorted(fam.members):

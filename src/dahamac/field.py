@@ -31,10 +31,16 @@ equal as field elements exactly when their (k, num, den) are equal;
 only RepContext.scalar calls a Scalar constructor, and nothing reads
 num or den.
 
-p_gcd(f, g) returns (h, f/h, g/h).  A single-term operand, or a
-shorter operand that divides the longer exactly, settles it directly.
-Otherwise it uses the heuristic gcd of Char, Geddes and Gonnet (evaluate
-at a large integer, reconstruct by balanced digits, verify by exact
+p_gcd(f, g) returns (h, f/h, g/h).  A single-term operand settles it
+directly.  So does a two-term operand c * m * (c1 * u + c2 * w) whose
+exponent direction u / w has coprime entries, as most denominators
+1 - t^a q^b that an intertwiner creates have: that factor is
+irreducible, and one pass over the other operand, summing its
+coefficients by exponent class modulo the direction, decides whether
+it divides (_binomial_gcd).  Next, an operand that divides the other
+exactly is the gcd, the shorter tried as the divisor first.  Otherwise
+it uses the heuristic gcd of Char, Geddes and Gonnet (evaluate at a
+large integer, reconstruct by balanced digits, verify by exact
 division); the verifying division leaves the cofactors, and a candidate
 of 1 needs no division.  A primitive PRS is the verified fallback.
 """
@@ -225,7 +231,10 @@ def _monomial_gcd_with(f, g, G):
     (gm, gc), = f.items()
     gc = abs(gc)
     for m, c in g.items():
-        gm = _mon_min(gm, m, G)
+        if gm:
+            gm = _mon_min(gm, m, G)
+        elif gc == 1:
+            break
         gc = igcd(gc, c)
     return {gm: gc}
 
@@ -240,6 +249,77 @@ def _monomial_gcd(f, g, G):
     (mh, ch), = h.items()
     return (h, {m - mh: c // ch for m, c in f.items()},
             {m - mh: c // ch for m, c in g.items()})
+
+
+def _binomial_gcd(b, f, accf, G):
+    """p_gcd(b, f) for a two-term b whose direction is primitive, else
+    None; accf is the OR of f's keys and G covers b and f.
+
+    b = c * m * B with m the monomial and c the integer content of b,
+    B = c1 * u + c2 * w, c1 > 0, and u, w sharing no variable.  When
+    the exponent vector e of u / w has coprime entries, B is
+    irreducible (a unimodular change of monomials makes it linear in
+    one variable), so gcd(b, f) = gcd(c * m, f) * (B if B divides f).
+    B divides f exactly when f vanishes on x^e = -c2 / c1, which is
+    one pass over f: split each exponent a as r + k e, and every class
+    r must have sum over k of its coefficients times (-c2 / c1)^k = 0.
+    """
+    (m1, a1), (m2, a2) = b.items()
+    if m1 < m2:
+        m1, a1, m2, a2 = m2, a2, m1, a1
+    m = _mon_min(m1, m2, G)
+    u, w = m1 - m, m2 - m
+    g, x = 0, u | w
+    while x:
+        g = igcd(g, x & MAX_EXP)
+        x >>= FIELD_BITS
+    if g != 1:
+        return None
+    c = igcd(a1, a2) if a1 > 0 else -igcd(a1, a2)
+    c1, c2 = a1 // c, a2 // c
+    # k = a_s // e_s on the top variable s of u leaves 0 <= r_s < e_s
+    s = (u.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+    us = u >> s & MAX_EXP
+    d = u - w
+    # With every exponent below 2^15 (no bit 15..30 of any field set),
+    # each r_j lies strictly between -2^31 and 2^31, so the packed key
+    # a - k e is exact; above that the key is the tuple of r_j.
+    wide = (accf | u | w) & (G - (G >> 16))
+    unit = c1 == 1 and c2 in (1, -1)
+    if wide:
+        if not unit:
+            return None       # (-c2 / c1)^k for k up to MAX_EXP
+        nv = G.bit_length() // FIELD_BITS - 1
+        du = [eu - ew for eu, ew in zip(_unpack(u, nv), _unpack(w, nv))]
+    classes = {}
+    if unit:
+        # the weight (-c2)^k is a sign
+        for mf, cf in f.items():
+            k = (mf >> s & MAX_EXP) // us
+            key = (tuple(a - k * e for a, e in zip(_unpack(mf, nv), du))
+                   if wide else mf - k * d)
+            classes[key] = classes.get(key, 0) + (
+                -cf if c2 == 1 and k & 1 else cf)
+        divides = not any(classes.values())
+    else:
+        for mf, cf in f.items():
+            k = (mf >> s & MAX_EXP) // us
+            classes.setdefault(mf - k * d, {})[k] = cf
+        # sum of cf (-c2 / c1)^k, times c1^max(k) / (-c2)^min(k)
+        divides = not any(
+            sum(cf * (-c2) ** (k - min(ks)) * c1 ** (max(ks) - k)
+                for k, cf in ks.items())
+            for ks in classes.values())
+    h = {0: 1}
+    if m or c not in (1, -1):
+        h = _monomial_gcd_with({m: c}, f, G)
+    (mh, ch), = h.items()
+    if mh or ch != 1:
+        f = {mf - mh: cf // ch for mf, cf in f.items()}
+    B = {u: c1, w: c2}
+    if not divides:
+        return h, {mb - mh: cb // ch for mb, cb in b.items()}, f
+    return p_mul(h, B), {m - mh: c // ch}, p_exact_div(f, B, G)
 
 
 class _HeuFail(Exception):
@@ -407,13 +487,23 @@ def p_gcd(f, g):
     G = _guards(accf | accg)
     if len(f) == 1 or len(g) == 1:
         return _monomial_gcd(f, g, G)
-    # when the shorter operand divides the longer, it is the gcd
+    if len(f) == 2:
+        out = _binomial_gcd(f, g, accg, G)
+        if out:
+            return out
+    if len(g) == 2:
+        out = _binomial_gcd(g, f, accf, G)
+        if out:
+            return out[0], out[2], out[1]
+    # when one operand divides the other, it is the gcd; the shorter
+    # is tried as the divisor first
     short, long_ = (f, g) if len(f) <= len(g) else (g, f)
-    quo = p_exact_div(long_, short, G)
-    if quo is not None:
-        s = -1 if short[max(short)] < 0 else 1
-        h, hq = p_iscale(short, s), p_iscale(quo, s)
-        return (h, {0: s}, hq) if short is f else (h, hq, {0: s})
+    for div, mult in ((short, long_), (long_, short)):
+        quo = p_exact_div(mult, div, G)
+        if quo is not None:
+            s = -1 if div[max(div)] < 0 else 1
+            h, hq = p_iscale(div, s), p_iscale(quo, s)
+            return (h, {0: s}, hq) if div is f else (h, hq, {0: s})
     top = (min(accf, accg).bit_length() - 1) // FIELD_BITS * FIELD_BITS
     vs = _shared_vars(accf, accg, range(top, -1, -FIELD_BITS))
     if vs:

@@ -85,9 +85,13 @@ def _check_j(ctx, j):
         raise IndexError("Hecke generator index out of range")
 
 
-def apply_T(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
+def apply_T(ctx: RepContext, j: int, p: LaurentPoly,
+            t_inverse=False) -> LaurentPoly:
+    """T_j p; with t_inverse, t T_j^{-1} p = T_j p + (t-1) p instead,
+    formed as s_j p + (1-t)(sum of the xi pieces - p): one (1-t)
+    product per term, and no division by t."""
     _check_j(ctx, j)
-    acc = None
+    acc = -p if t_inverse else None
     cur = p
     for grp in range(1, ctx.r + 1):
         piece = xi(cur, grp, j)
@@ -97,13 +101,8 @@ def apply_T(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
     return cur + acc.smul(ctx.one_minus_t)
 
 
-def _apply_tT_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
-    """t T_j^{-1} = T_j + (t-1), with no division by t."""
-    return apply_T(ctx, j, p) + p.smul(-ctx.one_minus_t)
-
-
 def apply_T_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
-    return _apply_tT_inv(ctx, j, p).smul(ctx.scalar(t=-1))
+    return apply_T(ctx, j, p, t_inverse=True).smul(ctx.scalar(t=-1))
 
 
 def apply_X(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
@@ -145,7 +144,7 @@ def apply_Y(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
         raise IndexError("Y index out of range")
     out = p
     for j in range(i, ctx.n):
-        out = _apply_tT_inv(ctx, j, out)
+        out = apply_T(ctx, j, out, t_inverse=True)
     out = apply_pi(ctx, out)
     for j in range(1, i):
         out = apply_T(ctx, j, out)
@@ -160,7 +159,7 @@ def apply_theta(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
         out = apply_T(ctx, j, out)
     out = apply_pi(ctx, out)
     for j in range(1, i):
-        out = _apply_tT_inv(ctx, j, out)
+        out = apply_T(ctx, j, out, t_inverse=True)
     return out
 
 

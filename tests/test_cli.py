@@ -267,6 +267,27 @@ def test_flags_read_integers_strictly(argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["e", "--n", "2", "--q-count", "1001", "--mu", "3,0"],
+    ["e", "--n", "2", "--q-count", "3000000", "--mu", "3,0"],
+    ["verify", "--n", "2", "--q-count", "3000000", "--suite", "eigen"],
+    ["stability", "--nu", "1", "--n-max", "2", "--q-count", "1001"],
+    ["stability", "--nu", "1", "--n-max", "2", "--q-count", "3000000"],
+])
+def test_q_count_above_the_limit_is_a_usage_error(argv):
+    # every packed monomial has q_count + 1 fields, so a huge count
+    # would exhaust memory instead of failing as bad input
+    code, out, err = _exit_code_out_err(argv)
+    assert (code, out, err) == (
+        2, "", "error: --q-count must be at most 1000\n")
+
+
+def test_q_count_at_the_limit_runs(capsys):
+    outs = [run(capsys, "e", "--n", "2", "--q-count", q, "--mu", "3,0")
+            for q in ("1", "1000")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 def test_apply_Y(capsys):
     code, out, _ = run(capsys, "apply", "--n", "3", "--r", "2", "--mu",
                        "0,1,0|1,0,0", "--expr", "Y2", "--format", "json")

@@ -8,6 +8,7 @@ after substituting rational values for t and the q parameters.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -350,16 +351,82 @@ def test_gcd_when_the_shorter_operand_is_the_multiple(sympy):
     _check_gcd_triple(sympy, g, f)
 
 
-def test_a_dividing_operand_needs_no_heuristic_gcd(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("the heuristic gcd ran")
+def _unreachable(*args):
+    raise AssertionError("unreachable")
 
-    monkeypatch.setattr(field, "_heu", unreachable)
-    f = _packed({(1, 0, 0): -6, (0, 1, 0): 12})      # -6 t + 12 q1
+
+def test_a_dividing_operand_needs_no_heuristic_gcd(monkeypatch):
+    monkeypatch.setattr(field, "_heu", _unreachable)
     h = _packed({(0, 0, 0): 1, (1, 0, 1): 1})         # 1 + t q2
-    g = field.p_mul(f, h)
-    assert field.p_gcd(g, f) == (field.p_neg(f), field.p_neg(h), {0: -1})
-    assert field.p_gcd(f, g) == (field.p_neg(f), {0: -1}, field.p_neg(h))
+    for f in (_packed({(1, 0, 0): -6, (0, 1, 0): 12}),    # -6 t + 12 q1
+              _packed({(1, 0, 0): -6, (0, 1, 0): 12, (0, 0, 2): 6})):
+        g = field.p_mul(f, h)
+        assert field.p_gcd(g, f) == (field.p_neg(f), field.p_neg(h),
+                                     {0: -1})
+        assert field.p_gcd(f, g) == (field.p_neg(f), {0: -1},
+                                     field.p_neg(h))
+    # the longer operand divides the shorter: 1 - t^3 = (1 - t)(1 + t + t^2),
+    # a binomial of direction (3, 0, 0), which is not primitive
+    f = _packed({(0, 0, 0): 1, (3, 0, 0): -1})
+    g = _packed({(0, 0, 0): 1, (1, 0, 0): 1, (2, 0, 0): 1})
+    one_minus_t = _packed({(0, 0, 0): 1, (1, 0, 0): -1})
+    assert field.p_gcd(f, g) == (g, one_minus_t, {0: 1})
+    assert field.p_gcd(g, f) == (g, {0: 1}, one_minus_t)
+
+
+@st.composite
+def binomials(draw):
+    """a1 x^(m + u) + a2 x^(m + w), u and w sharing no variable: signs,
+    integer and monomial content, a direction e = u - w in t only, the
+    q's only or both, primitive or not, and |a1| != |a2| all occur."""
+    support = draw(st.sampled_from([(0,), (1, 2), (0, 1, 2)]))
+    e = [0, 0, 0]
+    for v in support:
+        e[v] = draw(st.integers(-3, 3))
+    assume(any(e))
+    m = draw(st.tuples(*[st.integers(0, 2)] * 3))
+    u = tuple(a + max(x, 0) for a, x in zip(m, e))
+    w = tuple(a + max(-x, 0) for a, x in zip(m, e))
+    nonzero = st.integers(-6, 6).filter(bool)
+    return _packed({u: draw(nonzero), w: draw(nonzero)})
+
+
+def _is_primitive(b):
+    (m1, _), (m2, _) = b.items()
+    e1, e2 = field._unpack(m1, K), field._unpack(m2, K)
+    return gcd(*(x - y for x, y in zip(e1, e2))) == 1
+
+
+@given(binomials(), _PARAM_POLYS, st.integers(0, 2))
+def test_gcd_with_a_binomial_matches_sympy(sympy, b, other, planted):
+    """b against other * b^planted, in both orders; a primitive
+    direction never reaches the heuristic gcd."""
+    f = _packed(other)
+    for _ in range(planted):
+        f = field.p_mul(f, b)
+    with pytest.MonkeyPatch.context() as mp:
+        if _is_primitive(b):
+            mp.setattr(field, "_heu", _unreachable)
+        _check_gcd_triple(sympy, b, f)
+        _check_gcd_triple(sympy, f, b)
+
+
+def test_binomial_gcd_near_the_exponent_limit(monkeypatch):
+    """Past 2^15 the binomial's class keys are tuples: the packed key
+    a - k e of t^MAX_EXP q2^2 modulo t - q2^2 would be 2^32, the packed
+    key of q1, and the two terms would cancel in one class."""
+    monkeypatch.setattr(field, "_heu", _unreachable)
+    b = _packed({(1, 0, 0): 1, (0, 0, 2): -1})                 # t - q2^2
+    f = _packed({(MAX_EXP, 0, 2): 1, (0, 1, 0): -1})
+    with pytest.MonkeyPatch.context() as mp:
+        # a pair that does not divide is settled by the class pass alone
+        mp.setattr(field, "p_exact_div", _unreachable)
+        assert field.p_gcd(b, f) == ({0: 1}, b, f)
+        assert field.p_gcd(f, b) == ({0: 1}, f, b)
+    cofactor = _packed({(MAX_EXP - 1, 0, 0): 1, (0, 1, 0): -1})
+    g = field.p_mul(b, cofactor)
+    assert field.p_gcd(b, g) == (b, {0: 1}, cofactor)
+    assert field.p_gcd(g, b) == (b, cofactor, {0: 1})
 
 
 @given(_PARAM_POLYS, _PARAM_POLYS, _PARAM_POLYS)
