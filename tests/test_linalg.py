@@ -6,9 +6,13 @@ Scalars and as SymPy expressions, so that the rank can be checked
 against SymPy's exact rank over the fraction field QQ(t, q1)
 (`DomainMatrix`; `Matrix.rank` zero-tests symbolic entries
 heuristically and is about a hundred times slower on these matrices).
+`rref` is also checked against `full_scan_rref`, the elimination that
+recounts its columns and scans every entry at each pivot.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import sympy
 from hypothesis import given, strategies as st
@@ -49,6 +53,76 @@ def matrices(draw, max_size=5):
                      for (a, sa), (b, sb) in zip(x, y)])
     return ([[s for s, _ in row] for row in rows],
             sympy.Matrix([[e for _, e in row] for row in rows]))
+
+
+@st.composite
+def stacked_systems(draw):
+    """Up to 10x10 rows shaped like the stacked Y equations: blocks that
+    are upper triangular up to a permutation of rows and of columns,
+    with diagonals drawn from three values and shifted by one of them
+    (so some diagonal entries cancel), plus zero rows and repeated
+    rows."""
+    dim = draw(st.integers(1, 10))
+    values = (T, Q1, T * Q1)
+    rows = []
+    for _ in range(draw(st.integers(1, max(1, 10 // dim)))):
+        shift = draw(st.sampled_from(values))
+        block = [[draw(st.sampled_from(values)) - shift if i == j
+                  else draw(entries())[0] if i < j else ZERO
+                  for j in range(dim)] for i in range(dim)]
+        cperm = draw(st.permutations(range(dim)))
+        rows += [[row[c] for c in cperm]
+                 for row in draw(st.permutations(block))]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(([ZERO] * dim, *rows)))
+        rows.insert(draw(st.integers(0, len(rows))), list(extra))
+    return rows[:10]
+
+
+# The reference: the elimination as it was before the column index, which
+# recounts every column and keys every active entry to choose each pivot.
+
+
+def full_scan_rref(rows):
+    """Reduced row echelon form of a matrix given as a list of rows,
+    up to the order of its rows.
+
+    Returns (reduced, pivots): reduced[i] is a dict from column to
+    nonzero scalar holding the reduced row whose pivot column is
+    pivots[i], with a one there and zeros in every other pivot column.
+    Pivots are listed in the order they were chosen, which need not be
+    ascending, and len(pivots) is the rank.  Each pivot minimises the
+    key (Markowitz cost (r-1)(c-1), term count of the entry, column,
+    row), where r and c count the nonzeros of the entry's row and
+    column among the rows not yet pivoted: the cost bounds the fill the
+    pivot can cause among those rows, the term count keeps the exact
+    arithmetic small, and the last two make the choice deterministic.
+    """
+    todo = {i: {j: a for j, a in enumerate(row) if not a.is_zero()}
+            for i, row in enumerate(rows)}
+    reduced, pivots = [], []
+    while todo := {i: row for i, row in todo.items() if row}:
+        count = Counter(j for row in todo.values() for j in row)
+        *_, col, i = min(((len(row) - 1) * (count[j] - 1), a.term_count(),
+                          j, i)
+                         for i, row in todo.items() for j, a in row.items())
+        prow = todo.pop(i)
+        inv = prow.pop(col).inv()
+        prow = {j: a * inv for j, a in prow.items()}
+        for row in (*todo.values(), *reduced):
+            f = row.pop(col, None)
+            if f is None:
+                continue
+            for j, a in prow.items():
+                v = row[j] - f * a if j in row else -(f * a)
+                if v.is_zero():
+                    del row[j]
+                else:
+                    row[j] = v
+        prow[col] = inv / inv
+        reduced.append(prow)
+        pivots.append(col)
+    return reduced, pivots
 
 
 def _dot(row, v):
@@ -99,6 +173,17 @@ def test_rref_is_reduced_and_repeatable(drawn):
     assert rref(rows) == (reduced, pivots)
 
 
+@given(matrices())
+def test_rref_matches_the_full_scan(drawn):
+    rows, _ = drawn
+    assert rref(rows) == full_scan_rref(rows)
+
+
+@given(stacked_systems())
+def test_rref_matches_the_full_scan_on_stacked_systems(rows):
+    assert rref(rows) == full_scan_rref(rows)
+
+
 def test_rref_of_a_zero_matrix_has_no_pivots():
     assert rref([[ZERO, ZERO], [ZERO, ZERO]]) == ([], [])
     assert nullspace([[ZERO, ZERO]], ZERO, ONE) == [[ONE, ZERO], [ZERO, ONE]]
@@ -133,3 +218,40 @@ def test_joint_left_kernel_of_a_commuting_pair():
     assert all(w[i] * p[2][j] == w[j] * p[2][i]
                for i in range(3) for j in range(3))
     assert joint_left_kernel([m1, m2], [T, Q1]) == []
+
+
+def _stacked(mats, shifts):
+    """The equations of joint_left_kernel, written out: column j of
+    M - shift I for every matrix and every j."""
+    dim = len(mats[0])
+    return [[M[l][j] - (a if l == j else ZERO) for l in range(dim)]
+            for M, a in zip(mats, shifts) for j in range(dim)]
+
+
+@given(st.data())
+def test_joint_left_kernel_with_repeated_diagonals(data):
+    # diagonals from two values, shifts among them: many differences
+    # are zero and must drop out of the equations
+    dim = data.draw(st.integers(1, 4))
+    values = (T, Q1)
+    mats = [[[data.draw(st.sampled_from(values)) if i == j
+              else data.draw(entries())[0] for j in range(dim)]
+             for i in range(dim)] for _ in range(data.draw(st.integers(1, 2)))]
+    shifts = [data.draw(st.sampled_from(values)) for _ in mats]
+    assert joint_left_kernel(mats, shifts) == \
+        nullspace(_stacked(mats, shifts), ZERO, ONE)
+
+
+def test_joint_left_kernel_of_triangular_pairs_with_repeated_diagonals():
+    # each matrix has a double diagonal value with a two-dimensional left
+    # eigenspace; the two planes meet in a line, and the other pairs of
+    # shifts have no common left eigenvector
+    m1 = [[T, ZERO, Q1], [ZERO, T, -T], [ZERO, ZERO, Q1]]
+    m2 = [[Q1, ZERO, T], [ZERO, Q1, ONE], [ZERO, ZERO, T]]
+    assert len(joint_left_kernel([m1], [T])) == 2
+    assert len(joint_left_kernel([m2], [Q1])) == 2
+    for shifts, dim in (([T, Q1], 1), ([Q1, T], 1), ([T, T], 0),
+                        ([Q1, Q1], 0)):
+        kernel = joint_left_kernel([m1, m2], shifts)
+        assert kernel == nullspace(_stacked([m1, m2], shifts), ZERO, ONE)
+        assert len(kernel) == dim

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import importlib
-from itertools import permutations
+from collections import Counter
+from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,48 @@ def test_P_equals_symmetrized_E_up_to_scale():
                 sym = symmetrize_eps(ctx, E(ctx, gamma_inverse(nu)).poly)
                 lead = sym.terms[tuple(e for comp in nu for e in comp)]
                 assert P(ctx, nu).poly == sym.smul(lead.inv())
+
+
+def _schur(shape, n):
+    """s_shape(x_1..x_n) as {exponent tuple: coefficient}: the Kostka
+    number K_(shape, alpha) at x^alpha, counted as the semistandard
+    tableaux of the shape with entries <= n and content alpha."""
+    cells = [(i, j) for i, length in enumerate(shape) for j in range(length)]
+    out = Counter()
+
+    def fill(k, tab):
+        if k == len(cells):
+            out[tuple(list(tab.values()).count(e)
+                      for e in range(1, n + 1))] += 1
+            return
+        i, j = cells[k]
+        # rows weakly increase, columns strictly increase
+        for v in range(max(tab.get((i, j - 1), 1),
+                           tab.get((i - 1, j), 0) + 1), n + 1):
+            tab[i, j] = v
+            fill(k + 1, tab)
+            del tab[i, j]
+
+    fill(0, {})
+    return dict(out)
+
+
+def test_P_at_q_equal_t_is_the_schur_polynomial():
+    # Macdonald, Symmetric Functions and Hall Polynomials, ch. VI, §4:
+    # P_lambda(x; t, t) = s_lambda(x); checked numerically at rank 1
+    count = 0
+    for n in (1, 2, 3):
+        ctx = RepContext(n, 1, 1)
+        for lam in product(range(4), repeat=n):
+            if sum(lam) > 3 or list(lam) != sorted(lam, reverse=True):
+                continue
+            want = _schur([p for p in lam if p], n)
+            poly = P(ctx, (lam,)).poly
+            for t in (Fraction(2, 3), Fraction(-5, 2)):
+                got = {m: c.evaluate(t, [t]) for m, c in poly.terms.items()}
+                assert {m: c for m, c in got.items() if c} == want, (lam, t)
+            count += 1
+    assert count == 17
 
 
 # ---------------------------------------------------------------------------
