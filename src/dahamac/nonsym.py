@@ -13,6 +13,14 @@ the polynomial as on one in groups ell..r alone: xi_j of a zero row is
 front by shifting components along the all-ones vector and remembering
 the monomial prefactor.
 
+The greedy walk down from a component is deterministic, so its word
+is prefix-closed: the first s letters of the word of nu are the word
+of the vector they carry 0 to.  The polynomial the walk holds after s
+letters is therefore E of that intermediate index, by the same
+arithmetic.  E caches every index its walk passes and starts a walk at
+the last index of its chain that is already cached, so each index
+costs one raising step once the index one letter down is known.
+
 Every weight, the walk's and the record's, is read off the closed form
 weight_of, through the gamma twist; the rank-1 counting formula kappa
 is an independent check of it.
@@ -23,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine
-from .field import Scalar, integer
+from .field import MAX_EXP, Scalar, integer
 from .laurent import LaurentPoly, clear_poly_denominators, \
     coefficient_of_group1, group1_rows, multidegree
 from .rep import RepContext, apply_T, apply_pi, apply_Y, matrix_of, \
@@ -39,11 +47,20 @@ class MacdonaldRecord:
 
 
 def _normalize_index(mu_tuple, n):
+    """The index as a tuple of int tuples of length n.
+
+    An entry past MAX_EXP in size is refused before any walk: the
+    weight's q-exponent has the entry's size, and a Scalar caps
+    exponents at MAX_EXP.
+    """
     out = []
     for comp in mu_tuple:
         comp = tuple(integer(e) for e in comp)
         if len(comp) != n:
             raise ValueError("component length mismatch")
+        if any(abs(e) > MAX_EXP for e in comp):
+            raise ValueError(f"index entries must lie in "
+                             f"-{MAX_EXP}..{MAX_EXP}")
         out.append(comp)
     return tuple(out)
 
@@ -136,13 +153,26 @@ def raise_step(ctx: RepContext, ell, g, index, p) -> LaurentPoly:
     return apply_T(ctx, g, p) + p.smul(c)
 
 
+def _remember(ctx: RepContext, index, poly) -> MacdonaldRecord:
+    rec = MacdonaldRecord(index, poly, weight_of(ctx, index))
+    _E_CACHE[(ctx, index)] = rec
+    return rec
+
+
 def E(ctx: RepContext, mu_tuple) -> MacdonaldRecord:
-    """The non-symmetric Macdonald polynomial record for an index."""
+    """The non-symmetric Macdonald polynomial record for an index.
+
+    The walk raising component ell passes one index per prefix of the
+    word of mu's component ell, and holds that index's E there (see the
+    module docstring).  It starts at the last of these indices already
+    cached (E of the zeroed index otherwise, a recursion over
+    components only), caches a record for every index it passes, and
+    runs as a loop, so long words need no deep recursion.
+    """
     mu_tuple = _normalize_index(mu_tuple, ctx.n)
     if len(mu_tuple) != ctx.r:
         raise ValueError("index has wrong number of components")
-    key = (ctx, mu_tuple)
-    hit = _E_CACHE.get(key)
+    hit = _E_CACHE.get((ctx, mu_tuple))
     if hit is not None:
         return hit
 
@@ -156,17 +186,23 @@ def E(ctx: RepContext, mu_tuple) -> MacdonaldRecord:
                 base = mu_tuple[:j] + shifted[j:]
                 cur = cur.smul(shift_factor(ctx, base, j, c).inv())
     elif ell:
-        index = mu_tuple[:ell - 1] + ((0,) * ctx.n,) + mu_tuple[ell:]
-        cur = E(ctx, index).poly
-        for g in affine.coset_word(mu_tuple[ell - 1]):
-            cur = raise_step(ctx, ell, g, index, cur)
-            index = index[:ell - 1] + (affine.act_gen(g, index[ell - 1]),) \
-                + index[ell:]
+        # chain[s] is the index before letter s; chain[-1] is mu
+        word = affine.coset_word(mu_tuple[ell - 1])
+        head, tail = mu_tuple[:ell - 1], mu_tuple[ell:]
+        chain = [head + ((0,) * ctx.n,) + tail]
+        for g in word:
+            chain.append(head + (affine.act_gen(g, chain[-1][ell - 1]),)
+                         + tail)
+        start = next((s for s in reversed(range(len(word)))
+                      if (ctx, chain[s]) in _E_CACHE), 0)
+        rec = E(ctx, chain[start])
+        for s in range(start, len(word)):
+            rec = _remember(ctx, chain[s + 1],
+                            raise_step(ctx, ell, word[s], chain[s], rec.poly))
+        return rec
     else:
         cur = ctx.one()
-    rec = MacdonaldRecord(mu_tuple, cur, weight_of(ctx, mu_tuple))
-    _E_CACHE[key] = rec
-    return rec
+    return _remember(ctx, mu_tuple, cur)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import affine
-from .field import Scalar, integer
+from .field import Scalar
 from .laurent import LaurentPoly
 from .rep import RepContext, apply_T, apply_Delta_n, symmetrize_eps, \
     matrix_of, compositions, t_bracket
-from .nonsym import E, weight_of, _P_CACHE
+from .nonsym import E, weight_of, _P_CACHE, _normalize_index
 from .linalg import rref
 
 
@@ -81,7 +81,7 @@ def P(ctx: RepContext, nu_tuple) -> SymMacdonaldRecord:
     delta_eigenvalue at the same E label.  Records are cached on
     (ctx, nu).
     """
-    nu_tuple = tuple(tuple(integer(e) for e in comp) for comp in nu_tuple)
+    nu_tuple = _normalize_index(nu_tuple, ctx.n)
     if not is_orbit_index(nu_tuple):
         raise ValueError("not an orbit index")
     key = (ctx, nu_tuple)

@@ -53,6 +53,16 @@ def test_coset_word_walks_up_from_zero(mu):
     assert act(coset_word(mu), (0,) * n) == mu
 
 
+@given(vectors)
+def test_coset_word_is_prefix_closed(mu):
+    # the greedy walk down from mu is deterministic, so every prefix of
+    # its word is the word of the vector that prefix reaches
+    word = coset_word(mu)
+    zero = (0,) * len(mu)
+    for s in range(len(word) + 1):
+        assert coset_word(act(word[:s], zero)) == word[:s]
+
+
 # ---------------------------------------------------------------------------
 # Bruhat order on integer vectors
 

@@ -9,6 +9,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,6 +345,21 @@ def test_apply_exponent_past_limit_exits_2(capsys, given_input):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("e", "--n", "1", "--mu", "3000000000"),
+    ("p", "--n", "1", "--nu", "3000000000"),
+    ("stability", "--nu", "3000000000", "--n-max", "1"),
+])
+def test_index_entry_past_limit_exits_2_at_once(capsys, argv):
+    # the weight's q-exponent has the entry's size; the coset word of
+    # such an entry used to be built letter by letter until a timeout
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: index entries must lie in -{MAX_EXP}..{MAX_EXP}\n"
 
 
 def _exit_code_out_err(argv):

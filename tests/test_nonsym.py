@@ -8,6 +8,7 @@ the joint-eigenspace linear algebra oracle.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from dahamac.nonsym import (
     index_multidegree,
     kappa,
     knop_sahi_check,
+    raise_step,
     shift_factor,
     verify_triangular,
     weight_of,
@@ -182,6 +184,16 @@ def test_rank_one_monic_triangular_box():
                 assert check_record(ctx, rec)
 
 
+def test_long_word_stays_a_loop():
+    # 1,200 letters, each one cached as it is passed
+    clear_cache()
+    ctx = RepContext(1, 1, 1)
+    rec = E(ctx, ((1200,),))
+    assert rec.poly == LaurentPoly.monomial(1, 1, 1, ((1200,),), ctx.scalar())
+    assert rec.weight == (Scalar.q(1, 1, -1200),)
+    assert E(ctx, ((1199,),)).weight == (Scalar.q(1, 1, -1199),)
+
+
 def test_long_walk_stays_a_loop():
     # the coset word of (1500,) has 1500 letters; a recursion per letter
     # would pass Python's recursion limit
@@ -267,6 +279,96 @@ def test_records_are_cached():
     clear_cache()
     first = E(C22, ((1, 0), (0, 1)))
     assert E(C22, ((1, 0), (0, 1))) is first
+
+
+# The reference: the walk over the whole coset word from the zeroed
+# component, which was E's body before the walk started from the longest
+# cached prefix.  Nonnegative indices only; nothing is cached.
+
+
+def full_walk_E(ctx, mu_tuple):
+    ell = next((i for i, comp in enumerate(mu_tuple, 1) if any(comp)), 0)
+    if not ell:
+        return ctx.one()
+    index = mu_tuple[:ell - 1] + ((0,) * ctx.n,) + mu_tuple[ell:]
+    cur = full_walk_E(ctx, index)
+    for g in affine.coset_word(mu_tuple[ell - 1]):
+        cur = raise_step(ctx, ell, g, index, cur)
+        index = index[:ell - 1] + (affine.act_gen(g, index[ell - 1]),) \
+            + index[ell:]
+    return cur
+
+
+def _small_indices(n, r):
+    """Every index with entries <= 2 and total <= 3, ascending."""
+    return [tuple(flat[i * n:(i + 1) * n] for i in range(r))
+            for flat in itertools.product(range(3), repeat=n * r)
+            if sum(flat) <= 3]
+
+
+def _chain(mu_tuple):
+    """The indices the walk to mu passes, mu last."""
+    ell = next(i for i, comp in enumerate(mu_tuple, 1) if any(comp))
+    head, tail = mu_tuple[:ell - 1], mu_tuple[ell:]
+    word = affine.coset_word(mu_tuple[ell - 1])
+    zero = (0,) * len(mu_tuple[0])
+    return [head + (affine.act(word[:s], zero),) + tail
+            for s in range(len(word) + 1)]
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (2, 3)])
+def test_E_matches_the_full_walk_in_any_order(n, r):
+    ctx = RepContext(n, r, r)
+    indices = _small_indices(n, r)
+    want = {mu: MacdonaldRecord(mu, full_walk_E(ctx, mu), weight_of(ctx, mu))
+            for mu in indices}
+    shuffled = indices[:]
+    random.Random(17).shuffle(shuffled)
+    for order in (indices, indices[::-1], shuffled):
+        clear_cache()
+        for mu in order:
+            assert E(ctx, mu) == want[mu]
+
+
+def _count_raise_steps(monkeypatch):
+    """The indices at which E calls raise_step from now on."""
+    calls = []
+
+    def counted(ctx, ell, g, index, p):
+        calls.append(index)
+        return raise_step(ctx, ell, g, index, p)
+
+    monkeypatch.setattr("dahamac.nonsym.raise_step", counted)
+    return calls
+
+
+def test_a_cold_build_caches_every_chain_index(monkeypatch):
+    ctx = RepContext(3, 2, 2)
+    calls = _count_raise_steps(monkeypatch)
+    for mu in [((0, 1, 2), (0, 0, 0)), ((0, 0, 0), (2, 0, 1)),
+               ((1, 0, 1), (0, 2, 0))]:
+        clear_cache()
+        E(ctx, mu)
+        chain = _chain(mu)
+        assert chain[-1] == mu and len(chain) > 2
+        calls.clear()
+        cached = {index: E(ctx, index) for index in chain}
+        assert calls == []
+        for index, rec in cached.items():
+            clear_cache()
+            assert E(ctx, index) == rec
+
+
+def test_one_letter_down_cached_costs_one_raise_step(monkeypatch):
+    ctx = RepContext(3, 2, 2)
+    mu = ((0, 2, 1), (1, 0, 0))
+    below = _chain(mu)[-2]
+    clear_cache()
+    E(ctx, below)
+    calls = _count_raise_steps(monkeypatch)
+    assert E(ctx, mu) == MacdonaldRecord(mu, full_walk_E(ctx, mu),
+                                         weight_of(ctx, mu))
+    assert calls == [below]
 
 
 def test_index_shape_guards():
