@@ -146,9 +146,18 @@ def omega_normalize(mu):
 
 
 def sigma_of(mu):
-    """bar of the coset word of mu, after omega-normalization."""
-    shifted, _ = omega_normalize(mu)
-    return bar(coset_word(shifted), len(shifted))
+    """bar of the coset word of mu, after omega-normalization, in closed
+    form: the standardization of mu, in which position i gets 1 + the
+    rank of (mu_i, i) in ascending order.  The omega shift adds the
+    same constant to every entry and leaves the ranks alone; unlike the
+    coset word, whose length grows with the entries, this takes
+    O(n log n) whatever their size.
+    """
+    out = [0] * len(mu)
+    # sorted is stable, so equal entries keep their order of position
+    for rank, i in enumerate(sorted(range(len(mu)), key=mu.__getitem__), 1):
+        out[i] = rank
+    return tuple(out)
 
 
 def gamma_sigma(mu_tuple):

@@ -166,6 +166,20 @@ def p_iscale(f, k):
     return {m: c * k for m, c in f.items()}
 
 
+def _degrees(keys, k):
+    """Each variable's largest exponent over some packed monomials, t
+    first, by a fieldwise max."""
+    G = _guards(_keys_or(keys))
+    top = 0
+    for m in keys:
+        top += m - _mon_min(top, m, G)
+    return _unpack(top, k)
+
+
+def _norm1(f):
+    return sum(map(abs, f.values()))
+
+
 def p_maxnorm(f):
     return max(map(abs, f.values()))
 
@@ -610,6 +624,9 @@ class Scalar:
     def is_zero(self):
         return not self.num
 
+    def __bool__(self):
+        return bool(self.num)
+
     def is_one(self):
         return _is_one(self.num) and _is_one(self.den)
 
@@ -752,6 +769,178 @@ def clear_denominators(scalars, k):
     out = [Scalar(p_mul(c.num, mult[key]), {0: 1}, k)
            for c, key in zip(scalars, keys)]
     return Scalar(lcm, {0: 1}, k), out
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-packed integers
+
+
+class _Shift:
+    """Multiplication of a packed int v by c * 2^s: (c v) << s, or for
+    s < 0 the exact (c v) >> -s, an ArithmeticError if a bit it would
+    drop is set."""
+
+    __slots__ = ("c", "s", "low")
+
+    def __init__(self, c, s):
+        self.c = c
+        self.s = s
+        self.low = (1 << -s) - 1 if s < 0 else 0
+
+    def __rmul__(self, v):
+        if self.c != 1:
+            v *= self.c
+        if self.s >= 0:
+            return v << self.s
+        if v & self.low:
+            raise ArithmeticError("inexact division of a packed integer")
+        return v >> -self.s
+
+
+class _OneMinusShift:
+    """Multiplication of a packed int v by 1 - 2^s: v - (v << s)."""
+
+    __slots__ = ("s",)
+
+    def __init__(self, s):
+        self.s = s
+
+    def __rmul__(self, v):
+        return v - (v << self.s)
+
+
+class KroneckerRing:
+    """Z[t, q_1..q_k] packed into Z by Kronecker substitution, exact for
+    one chain of integral coefficients and one comparison at its end.
+
+    The chain takes polynomials f_m in Z[t, q] (the coefficients, one
+    per x-monomial m, of its input f) to F_m.  The caller gives f as
+    coefficients g_m and a monomial u = prod_l q_l^lift[l], with
+    f_m = u g_m, and packs f_m as pack(g_m) times the action of u.  It
+    bounds the chain:
+
+    - ||F||_1 <= growth * ||f||_1, where ||.||_1 sums the absolute
+      values of the integer coefficients over every x-monomial and every
+      parameter monomial;
+    - deg_t F <= deg_t f + t_rise, and deg_ql F <= deg_ql f + q_rise[l];
+    - F is reached by sums, negations, products by 1 - t and by
+      monomials, and exact divisions by monomials.
+
+    For each weight w = num / den (num, den in Z[t, q]) the comparison is
+    den F_m = num f_m at every m.  Its difference g = den F_m - num f_m
+    has every coefficient at most
+
+        C = max over w of (||den||_1 growth + ||num||_1) ||f||_1
+
+    in size, since the coefficients of a product are bounded by the
+    product of the 1-norms, and t-degree at most T, the largest of
+    deg_t den + deg_t f + t_rise and deg_t num + deg_t f over the
+    weights; likewise Q_l for q_l.
+
+    The digit width is B = bit length of C, so every such coefficient
+    lies strictly inside (-2^B, 2^B).  The radix is mixed: t gets
+    T + 1 digits, q_1 the next Q_1 + 1 blocks of those, and so on, so
+    the packed value of a polynomial is its value at t = 2^B and
+    q_l = 2^(B R_l) with R_1 = T + 1 and R_(l+1) = R_l (Q_l + 1).
+    A monomial inside the degree box goes to 2^(B i), i = e_t +
+    sum R_l e_l, and distinct monomials get distinct i.
+
+    One-to-one: let g != 0 lie in the box with coefficients inside
+    (-2^B, 2^B), and let a be its coefficient of least i.  Then
+    pack(g) = a 2^(B i) modulo 2^(B (i + 1)), which is not 0 because
+    0 < |a| < 2^B.  So pack(g) = 0 exactly when g = 0, and the packed
+    comparison gives the polynomial verdict.
+
+    No value inside the chain needs to fit the box or the width.
+    Packing is evaluation, a ring map, so sums, negations and products
+    carry over, and 1 - t and a monomial act as v - (v << B) and
+    v << s.  Dividing by a monomial u that divides the polynomial is
+    dividing its value by pack(u) = 2^s, an exact right shift; the shift
+    refuses to drop a set bit, so a division the bounds did not promise
+    raises ArithmeticError instead of rounding.  A term dropped because
+    its packed value is 0 contributes 0 either way.
+    """
+
+    def __init__(self, k, coeffs, weights, growth, t_rise, q_rise,
+                 lift=None):
+        self.k = k
+        coeffs = [c.num for c in coeffs]
+        norm = sum(map(_norm1, coeffs))
+        lift = lift or {}
+        top = [e + lift.get(v, 0) for v, e in
+               enumerate(_degrees(set().union(*coeffs), k))]
+        rise = [t_rise] + [q_rise.get(ell, 0) for ell in range(1, k + 1)]
+        size, box = 0, top
+        for w in weights:
+            size = max(size, _norm1(w.den) * growth + _norm1(w.num))
+            box = [max(b, e + d + up, f + d) for b, d, up, e, f in zip(
+                box, top, rise, _degrees(w.den, k), _degrees(w.num, k))]
+        self.bits = max((size * norm).bit_length(), 1)
+        # (field shift of the variable, bit position of its first power)
+        self._places = []
+        step = self.bits
+        for v, b in enumerate(box):
+            self._places.append(((k - v) * FIELD_BITS, step))
+            step *= b + 1
+        self._actions = {}
+        self._at = {}         # packed monomial -> its bit position
+        self.one_minus_t = _OneMinusShift(self.bits)
+
+    def _shift(self, m):
+        s = self._at.get(m)
+        if s is None:
+            s = self._at[m] = sum((m >> sh & MAX_EXP) * w
+                                  for sh, w in self._places)
+        return s
+
+    def _pack(self, f):
+        """f's packed value, summed in halves of its terms sorted by
+        position, each half relative to its lowest: a term-by-term sum
+        would cost the full width once per term."""
+        terms = sorted((self._shift(m), c) for m, c in f.items())
+
+        def half(lo, hi):
+            if hi - lo == 1:
+                return terms[lo][1]
+            mid = (lo + hi) // 2
+            return half(lo, mid) + (half(mid, hi)
+                                    << terms[mid][0] - terms[lo][0])
+
+        return half(0, len(terms)) << terms[0][0] if terms else 0
+
+    def pack(self, s: Scalar) -> int:
+        """The packed value of a scalar with denominator 1."""
+        if not _is_one(s.den):
+            raise ValueError("only an integral scalar packs")
+        return self._pack(s.num)
+
+    def fraction(self, s: Scalar):
+        """(num, den) of s as multipliers of packed ints: a shift
+        action for a single term, the packed int otherwise."""
+        return tuple(self._multiplier(f) for f in (s.num, s.den))
+
+    def _multiplier(self, f):
+        if len(f) != 1:
+            return self._pack(f)
+        (m, c), = f.items()
+        return self._action(c, self._shift(m))
+
+    def _action(self, c, s):
+        act = self._actions.get((c, s))
+        if act is None:
+            act = self._actions[(c, s)] = _Shift(c, s)
+        return act
+
+    def monomial(self, c=1, t=0, q=None):
+        """The action of c * t^t * prod_l q_l^q[l] on packed ints;
+        a negative exponent divides, exactly."""
+        s = t * self._places[0][1]
+        for ell, e in (q or {}).items():
+            if not 1 <= ell <= self.k:
+                raise ValueError(f"q_{ell} outside session with {self.k} "
+                                 "parameters")
+            s += e * self._places[ell][1]
+        return self._action(c, s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Sparse Laurent polynomials in r groups of n variables x_{i,j}.
 
 Terms are stored as a dict mapping flattened exponent tuples (row-major,
-length r*n, row i = variable group i) to nonzero Scalars.  The grading
+length r*n, row i = variable group i) to nonzero coefficients: Scalars,
+or any values with +, unary -, * and truthiness (see rep).  The grading
 is the r-vector of row sums.  Building-block operators: the exponent
 swap s_j within a group and the divided-difference ksi_j, implemented
 per monomial by its closed geometric sum so no rational functions in x
@@ -17,7 +18,7 @@ from .field import clear_denominators, integer, scalar_to_json, \
 
 
 class LaurentPoly:
-    """Laurent polynomial with exact Scalar coefficients."""
+    """Laurent polynomial with exact coefficients."""
 
     __slots__ = ("r", "n", "k", "terms")
 
@@ -33,7 +34,7 @@ class LaurentPoly:
         flat = tuple(e for row in rows for e in row)
         if len(flat) != r * n:
             raise ValueError("exponent matrix shape mismatch")
-        if coeff.is_zero():
+        if not coeff:
             return LaurentPoly(r, n, k)
         return LaurentPoly(r, n, k, {flat: coeff})
 
@@ -49,10 +50,10 @@ class LaurentPoly:
         for m, c in other.terms.items():
             if m in out:
                 s = out[m] + c
-                if s.is_zero():
-                    del out[m]
-                else:
+                if s:
                     out[m] = s
+                else:
+                    del out[m]
             else:
                 out[m] = c
         return LaurentPoly(self.r, self.n, self.k, out)
@@ -76,16 +77,16 @@ class LaurentPoly:
                 c = c1 * c2
                 if m in out:
                     s = out[m] + c
-                    if s.is_zero():
-                        del out[m]
-                    else:
+                    if s:
                         out[m] = s
-                elif not c.is_zero():
+                    else:
+                        del out[m]
+                elif c:
                     out[m] = c
         return LaurentPoly(self.r, self.n, self.k, out)
 
     def smul(self, c):
-        if c.is_zero():
+        if not c:
             return LaurentPoly(self.r, self.n, self.k)
         return LaurentPoly(self.r, self.n, self.k,
                            {m: cc * c for m, cc in self.terms.items()})
@@ -148,10 +149,10 @@ def xi(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
     def put(m, c):
         if m in acc:
             s = acc[m] + c
-            if s.is_zero():
-                del acc[m]
-            else:
+            if s:
                 acc[m] = s
+            else:
+                del acc[m]
         else:
             acc[m] = c
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine
-from .field import MAX_EXP, Scalar, integer
+from .field import MAX_EXP, KroneckerRing, Scalar, integer
 from .laurent import LaurentPoly, clear_poly_denominators, \
     coefficient_of_group1, group1_rows, multidegree
 from .rep import RepContext, apply_T, apply_pi, apply_Y, matrix_of, \
@@ -338,26 +338,70 @@ def index_multidegree(mu_tuple):
 
 
 def check_record(ctx: RepContext, rec: MacdonaldRecord) -> bool:
-    """Direct Y-eigen re-verification of a record.
+    """Direct Y-eigen re-verification of a record, exact, on packed ints.
 
     The check runs on c E rather than E, with c = D prod_ell
     q_ell^(M_ell): D is the lcm of E's coefficient denominators and M_ell
     the largest x-exponent in group ell (0 if none is positive).  Y_i
     is linear and c is a nonzero scalar, so Y_i(c E) = w_i c E holds
-    exactly when Y_i E = w_i E does.  c E has coefficients in Z[t, q].
+    exactly when Y_i E = w_i E does, and with w_i = num / den that is
+    den Y_i(c E) = num c E.  c E has coefficients in Z[t, q].
     In Y_i's integral form (see rep) the T_j factors have coefficients
     in Z[t] and raise no exponent of a group past its largest, and pi
     divides group ell's coefficients by q_ell^(last exponent) <=
     q_ell^(M_ell), so no coefficient inside Y_i has a denominator.
+
+    c E is packed once into a field.KroneckerRing, given the weights,
+    and the unchanged Y_i runs on the packed ints through a context of
+    that ring.  The ring's comparison is the polynomial one (its
+    docstring proves it) given these bounds on the chain, with R the
+    largest sum of |x-exponents| of a term of c E:
+
+    - ||T_j f||_1 <= (1 + 2R) ||f||_1.  s_j permutes terms; a term's
+      xi_j pieces over the r groups number at most sum over groups of
+      |a - b| <= R, each with the term's coefficient up to sign, and
+      (1 - t) at most doubles a 1-norm.
+    - ||(T_j + t - 1) f||_1 <= (3 + 2R) ||f||_1: the accumulator also
+      holds -f before its (1 - t) product.
+    - R never grows: s_j and pi permute exponents, and xi_j's exponent
+      pairs (a - s, b + s) have |a - s| + |b + s| <= |a| + |b|.  No
+      group's exponents leave the range they span in c E either.
+    - pi leaves ||.||_1 alone.  It lowers the q_ell-degree by the last
+      exponent of row ell, or raises it by at most -L_ell when that
+      exponent is negative, L_ell the least exponent of group ell.
+    - Each T_j factor raises the t-degree by at most 1, through 1 - t,
+      and Y_i has n - 1 of them.
+
+    So ||Y_i(c E)||_1 <= (3 + 2R)^(n-1) ||c E||_1, its t-degree grows
+    by at most n - 1 and its q_ell-degree by at most max(0, -L_ell).
+    The verdict is exact and deterministic: no option, no random point.
     """
-    _, poly = clear_poly_denominators(rec.poly)
-    n = ctx.n
-    tops = {ell: max((e for m in poly.terms
-                      for e in m[(ell - 1) * n:ell * n]), default=0)
-            for ell in range(1, ctx.r + 1)}
-    poly = poly.smul(ctx.scalar(q={ell: e for ell, e in tops.items()
-                                   if e > 0}))
+    ring, cE = _pack_record(ctx, rec)
+    packed = RepContext(ctx.n, ctx.r, ctx.k, ring)
     for i in range(1, ctx.n + 1):
-        if apply_Y(ctx, i, poly) != poly.smul(rec.weight[i - 1]):
+        num, den = ring.fraction(rec.weight[i - 1])
+        if apply_Y(packed, i, cE).smul(den) != cE.smul(num):
             return False
     return multidegree(rec.poly) == index_multidegree(rec.index)
+
+
+def _pack_record(ctx: RepContext, rec: MacdonaldRecord):
+    """(ring, c E on packed ints) for check_record, which states c and
+    the bounds given to the ring."""
+    _, poly = clear_poly_denominators(rec.poly)
+    n, r = ctx.n, ctx.r
+    tops, lows = {}, {}
+    for ell in range(1, r + 1):
+        exps = [e for m in poly.terms for e in m[(ell - 1) * n:ell * n]]
+        top, low = max(exps, default=0), min(exps, default=0)
+        if top > 0:
+            tops[ell] = top
+        if low < 0:
+            lows[ell] = -low
+    reach = max((sum(map(abs, m)) for m in poly.terms), default=0)
+    ring = KroneckerRing(ctx.k, poly.terms.values(), rec.weight,
+                         growth=(3 + 2 * reach) ** (n - 1), t_rise=n - 1,
+                         q_rise=lows, lift=tops)
+    up = ring.monomial(q=tops)
+    return ring, LaurentPoly(r, n, ctx.k, {m: ring.pack(c) * up
+                                           for m, c in poly.terms.items()})

@@ -37,6 +37,15 @@ verify_daha_relations states each defining relation as two of them.
 RepContext names the coefficient field Q(t, q_1..q_k), and its one
 constructor RepContext.scalar builds every scalar that this module and
 the modules above it create.
+
+T_j, pi, Y_i and theta_i are generic in their coefficients, which need
+only + and unary - between them, * by what the context supplies (its
+scalar monomials and one_minus_t) and truthiness, false for zero, by
+which a zero term is dropped.  A context built with ring=... (field's
+KroneckerRing) supplies its monomials and 1 - t as actions on packed
+ints, and the same operators then run on polynomials whose
+coefficients are those ints.  The symmetrizer, Delta_n, the operator
+expressions and the matrices need Scalars.
 """
 
 from __future__ import annotations
@@ -46,8 +55,8 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .field import Scalar, integer
-from .laurent import LaurentPoly, clear_poly_denominators, swap_vars, xi
+from .field import KroneckerRing, Scalar, integer
+from .laurent import LaurentPoly, clear_poly_denominators
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,7 @@ class RepContext:
     n: int
     r: int
     k: int  # session q-parameter count; q_l belongs to group l
+    ring: KroneckerRing | None = None  # None: the field of Scalars
 
     def __post_init__(self):
         if self.n < 1 or self.r < 1:
@@ -71,12 +81,17 @@ class RepContext:
 
     def scalar(self, c=1, t=0, q=None) -> Scalar:
         """c * t^t * prod_l q_l^q[l]; negative exponents go to the
-        denominator, and a q index outside 1..k is a ValueError."""
+        denominator, and a q index outside 1..k is a ValueError.  In a
+        ring, the ring's action of that monomial."""
+        if self.ring is not None:
+            return self.ring.monomial(c, t, q)
         return Scalar.param_monomial(self.k, t, q or {}, c)
 
     @cached_property
     def one_minus_t(self) -> Scalar:
         """1 - t, built once; cached in the instance dict, not in ==."""
+        if self.ring is not None:
+            return self.ring.one_minus_t
         return self.scalar() - self.scalar(t=1)
 
 
@@ -88,17 +103,51 @@ def _check_j(ctx, j):
 def apply_T(ctx: RepContext, j: int, p: LaurentPoly,
             t_inverse=False) -> LaurentPoly:
     """T_j p; with t_inverse, t T_j^{-1} p = T_j p + (t-1) p instead,
-    formed as s_j p + (1-t)(sum of the xi pieces - p): one (1-t)
-    product per term, and no division by t."""
+    formed as s_j p + (1-t)(sum of the xi pieces - p), with no
+    division by t.
+
+    One pass over p's terms serves all r groups: a term's xi_j piece in
+    group g is taken after s_j has acted on groups 1..g-1 (laurent.xi
+    term by term), and every piece goes into one accumulator, so each
+    accumulated term takes one (1-t) product.  s_j permutes monomials,
+    so the swapped terms never collide.
+    """
     _check_j(ctx, j)
-    acc = -p if t_inverse else None
-    cur = p
-    for grp in range(1, ctx.r + 1):
-        piece = xi(cur, grp, j)
-        acc = piece if acc is None else acc + piece
-        cur = swap_vars(cur, grp, j)
-    # cur is now s_j in every group
-    return cur + acc.smul(ctx.one_minus_t)
+    n = ctx.n
+    acc = {}     # sums of the pieces; a sum may reach zero and stay
+    get = acc.get
+    out = {}
+    for m, c in p.terms.items():
+        if t_inverse:
+            v, nc = get(m), -c
+            acc[m] = nc if v is None else v + nc
+        mm = list(m)
+        for base in range(j - 1, ctx.r * n, n):
+            a, b = mm[base], mm[base + 1]
+            if a != b:
+                # xi_j's geometric sum from (a, b) toward (b, a),
+                # negated when a < b
+                hi, lo, sc = (a, b, c) if a > b else (b, a, -c)
+                for step in range(hi - lo):
+                    mm[base], mm[base + 1] = hi - step, lo + step
+                    key = tuple(mm)
+                    v = get(key)
+                    acc[key] = sc if v is None else v + sc
+            mm[base], mm[base + 1] = b, a
+        out[tuple(mm)] = c
+    omt = ctx.one_minus_t
+    for m, c in acc.items():
+        if not c:
+            continue
+        c = c * omt
+        v = out.get(m)
+        if v is None:
+            out[m] = c
+        elif v := v + c:
+            out[m] = v
+        else:
+            del out[m]
+    return LaurentPoly(ctx.r, n, ctx.k, out)
 
 
 def apply_T_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
@@ -123,19 +172,19 @@ def apply_X_inv(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
 
 def apply_pi(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
     n, r = ctx.n, ctx.r
+    # each row's last entry first, then the rest of the row
+    cycled = [i + (j - 1) % n for i in range(0, r * n, n) for j in range(n)]
+    charges = {}      # last exponents of the rows -> their q charge
     out = {}
     for m, c in p.terms.items():
-        qexp = {}
-        rows = []
-        for i in range(r):
-            row = m[i * n:(i + 1) * n]
-            last = row[-1]
-            if last:
-                qexp[i + 1] = -last
-            rows.append((row[-1],) + row[:-1])
-        if qexp:
-            c = c * ctx.scalar(q=qexp)
-        out[tuple(e for row in rows for e in row)] = c
+        lasts = m[n - 1::n]
+        if any(lasts):
+            f = charges.get(lasts)
+            if f is None:
+                f = charges[lasts] = ctx.scalar(
+                    q={ell: -e for ell, e in enumerate(lasts, 1) if e})
+            c = c * f
+        out[tuple(map(m.__getitem__, cycled))] = c
     return LaurentPoly(r, n, ctx.k, out)
 
 

@@ -137,6 +137,13 @@ def test_sigma_of_small_vectors():
     assert sigma_of((0, 0, 0)) == perm_id(3)
 
 
+@given(st.lists(st.integers(-3, 4), min_size=1, max_size=6).map(tuple))
+def test_sigma_of_is_bar_of_the_coset_word(mu):
+    # the closed form against its definition, negative entries included
+    shifted, _ = omega_normalize(mu)
+    assert sigma_of(mu) == bar(coset_word(shifted), len(mu))
+
+
 # ---------------------------------------------------------------------------
 # omega normalization and the index twist
 

@@ -7,6 +7,10 @@ the acceptance file refers to it outside its own definition: as a
 Name, an Attribute, an imported name, or a string constant (the
 benchmark's tracer names its targets by string).  The unit tests do
 not count, so a function only they call is a dead export.
+
+T_j, pi and Y_i have one definition each, in rep: the exact check of
+E runs them on packed integers through a context of its ring, so a
+second definition would be a second operator route.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ USERS = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
 # names kept without a user in the program, each for a test
 ALLOWED = {
     "affine.act": "the reference action that checks coset_word",
+    "affine.bar": "the reference that checks sigma_of's closed form",
     "nonsym.clear_cache": "empties the memo caches between tests",
     "field.Scalar.evaluate": "the numeric specialisations of the "
                              "external anchors",
@@ -79,3 +84,16 @@ def test_allowed_names_still_exist():
         module, name = key.split(".", 1)
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert name in dict(_public_definitions(tree))
+
+
+OPERATORS = ("apply_T", "apply_pi", "apply_Y")
+
+
+def test_each_operator_has_one_definition():
+    defs = Counter(f"{path.stem}.{node.name}"
+                   for path in PACKAGE.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))
+                   and node.name in OPERATORS)
+    assert defs == {f"rep.{name}": 1 for name in OPERATORS}

@@ -439,3 +439,60 @@ def test_gcd_fallback_matches_sympy(sympy, a, b, common):
         mp.setattr(field, "_heu", heuristic_fails)
         _check_gcd_triple(sympy, field.p_mul(_packed(a), common),
                           field.p_mul(_packed(b), common))
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-packed integers
+
+
+@given(scalars())
+def test_truthiness_is_nonzeroness(a):
+    assert bool(a) == (not a.is_zero())
+
+
+def _integral(p):
+    """The Scalar whose numerator has the terms of p, keyed by exponent
+    triples, over denominator 1."""
+    out = ZERO
+    for (e_t, e1, e2), c in p.items():
+        out = out + Scalar.param_monomial(K, e_t, {1: e1, 2: e2}, c)
+    return out
+
+
+@given(_PARAM_POLYS, _PARAM_POLYS)
+def test_packing_is_one_to_one_within_its_bound(f, g):
+    # with growth 1 and the weight 1, the ring's bound covers f - g
+    f, g = _integral(f), _integral(g)
+    ring = field.KroneckerRing(K, [f, g], [ONE], growth=1, t_rise=0,
+                               q_rise={})
+    assert (ring.pack(f) == ring.pack(g)) == (f == g)
+    assert ring.pack(f) - ring.pack(g) == ring.pack(f - g)
+
+
+def test_packed_actions():
+    ring = field.KroneckerRing(K, [T * Q1], [ONE], growth=1, t_rise=0,
+                               q_rise={})
+    tq = ring.pack(T * Q1)
+    assert tq * ring.monomial(q={1: -1}) == ring.pack(T)
+    assert tq * ring.monomial(2, t=-1) == ring.pack(Q1 + Q1)
+    assert tq * ring.monomial(-1, t=1, q={2: 2}) == \
+        ring.pack(-(T * T * Q1 * Q2 * Q2))
+    assert ring.pack(T) * ring.one_minus_t == ring.pack(T - T * T)
+    # a one-term num or den acts by a shift, a longer one is its packing
+    num, den = ring.fraction((ONE + T) / Q2)
+    assert num == ring.pack(ONE + T) and 1 * den == ring.pack(Q2)
+
+
+def test_packed_division_is_exact_or_refused():
+    ring = field.KroneckerRing(K, [T * Q1], [ONE], growth=1, t_rise=0,
+                               q_rise={})
+    with pytest.raises(ArithmeticError):
+        ring.pack(T) * ring.monomial(q={1: -1})
+    with pytest.raises(ArithmeticError):
+        1 * ring.monomial(t=-1)
+    with pytest.raises(ArithmeticError):
+        -ring.pack(T * Q1 + ONE) * ring.monomial(q={1: -1})
+    with pytest.raises(ValueError, match="q_3 outside session"):
+        ring.monomial(q={3: 1})
+    with pytest.raises(ValueError, match="integral"):
+        ring.pack(ONE / (ONE - T))

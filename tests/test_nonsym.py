@@ -15,8 +15,10 @@ import pytest
 
 from dahamac import affine
 from dahamac.field import Scalar
-from dahamac.laurent import LaurentPoly, multidegree
+from dahamac.laurent import LaurentPoly, clear_poly_denominators, \
+    multidegree
 from dahamac.nonsym import (
+    _pack_record,
     E,
     MacdonaldRecord,
     check_record,
@@ -413,6 +415,39 @@ def test_oracle_rejects_negative_indices():
         eigen_oracle_Y(C21, ((-1, 0),))
 
 
+# The reference: check_record before its chain ran on packed ints, with
+# Y_i on Scalars and the weights compared as Scalars.
+
+
+def scalar_check_record(ctx, rec):
+    _, poly = clear_poly_denominators(rec.poly)
+    n = ctx.n
+    tops = {ell: max((e for m in poly.terms
+                      for e in m[(ell - 1) * n:ell * n]), default=0)
+            for ell in range(1, ctx.r + 1)}
+    poly = poly.smul(ctx.scalar(q={ell: e for ell, e in tops.items()
+                                   if e > 0}))
+    for i in range(1, ctx.n + 1):
+        if apply_Y(ctx, i, poly) != poly.smul(rec.weight[i - 1]):
+            return False
+    return multidegree(rec.poly) == index_multidegree(rec.index)
+
+
+def _same_verdict(ctx, rec):
+    """The verdict of check_record, asserted equal to the reference's."""
+    verdict = check_record(ctx, rec)
+    assert verdict == scalar_check_record(ctx, rec), rec.index
+    return verdict
+
+
+@pytest.mark.parametrize("n, r", [(4, 2), (3, 3)])
+def test_packed_check_agrees_on_the_eigen_box(n, r):
+    # every index of the benchmark's eigen workload
+    ctx = RepContext(n, r, r)
+    for mu in _small_indices(n, r):
+        assert _same_verdict(ctx, E(ctx, mu))
+
+
 CORRUPTIBLE = [(C22, ((1, 0), (0, 1))), (C22, ((0, 1), (1, 1))),
                (C32, ((0, 1, 0), (1, 0, 1))), (C32, ((1, 0, 1), (0, 1, 0)))]
 
@@ -422,13 +457,17 @@ def _corruptions(ctx, rec):
     first = min(terms)
     doubled = dict(terms)
     doubled[first] = terms[first] + terms[first]
+    huge = dict(terms)
+    huge[first] = terms[first] + ctx.scalar(10 ** 40, t=1)
     dropped = {m: c for m, c in terms.items() if m != first}
     w = rec.weight
     flat = [0] * len(first)
     flat[0] = 1
-    return {
+    out = {
         "doubled": MacdonaldRecord(rec.index, LaurentPoly(
             rec.poly.r, rec.poly.n, rec.poly.k, doubled), w),
+        "plus 10^40 t": MacdonaldRecord(rec.index, LaurentPoly(
+            rec.poly.r, rec.poly.n, rec.poly.k, huge), w),
         "dropped": MacdonaldRecord(rec.index, LaurentPoly(
             rec.poly.r, rec.poly.n, rec.poly.k, dropped), w),
         "weights swapped": MacdonaldRecord(
@@ -438,21 +477,28 @@ def _corruptions(ctx, rec):
         "weight times q_1": MacdonaldRecord(
             rec.index, rec.poly, tuple(x * ctx.scalar(q={1: 1}) for x in w)),
     }
+    # a weight entry that is not a monomial: the packed check's bound
+    # covers its num and its den
+    one_plus_t = ctx.scalar() + ctx.scalar(t=1)
+    for i in range(len(w)):
+        out[f"weight {i + 1} times 1 + t"] = MacdonaldRecord(
+            rec.index, rec.poly, w[:i] + (w[i] * one_plus_t,) + w[i + 1:])
+    return out
 
 
 def test_check_record_rejects_corrupted_records():
     for ctx, mu in CORRUPTIBLE:
         rec = E(ctx, mu)
-        assert check_record(ctx, rec)
+        assert _same_verdict(ctx, rec)
         # several terms, and some denominator for check_record to clear
         assert len(rec.poly.terms) >= 2
         assert any(c.den != {0: 1} for c in rec.poly.terms.values())
         for name, bad in _corruptions(ctx, rec).items():
-            assert not check_record(ctx, bad), (mu, name)
+            assert not _same_verdict(ctx, bad), (mu, name)
     rec = E(C22, ((1, 0), (0, 1)))
     wrong_weight = MacdonaldRecord(rec.index, rec.poly,
                                    weight_of(C22, ((0, 1), (0, 1))))
-    assert not check_record(C22, wrong_weight)
+    assert not _same_verdict(C22, wrong_weight)
 
 
 @pytest.mark.parametrize("ctx, mu", [
@@ -462,7 +508,7 @@ def test_check_record_rejects_corrupted_records():
 ])
 def test_check_record_accepts_negative_entries(ctx, mu):
     # rows whose largest exponent is 0 or negative charge no q power
-    assert check_record(ctx, E(ctx, mu))
+    assert _same_verdict(ctx, E(ctx, mu))
 
 
 def test_check_record_accepts_a_scaled_record():
@@ -471,7 +517,48 @@ def test_check_record_accepts_a_scaled_record():
         t, one = ctx.scalar(t=1), ctx.scalar()
         c = (one + t * ctx.scalar(q={1: 1})) / (one - ctx.scalar(q={2: 1}))
         scaled = MacdonaldRecord(rec.index, rec.poly.smul(c), rec.weight)
-        assert check_record(ctx, scaled), mu
+        assert _same_verdict(ctx, scaled), mu
+
+
+def _wrong_weight(rec, i, h):
+    """rec with h added to its i-th weight entry."""
+    w = list(rec.weight)
+    w[i] = w[i] + h
+    return MacdonaldRecord(rec.index, rec.poly, tuple(w))
+
+
+def test_packed_check_rejects_what_one_bit_less_would_accept():
+    # E is one monomial, so c E has 1-norm 1, and a wrong weight
+    # w + 2^(B-1) - t makes den Y(cE) - num cE = -(2^(B-1) - t) den cE:
+    # a polynomial that vanishes at t = 2^(B-1), the packing with one
+    # bit less.  B depends on the record, so the wrong weight is searched
+    # for the B that its own record gets.
+    ctx = C22
+    rec = E(ctx, ((1, 0), (0, 0)))
+    assert len(rec.poly.terms) == 1
+    for bits in range(8, 40):
+        bad = _wrong_weight(rec, 0, ctx.scalar(2 ** (bits - 1))
+                            - ctx.scalar(t=1))
+        ring, _ = _pack_record(ctx, bad)
+        if ring.bits == bits:
+            break
+    else:
+        pytest.fail("no width is its own record's width")
+    assert not _same_verdict(ctx, bad)
+
+
+def test_packed_check_rejects_what_a_shorter_t_radix_would_accept():
+    # a wrong weight w + t^T - q_1, with T the t-degree the record's ring
+    # makes room for: t^T and q_1 pack alike when t has T digits, not
+    # T + 1.  E is one monomial free of t, and the weight's den is free
+    # of t, so T = max(n - 1, deg_t of the wrong num) = the chosen T.
+    ctx = C22
+    rec = E(ctx, ((1, 0), (0, 0)))
+    T = ctx.n + 1
+    bad = _wrong_weight(rec, 0, ctx.scalar(t=T) - ctx.scalar(q={1: 1}))
+    ring, _ = _pack_record(ctx, bad)
+    assert ring.pack(ctx.scalar(t=T)) != ring.pack(ctx.scalar(q={1: 1}))
+    assert not _same_verdict(ctx, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dahamac import rep
-from dahamac.field import MAX_EXP, Scalar
-from dahamac.laurent import LaurentPoly, poly_dumps
+from dahamac.field import MAX_EXP, KroneckerRing, Scalar
+from dahamac.laurent import LaurentPoly, poly_dumps, swap_vars, xi
 from dahamac.rep import (
     RepContext,
     apply_Delta_n,
@@ -104,6 +104,82 @@ def test_hecke_quadratic_relation(p):
 def test_T_inverse(p):
     assert apply_T_inv(CTX22, 1, apply_T(CTX22, 1, p)) == p
     assert apply_T(CTX22, 1, apply_T_inv(CTX22, 1, p)) == p
+
+
+# The reference: apply_T as three passes per group, xi then the sum
+# then swap_vars, before the one pass over the terms.
+
+
+def three_pass_apply_T(ctx, j, p, t_inverse=False):
+    acc = -p if t_inverse else None
+    cur = p
+    for grp in range(1, ctx.r + 1):
+        piece = xi(cur, grp, j)
+        acc = piece if acc is None else acc + piece
+        cur = swap_vars(cur, grp, j)
+    return cur + acc.smul(ctx.one_minus_t)
+
+
+@st.composite
+def shaped_polys(draw, integral=False):
+    """(ctx, j, p): r in 1..3, n in 2..4, exponents -3..3, and
+    coefficients that are sums of up to two parameter monomials, with
+    negative parameter exponents unless integral."""
+    r, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    ctx = RepContext(n, r, r)
+    low = 0 if integral else -1
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        flat = tuple(draw(st.integers(-3, 3)) for _ in range(n * r))
+        c = ctx.scalar(0)
+        for _ in range(draw(st.integers(1, 2))):
+            c = c + ctx.scalar(draw(st.integers(-3, 3)),
+                               t=draw(st.integers(low, 2)),
+                               q={draw(st.integers(1, r)):
+                                  draw(st.integers(low, 2))})
+        if c:
+            terms[flat] = c
+    return ctx, draw(st.integers(1, n - 1)), LaurentPoly(r, n, r, terms)
+
+
+@given(shaped_polys(), st.booleans())
+def test_one_pass_T_matches_three_passes(case, t_inverse):
+    ctx, j, p = case
+    assert apply_T(ctx, j, p, t_inverse) == \
+        three_pass_apply_T(ctx, j, p, t_inverse)
+
+
+@given(shaped_polys(integral=True), st.booleans())
+def test_T_on_packed_ints_is_T_on_scalars_packed(case, t_inverse):
+    # packing is a ring map, so the operator on packed coefficients,
+    # through a context of the ring, is the packing of the operator on
+    # Scalars; a packed 0 is a dropped term
+    ctx, j, p = case
+    ring = KroneckerRing(ctx.k, p.terms.values(), [ctx.scalar()],
+                         growth=1, t_rise=1, q_rise={})
+    packed = RepContext(ctx.n, ctx.r, ctx.k, ring)
+    image = apply_T(packed, j, LaurentPoly(
+        ctx.r, ctx.n, ctx.k, {m: ring.pack(c) for m, c in p.terms.items()}),
+        t_inverse)
+    want = {m: ring.pack(c)
+            for m, c in apply_T(ctx, j, p, t_inverse).terms.items()}
+    assert image.terms == {m: v for m, v in want.items() if v}
+
+
+def test_pi_on_packed_ints_divides_exactly():
+    ctx = CTX22
+    p = mono(ctx, ((2, 3), (0, 1))).smul(ctx.scalar(q={1: 3, 2: 1}))
+    ring = KroneckerRing(ctx.k, p.terms.values(), [ctx.scalar()],
+                         growth=1, t_rise=0, q_rise={})
+    packed = RepContext(ctx.n, ctx.r, ctx.k, ring)
+    image = apply_pi(packed, LaurentPoly(
+        ctx.r, ctx.n, ctx.k, {m: ring.pack(c) for m, c in p.terms.items()}))
+    assert image.terms == {(3, 2, 1, 0): ring.pack(ctx.scalar())}
+    # one q_1 short of the charge: the exact shift refuses
+    short = LaurentPoly(ctx.r, ctx.n, ctx.k, {
+        (2, 3, 0, 1): ring.pack(ctx.scalar(q={1: 2, 2: 1}))})
+    with pytest.raises(ArithmeticError):
+        apply_pi(packed, short)
 
 
 def test_braid_relation():
