@@ -15,7 +15,10 @@ The extra workload e-box is not a benchmark workload: it builds the E
 record of every index with entries -2..2 and sum |e| <= 3 at each
 (n, r) of E_BOX_SHAPES, 929 indices of which 717 have a negative
 entry, so it covers the omega-shift route of E that no benchmark
-workload reaches.
+workload reaches.  The extra workload verify-box renders the exit code
+and JSON report of `dahamac verify --suite all` at each box of
+VERIFY_BOXES, run in this process, so it pins every byte of those
+reports.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from dahamac.field import Scalar, render_scalar  # noqa: E402
 from dahamac.laurent import LaurentPoly, poly_dumps  # noqa: E402
 
 E_BOX_SHAPES = ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))
+# (n, r, --max-deg, --seed)
+VERIFY_BOXES = ((1, 1, (2,), None), (2, 1, (2,), 3), (3, 1, (2,), None),
+                (1, 2, (1, 1), None), (2, 2, (1, 1), None))
 
 
 def e_box_ops(order):
@@ -58,6 +64,15 @@ def outputs(workload, order, limit=None):
 
         for n, r, mu in e_box_ops(order)[:limit]:
             yield E(RepContext(n, r, r), mu)
+        return
+    if workload == "verify-box":
+        from dahamac.cli import SessionConfig, cmd_verify
+
+        boxes = list(VERIFY_BOXES)
+        random.Random(order).shuffle(boxes)
+        for n, r, bound, seed in boxes[:limit]:
+            yield cmd_verify(SessionConfig(n, r, r, max_deg=bound,
+                                           seed=seed), "all")
         return
     ops, ctxs = workloads.make_ops(workload, order)
     for op in ops[:limit]:
@@ -95,7 +110,8 @@ def digest(workload, order, limit=None):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        choices=(*workloads.WORKLOADS, "e-box"))
+                        choices=(*workloads.WORKLOADS, "e-box",
+                                 "verify-box"))
     parser.add_argument("--order", required=True)
     parser.add_argument("--limit", type=int, default=None)
     args = parser.parse_args(argv)

@@ -25,15 +25,11 @@ from .field import MAX_EXP, integer, render_scalar, scalar_to_json
 from .laurent import LaurentPoly, render_poly, poly_to_json, poly_from_json
 from .rep import RepContext, verify_daha_relations, apply_operator_expr, \
     degrees_upto, _monomials_upto
-from . import affine
-from .nonsym import E, check_record, knop_sahi_check, verify_triangular
+from .nonsym import E, check_record, knop_sahi_check, knop_sahi_moves, \
+    verify_triangular
 from .symmetric import P, is_orbit_index, verify_spectrum
 from .stability import StableIndex, stable_family, \
     verify_quotient_relations, verify_P_stability
-
-SUITES = ("daha-relations", "knop-sahi", "eigen", "triangular",
-          "symmetric", "stability", "all")
-
 
 class UsageError(Exception):
     pass
@@ -176,7 +172,8 @@ def cmd_apply(config: SessionConfig, expr, poly_text=None, poly_file=None,
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: a suite yields rows, each with a name and an ok
+# verdict, and a report's verdict is the conjunction of its rows
 
 
 def _indices_upto(config):
@@ -188,130 +185,92 @@ def _indices_upto(config):
 
 
 def _suite_daha(config):
-    report = verify_daha_relations(config.ctx(), config.bound())
-    rows = [{"name": row["relation"], "ok": row["ok"]}
-            for row in report["checks"]]
-    return report["ok"], rows
+    for row in verify_daha_relations(config.ctx(), config.bound())["checks"]:
+        yield {"name": row["relation"], "ok": row["ok"]}
 
 
 def _suite_eigen(config):
     ctx = config.ctx()
-    rows, weights = [], []
-    ok_all = True
+    weights = []
     for mu in _indices_upto(config):
         rec = E(ctx, mu)
-        ok = check_record(ctx, rec)
-        ok_all = ok_all and ok
         weights.append(rec.weight)
-        rows.append({"name": format_index(mu), "ok": ok})
-    distinct = len(set(weights)) == len(weights)
-    rows.append({"name": "weights pairwise distinct", "ok": distinct})
-    return ok_all and distinct, rows
-
-
-def _admissible_moves(n, r, mu):
-    moves = [("pi",)]
-    gamma, _ = affine.gamma_sigma(mu)
-    for ell in range(1, r + 1):
-        row = gamma[ell - 1]
-        for j in range(1, n):
-            if any(affine.act_gen(j, gamma[i]) != gamma[i]
-                   for i in range(ell - 1)):
-                continue
-            if affine.bruhat_less(row, affine.act_gen(j, row)):
-                moves.append(("s", j, ell))
-    for j in range(1, r + 1):
-        moves.append(("shift", j, 1))
-        moves.append(("shift", j, -1))
-    return moves
+        yield {"name": format_index(mu), "ok": check_record(ctx, rec)}
+    yield {"name": "weights pairwise distinct",
+           "ok": len(set(weights)) == len(weights)}
 
 
 def _suite_knop_sahi(config):
     ctx = config.ctx()
-    rows = []
-    ok_all = True
     for mu in _indices_upto(config):
-        moves = _admissible_moves(config.n, config.r, mu)
+        moves = knop_sahi_moves(ctx, mu)
         raising = all(knop_sahi_check(ctx, mu, move) for move in moves
                       if move[0] != "shift")
         shifting = all(knop_sahi_check(ctx, mu, move) for move in moves
                        if move[0] == "shift")
-        ok = raising and shifting
-        ok_all = ok_all and ok
-        rows.append({"name": format_index(mu), "moves": len(moves),
-                     "raising_ok": raising, "shifting_ok": shifting,
-                     "ok": ok})
-    return ok_all, rows
+        yield {"name": format_index(mu), "moves": len(moves),
+               "raising_ok": raising, "shifting_ok": shifting,
+               "ok": raising and shifting}
 
 
 def _suite_triangular(config):
     ctx = config.ctx()
-    rows = []
-    ok_all = True
     for mu in _indices_upto(config):
-        ok = verify_triangular(ctx, mu[0], mu[1:])
-        ok_all = ok_all and ok
-        rows.append({"name": format_index(mu), "ok": ok})
-    return ok_all, rows
+        yield {"name": format_index(mu),
+               "ok": verify_triangular(ctx, mu[0], mu[1:])}
 
 
 def _suite_symmetric(config):
     ctx = config.ctx()
-    rows = []
-    ok_all = True
     for d in degrees_upto(config.bound()):
         report = verify_spectrum(ctx, config.n, config.r, d)
-        ok_all = ok_all and report["ok"]
         bad = [format_index(row["index"]) for row in report["indices"]
                if not row["ok"]]
-        rows.append({"name": f"component {','.join(map(str, d))}",
-                     "ok": report["ok"],
-                     "distinct": report["distinct"],
-                     "count_matches_dim": report["count_matches_dim"],
-                     "failing_indices": bad})
-    return ok_all, rows
+        yield {"name": f"component {','.join(map(str, d))}",
+               "ok": report["ok"],
+               "distinct": report["distinct"],
+               "count_matches_dim": report["count_matches_dim"],
+               "failing_indices": bad}
 
 
-def _stable_indices(r, max_len, max_entry):
-    pool = [()]
-    for length in range(1, max_len + 1):
-        for comp in product(range(max_entry + 1), repeat=length):
-            if comp[-1]:
-                pool.append(comp)
-    out = []
+# the stability suite's families: components of length <= 2, entries <= 2
+_STABLE_MAX_LEN = 2
+_STABLE_MAX_ENTRY = 2
+
+
+def _stable_indices(r):
+    pool = [()] + [comp for length in range(1, _STABLE_MAX_LEN + 1)
+                   for comp in product(range(_STABLE_MAX_ENTRY + 1),
+                                       repeat=length) if comp[-1]]
     for combo in sorted(product(sorted(pool), repeat=r)):
         try:
-            out.append(StableIndex(combo))
+            nu = StableIndex(combo)
         except ValueError:
             continue  # padding does not reach an orbit representative
-    return out
+        yield nu
 
 
 def _suite_stability(config):
-    rows = []
     report = verify_quotient_relations(config.n, config.r, config.bound(),
                                        k=config.q_count)
-    ok_all = report["ok"]
     for name, row in report["identities"].items():
-        rows.append({"name": name, "ok": not row["failures"]})
-    for nu in _stable_indices(config.r, max_len=2, max_entry=2):
-        if max(nu.ell, 1) > config.n:
-            continue
-        ok = verify_P_stability(nu, config.n, k=config.q_count)
-        ok_all = ok_all and ok
-        rows.append({"name": "family " + format_index(nu.components),
-                     "ok": ok})
-    return ok_all, rows
+        yield {"name": name, "ok": not row["failures"]}
+    for nu in _stable_indices(config.r):
+        if max(nu.ell, 1) <= config.n:
+            yield {"name": "family " + format_index(nu.components),
+                   "ok": verify_P_stability(nu, config.n, k=config.q_count)}
 
 
-_SUITE_RUNNERS = (
-    ("daha-relations", _suite_daha),
-    ("eigen", _suite_eigen),
-    ("knop-sahi", _suite_knop_sahi),
-    ("triangular", _suite_triangular),
-    ("symmetric", _suite_symmetric),
-    ("stability", _suite_stability),
-)
+# suite name -> runner, in report order
+_SUITE_RUNNERS = {
+    "daha-relations": _suite_daha,
+    "eigen": _suite_eigen,
+    "knop-sahi": _suite_knop_sahi,
+    "triangular": _suite_triangular,
+    "symmetric": _suite_symmetric,
+    "stability": _suite_stability,
+}
+SUITES = (*_SUITE_RUNNERS, "all")
 
 
 def _roundtrip_spotcheck(config):
@@ -338,23 +297,16 @@ def cmd_verify(config: SessionConfig, suite):
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from "
                          + ", ".join(SUITES))
-    selected = [(name, fn) for name, fn in _SUITE_RUNNERS
-                if suite in ("all", name)]
-    checks = []
-    ok_all = True
-    for name, fn in selected:
-        ok, rows = fn(config)
-        ok_all = ok_all and ok
-        for row in rows:
-            checks.append({**row, "name": f"{name}: {row['name']}"})
+    checks = [{**row, "name": f"{name}: {row['name']}"}
+              for name, fn in _SUITE_RUNNERS.items()
+              if suite in ("all", name) for row in fn(config)]
     if config.seed is not None:
-        row = _roundtrip_spotcheck(config)
-        ok_all = ok_all and row["ok"]
-        checks.append(row)
+        checks.append(_roundtrip_spotcheck(config))
+    ok = all(row["ok"] for row in checks)
     report = {"suite": suite, "n": config.n, "r": config.r,
               "q_count": config.q_count, "max_deg": list(config.bound()),
-              "ok": ok_all, "checks": checks}
-    return (0 if ok_all else 1), json.dumps(report, indent=2)
+              "ok": ok, "checks": checks}
+    return (0 if ok else 1), json.dumps(report, indent=2)
 
 
 def cmd_stability(nu_spec, n_max, q_count=None):

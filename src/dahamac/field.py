@@ -42,7 +42,8 @@ exactly is the gcd, the shorter tried as the divisor first.  Otherwise
 it uses the heuristic gcd of Char, Geddes and Gonnet (evaluate at a
 large integer, reconstruct by balanced digits, verify by exact
 division); the verifying division leaves the cofactors, and a candidate
-of 1 needs no division.  A primitive PRS is the verified fallback.
+of 1 needs no division.  A primitive PRS is the verified fallback.  A
+gcd whose evaluation image would pass _HEU_MAX_BITS raises ValueError.
 """
 
 from __future__ import annotations
@@ -198,8 +199,9 @@ def p_eval(f, v, x):
     return out
 
 
-def p_exact_div(f, g, G):
-    """f / g when g divides f exactly, else None; G covers both."""
+def p_exact_div(f, g, G, acc):
+    """f / g when g divides f exactly, else None; G covers both, and acc
+    is the OR of f's keys or of a superset of them."""
     if not f:
         return {}
     if len(g) == 1:
@@ -213,6 +215,9 @@ def p_exact_div(f, g, G):
         return out
     mg = max(g)
     cg = g[mg]
+    # an exact quotient's exponents are at most f's, so at most acc's: a
+    # quotient term past acc ends the division of a non-divisor early
+    fbound = acc | G
     # fieldwise bound on g's exponents: a quotient term that could push
     # a product past MAX_EXP cannot belong to an exact quotient
     gbound = _keys_or(g)
@@ -227,6 +232,8 @@ def p_exact_div(f, g, G):
         if rem:
             return None
         mm = mr - mg
+        if (fbound - mm) & G != G:
+            return None
         if (mm + gbound) & G and any((mm + m2) & G for m2 in g):
             return None
         out[mm] = q
@@ -333,16 +340,23 @@ def _binomial_gcd(b, f, accf, G):
     B = {u: c1, w: c2}
     if not divides:
         return h, {mb - mh: cb // ch for mb, cb in b.items()}, f
-    return p_mul(h, B), {m - mh: c // ch}, p_exact_div(f, B, G)
+    return p_mul(h, B), {m - mh: c // ch}, p_exact_div(f, B, G, accf)
 
 
 class _HeuFail(Exception):
     pass
 
 
-def _heu(f, g, vs, G):
+# the largest image _heu evaluates, in bits: the keys' OR in the variable
+# (under twice its degree) times the point's bit length; the benchmark
+# workloads' images stay below 1,000 bits
+_HEU_MAX_BITS = 1 << 18
+
+
+def _heu(f, g, vs, G, acc):
     """Heuristic gcd of f, g sharing the variables at shifts vs (t
-    first), with both cofactors; G covers f and g."""
+    first), with both cofactors; G covers f and g, and acc is the OR of
+    their keys."""
     # Split integer content per level.  Recursive calls receive evaluated
     # images whose content carries the outer variable's digits, so the gcd
     # of the contents must be preserved in the result, not stripped.
@@ -352,11 +366,15 @@ def _heu(f, g, vs, G):
     f = p_idiv(f, cf)
     g = p_idiv(g, cg)
     v = vs[0]
+    deg = acc >> v & MAX_EXP
     x = 2 * min(p_maxnorm(f), p_maxnorm(g)) + 29
     for _ in range(6):
+        if deg * x.bit_length() > _HEU_MAX_BITS:
+            raise ValueError(f"gcd image past {_HEU_MAX_BITS} bits")
         fe = p_eval(f, v, x)
         ge = p_eval(g, v, x)
-        sub = _shared_vars(_keys_or(fe), _keys_or(ge), vs[1:])
+        accfe, accge = _keys_or(fe), _keys_or(ge)
+        sub = _shared_vars(accfe, accge, vs[1:])
         if not sub:
             if len(fe) == 1:
                 h = _monomial_gcd_with(fe, ge, G)
@@ -366,7 +384,7 @@ def _heu(f, g, vs, G):
                 h = {0: igcd(p_icontent(fe), p_icontent(ge))}
         else:
             try:
-                h, _, _ = _heu(fe, ge, sub, G)
+                h, _, _ = _heu(fe, ge, sub, G, accfe | accge)
             except _HeuFail:
                 x = 73 * x // 32 + 1
                 continue
@@ -397,8 +415,8 @@ def _heu(f, g, vs, G):
             if _is_one(out):
                 cof, cog = f, g
             else:
-                cof = p_exact_div(f, out, G)
-                cog = None if cof is None else p_exact_div(g, out, G)
+                cof = p_exact_div(f, out, G, acc)
+                cog = None if cof is None else p_exact_div(g, out, G, acc)
             if cog is not None:
                 return (p_iscale(out, ci), p_iscale(cof, cf // ci),
                         p_iscale(cog, cg // ci))
@@ -459,7 +477,7 @@ def _content_pp(f, v):
     pp = {}
     G = _guards(_keys_or(f))
     for d, c in dec.items():
-        for m, cc in p_exact_div(c, cont, G).items():
+        for m, cc in p_exact_div(c, cont, G, _keys_or(c)).items():
             pp[m | d << v] = cc
     return cont, pp
 
@@ -513,7 +531,7 @@ def p_gcd(f, g):
     # is tried as the divisor first
     short, long_ = (f, g) if len(f) <= len(g) else (g, f)
     for div, mult in ((short, long_), (long_, short)):
-        quo = p_exact_div(mult, div, G)
+        quo = p_exact_div(mult, div, G, accf | accg)
         if quo is not None:
             s = -1 if div[max(div)] < 0 else 1
             h, hq = p_iscale(div, s), p_iscale(quo, s)
@@ -522,7 +540,7 @@ def p_gcd(f, g):
     vs = _shared_vars(accf, accg, range(top, -1, -FIELD_BITS))
     if vs:
         try:
-            return _heu(f, g, vs, G)
+            return _heu(f, g, vs, G, accf | accg)
         except _HeuFail:
             pass
     cf = p_icontent(f)
@@ -533,8 +551,8 @@ def p_gcd(f, g):
     fp = p_idiv(f, cf)
     gp = p_idiv(g, cg)
     h = _prs_gcd(fp, gp, vs[0])
-    return (p_iscale(h, ic), p_iscale(p_exact_div(fp, h, G), cf // ic),
-            p_iscale(p_exact_div(gp, h, G), cg // ic))
+    return (p_iscale(h, ic), p_iscale(p_exact_div(fp, h, G, accf), cf // ic),
+            p_iscale(p_exact_div(gp, h, G, accg), cg // ic))
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,31 @@ def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
 # Knop-Sahi moves and triangularity
 
 
+def _s_move_fault(gamma, moved, ell):
+    """Why the s_j that carries the rows gamma to moved is no s-move on
+    row ell (see knop_sahi_check), or None when it is one."""
+    if moved[:ell - 1] != gamma[:ell - 1]:
+        return "move hypothesis fails: earlier row not s_j-fixed"
+    if not affine.bruhat_less(gamma[ell - 1], moved[ell - 1]):
+        return "move hypothesis fails: row not raised"
+    return None
+
+
+def knop_sahi_moves(ctx: RepContext, mu_tuple):
+    """The moves to check on E(mu): ("pi",), then each s-move
+    ("s", j, ell) whose hypotheses hold (ell, then j, ascending), then
+    ("shift", j, 1) and ("shift", j, -1) for each component j."""
+    gamma, _ = affine.gamma_sigma(_normalize_index(mu_tuple, ctx.n))
+    moves = [("pi",)]
+    for ell in range(1, ctx.r + 1):
+        for j in range(1, ctx.n):
+            moved = tuple(affine.act_gen(j, row) for row in gamma)
+            if _s_move_fault(gamma, moved, ell) is None:
+                moves.append(("s", j, ell))
+    return moves + [("shift", j, c) for j in range(1, ctx.r + 1)
+                    for c in (1, -1)]
+
+
 def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
     """Verify one move of the raising machinery on E(mu).
 
@@ -276,11 +301,9 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
             raise ValueError("component index out of range")
         gamma, _ = affine.gamma_sigma(mu_tuple)
         moved = tuple(affine.act_gen(j, row) for row in gamma)
-        if moved[:ell - 1] != gamma[:ell - 1]:
-            raise ValueError("move hypothesis fails: earlier row "
-                             "not s_j-fixed")
-        if not affine.bruhat_less(gamma[ell - 1], moved[ell - 1]):
-            raise ValueError("move hypothesis fails: row not raised")
+        fault = _s_move_fault(gamma, moved, ell)
+        if fault:
+            raise ValueError(fault)
         target = affine.gamma_inverse(moved)
         rhs = raise_step(ctx, ell, j, mu_tuple, base.poly)
         return E(ctx, target).poly == rhs

@@ -271,11 +271,17 @@ def t_bracket(ctx: RepContext, m=None) -> Scalar:
 
 
 def apply_Delta_n(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
-    inner = symmetrize_eps(ctx, p)
+    """eps (Y_1 + ... + Y_n - [n]_t) p, for a symmetric p.
+
+    p must be T-invariant (T_j p = p for every j), as every caller's
+    input is: P, an eps image, or the projection of one (projection
+    commutes with T_j).  eps is the identity on such p, so Delta_n's
+    first eps is left out.
+    """
     acc = ctx.zero()
     for i in range(1, ctx.n + 1):
-        acc = acc + apply_Y(ctx, i, inner)
-    acc = acc - inner.smul(t_bracket(ctx))
+        acc = acc + apply_Y(ctx, i, p)
+    acc = acc - p.smul(t_bracket(ctx))
     return symmetrize_eps(ctx, acc)
 
 

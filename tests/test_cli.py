@@ -14,6 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dahamac import cli
 from dahamac.cli import SUITES, build_parser, main, parse_index, \
     parse_ragged
 from dahamac.field import MAX_EXP, Scalar
@@ -608,6 +609,24 @@ def test_verify_knop_sahi_rank_two(capsys):
                for row in report["checks"])
 
 
+def test_suites_are_the_runner_table_and_all():
+    assert SUITES == (*cli._SUITE_RUNNERS, "all")
+
+
+def test_verify_verdict_is_the_conjunction_of_its_rows(capsys, monkeypatch):
+    # one failing row fails the report and the exit code, whatever the
+    # other rows say
+    monkeypatch.setattr(cli, "check_record", lambda ctx, rec: rec.index != (
+        (0, 1), (1, 0)))
+    for suite in ("eigen", "all"):
+        code, out, _ = run(capsys, "verify", "--n", "2", "--r", "2",
+                           "--suite", suite, "--max-deg", "1,1")
+        report = json.loads(out)
+        bad = [row["name"] for row in report["checks"] if not row["ok"]]
+        assert bad == ["eigen: 0,1|1,0"]
+        assert report["ok"] is False and code == 1
+
+
 def test_verify_seed_adds_spotcheck(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "--q-count", "1",
                        "--suite", "daha-relations", "--max-deg", "1",
@@ -615,6 +634,22 @@ def test_verify_seed_adds_spotcheck(capsys):
     assert code == 0
     report = json.loads(out)
     assert any("seed=7" in row["name"] for row in report["checks"])
+
+
+def test_apply_refuses_a_gcd_past_its_image_limit(capsys):
+    # 2t - 3 q2^2 against t^(2^31 - 1) q2^2 - q1 + 1: the heuristic gcd
+    # would evaluate t^(2^31 - 1) at a point near 2^5
+    poly = json.dumps({"r": 1, "n": 1, "params": 2, "terms": [
+        {"exp": [[0]], "coeff": {
+            "num": [["1", [MAX_EXP, 0, 2]], ["-1", [0, 1, 0]],
+                    ["1", [0, 0, 0]]],
+            "den": [["2", [1, 0, 0]], ["-3", [0, 0, 2]]]}}]})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "apply", "--n", "1", "--q-count", "2",
+                         "--expr", "X1", "--poly", poly)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_unknown_suite(capsys):

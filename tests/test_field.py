@@ -7,6 +7,7 @@ after substituting rational values for t and the q parameters.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -427,6 +428,34 @@ def test_binomial_gcd_near_the_exponent_limit(monkeypatch):
     g = field.p_mul(b, cofactor)
     assert field.p_gcd(b, g) == (b, {0: 1}, cofactor)
     assert field.p_gcd(g, b) == (b, cofactor, {0: 1})
+
+
+def _json_poly(p):
+    return [[str(c), list(m)] for m, c in p.items()]
+
+
+def test_gcd_with_a_high_power_non_divisor_is_fast(sympy):
+    """The trial division of t^1000 q2^2 - q1 + 1 by 1 + t + q2 stops at
+    the first quotient term past the dividend's exponents, instead of
+    running ~1000 steps over a growing remainder."""
+    num = {(1000, 0, 2): 1, (0, 1, 0): -1, (0, 0, 0): 1}
+    den = {(0, 0, 0): 1, (1, 0, 0): 1, (0, 0, 1): 1}
+    t0 = time.perf_counter()
+    s = scalar_from_json({"num": _json_poly(num), "den": _json_poly(den)})
+    assert time.perf_counter() - t0 < 2.0
+    assert (s.num, s.den) == (_packed(num), _packed(den))
+    _check_gcd_triple(sympy, _packed(num), _packed(den))
+
+
+def test_gcd_refuses_an_image_past_its_size_limit():
+    """t^(2^31 - 1) would be evaluated at a point near 2^5, an image of
+    ~10^10 bits."""
+    num = {(MAX_EXP, 0, 2): 1, (0, 1, 0): -1, (0, 0, 0): 1}
+    den = {(1, 0, 0): 2, (0, 0, 2): -3}
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="gcd image past"):
+        scalar_from_json({"num": _json_poly(num), "den": _json_poly(den)})
+    assert time.perf_counter() - t0 < 2.0
 
 
 @given(_PARAM_POLYS, _PARAM_POLYS, _PARAM_POLYS)

@@ -27,6 +27,7 @@ from dahamac.nonsym import (
     index_multidegree,
     kappa,
     knop_sahi_check,
+    knop_sahi_moves,
     raise_step,
     shift_factor,
     verify_triangular,
@@ -578,12 +579,52 @@ def test_s_move():
 
 
 def test_s_move_hypothesis_violations():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row not raised"):
         # lowering instead of raising
         knop_sahi_check(C21, ((0, 1),), ("s", 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="earlier row not s_j-fixed"):
         # earlier component not s_1-fixed
         knop_sahi_check(C22, ((1, 0), (1, 0)), ("s", 1, 2))
+
+
+# The reference: acceptance 05's enumeration of the moves, on its box.
+
+
+def acceptance_05_moves(n, r, mu):
+    moves = [("pi",)]
+    gamma, _ = affine.gamma_sigma(mu)
+    for ell in range(1, r + 1):
+        for j in range(1, n):
+            if any(affine.act_gen(j, gamma[i]) != gamma[i]
+                   for i in range(ell - 1)):
+                continue
+            moved = affine.act_gen(j, gamma[ell - 1])
+            if not affine.bruhat_less(gamma[ell - 1], moved):
+                continue
+            moves.append(("s", j, ell))
+    for j in range(1, r + 1):
+        for c in (-1, 1):
+            moves.append(("shift", j, c))
+    return moves
+
+
+@pytest.mark.parametrize("n, r", itertools.product((1, 2, 3), (1, 2)))
+def test_knop_sahi_moves_match_acceptance_05(n, r):
+    ctx = RepContext(n, r, r)
+    for flat in itertools.product(range(3), repeat=n * r):
+        if sum(flat) > 3:
+            continue
+        mu = tuple(flat[i * n:(i + 1) * n] for i in range(r))
+        moves = knop_sahi_moves(ctx, mu)
+        expected = acceptance_05_moves(n, r, mu)
+        # the same moves; the shifts come +1 first
+        assert sorted(moves) == sorted(expected), mu
+        assert moves[:-2 * r] == expected[:-2 * r], mu
+        assert len(set(moves)) == len(moves)
+        # every s-move listed passes knop_sahi_check's hypotheses
+        for move in moves:
+            if move[0] == "s":
+                assert knop_sahi_check(ctx, mu, move), (mu, move)
 
 
 def test_shift_move_rank_one():

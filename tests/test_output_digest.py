@@ -22,6 +22,8 @@ DIGESTS = {
                     "33219ed7abe2e130e401eb026a2d5908"),
     "e-box": (929, "b17411c3f0c6b58243e088aeca3e6611"
                    "82645af8cc497d25436e4590436a4e23"),
+    "verify-box": (5, "a23b3dcc45478f9791934e4b9e732ba6"
+                      "ce7c6d503861de1f3d3afbaf8d664a81"),
 }
 
 

@@ -27,8 +27,10 @@ from dahamac.rep import (
     matrix_of,
     parse_operator_expr,
     symmetrize_eps,
+    t_bracket,
     verify_daha_relations,
 )
+from dahamac.stability import project
 
 CTX21 = RepContext(2, 1, 1)
 CTX22 = RepContext(2, 2, 2)
@@ -327,6 +329,38 @@ def test_delta_eigen_on_degree_one():
     e = symmetrize_eps(CTX21, x11)
     value = Scalar.q(1, 1, -1) - Scalar.one(1)
     assert apply_Delta_n(CTX21, e) == e.smul(value)
+
+
+# The reference: Delta_n = eps (Y_1 + ... + Y_n - [n]_t) eps, with the
+# first eps that apply_Delta_n leaves out on its symmetric inputs.
+
+
+def two_eps_Delta(ctx, p):
+    inner = symmetrize_eps(ctx, p)
+    acc = ctx.zero()
+    for i in range(1, ctx.n + 1):
+        acc = acc + apply_Y(ctx, i, inner)
+    acc = acc - inner.smul(t_bracket(ctx))
+    return symmetrize_eps(ctx, acc)
+
+
+@given(polys22())
+def test_Delta_matches_two_eps_on_eps_images(p):
+    e = symmetrize_eps(CTX22, p)
+    assert apply_Delta_n(CTX22, e) == two_eps_Delta(CTX22, e)
+
+
+@given(st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 6),
+                          st.integers(-3, 3)), min_size=1, max_size=3))
+def test_Delta_matches_two_eps_on_projected_eps_images(terms):
+    # eps images at n = 3, projected to n = 2: projection commutes with
+    # T_1, so the projection is still T-invariant
+    big = RepContext(3, 2, 2)
+    p = LaurentPoly(2, 3, 2, {flat: big.scalar(c)
+                              for flat, c in dict(terms).items() if c})
+    e = project(symmetrize_eps(big, p))
+    assert apply_T(CTX22, 1, e) == e
+    assert apply_Delta_n(CTX22, e) == two_eps_Delta(CTX22, e)
 
 
 # ---------------------------------------------------------------------------
