@@ -9,7 +9,8 @@ operation.  Polynomials render as `poly_dumps`, scalars as
 `render_scalar`, records and other dataclasses field by field, dict
 items sorted by key.  Two trees that give the same digest computed the
 same outputs, byte for byte.  --limit N runs only the first N
-operations of the shuffled list.
+operations of the shuffled list.  --workload all prints one line for
+each workload of NAMES, in that order.
 
 The extra workload e-box is not a benchmark workload: it builds the E
 record of every index with entries -2..2 and sum |e| <= 3 at each
@@ -42,6 +43,7 @@ E_BOX_SHAPES = ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))
 # (n, r, --max-deg, --seed)
 VERIFY_BOXES = ((1, 1, (2,), None), (2, 1, (2,), 3), (3, 1, (2,), None),
                 (1, 2, (1, 1), None), (2, 2, (1, 1), None))
+NAMES = (*workloads.WORKLOADS, "e-box", "verify-box")
 
 
 def e_box_ops(order):
@@ -110,14 +112,13 @@ def digest(workload, order, limit=None):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        choices=(*workloads.WORKLOADS, "e-box",
-                                 "verify-box"))
+                        choices=(*NAMES, "all"))
     parser.add_argument("--order", required=True)
     parser.add_argument("--limit", type=int, default=None)
     args = parser.parse_args(argv)
-    hexdigest, count = digest(args.workload, args.order, args.limit)
-    print(f"{args.workload} order={args.order} ops={count} "
-          f"sha256={hexdigest}")
+    for name in NAMES if args.workload == "all" else (args.workload,):
+        hexdigest, count = digest(name, args.order, args.limit)
+        print(f"{name} order={args.order} ops={count} sha256={hexdigest}")
     return 0
 
 

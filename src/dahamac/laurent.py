@@ -196,23 +196,6 @@ def is_positive(p: LaurentPoly) -> bool:
     return all(e >= 0 for m in p.terms for e in m)
 
 
-def coefficient_of_group1(p: LaurentPoly, mu) -> LaurentPoly:
-    """Collect terms whose group-1 row is mu and strip that row."""
-    mu = tuple(mu)
-    if len(mu) != p.n:
-        raise ValueError("row length mismatch")
-    out = {}
-    for m, c in p.terms.items():
-        if m[: p.n] == mu:
-            out[m[p.n:]] = c
-    return LaurentPoly(p.r - 1, p.n, p.k, out)
-
-
-def group1_rows(p: LaurentPoly):
-    """The set of group-1 exponent rows appearing in p."""
-    return {m[: p.n] for m in p.terms}
-
-
 # ---------------------------------------------------------------------------
 # rendering and serialization
 

@@ -10,8 +10,8 @@ at s_j steps, with nu the component and alpha the weight of the index
 before the move.  The rows before ell are zero, so T_j and pi act on
 the polynomial as on one in groups ell..r alone: xi_j of a zero row is
 0 and pi charges nothing for it.  Negative entries are removed up
-front by shifting components along the all-ones vector and remembering
-the monomial prefactor.
+front: E of the index with every component shifted along the
+all-ones vector to be nonnegative, shifted back by omega_shift.
 
 The greedy walk down from a component is deterministic, so its word
 is prefix-closed: the first s letters of the word of nu are the word
@@ -21,9 +21,9 @@ arithmetic.  E caches every index its walk passes and starts a walk at
 the last index of its chain that is already cached, so each index
 costs one raising step once the index one letter down is known.
 
-Every weight, the walk's and the record's, is read off the closed form
-weight_of, through the gamma twist; the rank-1 counting formula kappa
-is an independent check of it.
+Every weight is read off the closed form weight_of, through the gamma
+twist, once per record; the walk reads it off the record.  The rank-1
+counting formula kappa is an independent check of it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 from . import affine
 from .field import MAX_EXP, KroneckerRing, Scalar, integer
-from .laurent import LaurentPoly, clear_poly_denominators, \
-    coefficient_of_group1, group1_rows, multidegree
+from .laurent import LaurentPoly, clear_poly_denominators, multidegree
 from .rep import RepContext, apply_T, apply_pi, apply_Y, matrix_of, \
-    component_basis
+    component_basis, apply_operator_expr
 from .linalg import joint_left_kernel
 
 
@@ -118,14 +117,11 @@ def clear_cache():
 
 
 def shift_factor(ctx: RepContext, mu_tuple, j, c) -> Scalar:
-    """Scalar relating the component-j omega shift to the monomial one.
+    """The q-monomial of omega_shift(mu, j, c, .).
 
-    The polynomial of the index with c*(1,...,1) added to component j
-    equals shift_factor * x-underbar_j^(c omega) times the polynomial
-    of mu_tuple.  The factor is a q-monomial: the affine walk behind
-    the construction crosses every other row once per pi step, so the
-    shift costs q_j on each earlier component's degree and q_m on each
-    later component's own degree.
+    The affine walk behind the construction crosses every other row
+    once per pi step, so the shift costs q_j on each earlier
+    component's degree and q_m on each later component's own degree.
     """
     mu_tuple = _normalize_index(mu_tuple, ctx.n)
     if not 1 <= j <= ctx.r:
@@ -135,20 +131,34 @@ def shift_factor(ctx: RepContext, mu_tuple, j, c) -> Scalar:
     return ctx.scalar(q=qexps)
 
 
-def raise_step(ctx: RepContext, ell, g, index, p) -> LaurentPoly:
-    """One letter g of the walk raising component ell of p = E(index).
+def omega_shift(ctx: RepContext, mu_tuple, j, c, p) -> LaurentPoly:
+    """shift_factor(mu, j, c) * x-underbar_j^(c omega) * p.
+
+    For p = E(mu) this is E of mu with c*(1,...,1) added to component
+    j.  shift_factor reads only the components other than j, so the
+    shift by -c from that index undoes the shift by c.
+    """
+    f = shift_factor(ctx, mu_tuple, j, c)
+    flat = [0] * (ctx.r * ctx.n)
+    flat[(j - 1) * ctx.n:j * ctx.n] = [c] * ctx.n
+    return p.mul_monomial(tuple(flat)).smul(f)
+
+
+def raise_step(ctx: RepContext, ell, g, rec: MacdonaldRecord) -> LaurentPoly:
+    """One letter g of the walk raising component ell of the record.
 
     At pi this is q_ell^{nu_n} x_{ell,1} pi, with nu component ell of
-    the index; at s_j the intertwiner T_j + (t-1)/(1 - alpha_j /
-    alpha_{j+1}), with alpha the index's weight.
+    the record's index; at s_j the intertwiner T_j + (t-1)/(1 - alpha_j
+    / alpha_{j+1}), with alpha the record's weight.
     """
+    p = rec.poly
     if g == affine.PI:
-        last = index[ell - 1][-1]
+        last = rec.index[ell - 1][-1]
         flat = [0] * (ctx.r * ctx.n)
         flat[(ell - 1) * ctx.n] = 1
         p = apply_pi(ctx, p).mul_monomial(tuple(flat))
         return p.smul(ctx.scalar(q={ell: last})) if last else p
-    alpha = weight_of(ctx, index)
+    alpha = rec.weight
     c = -ctx.one_minus_t / (ctx.scalar() - alpha[g - 1] / alpha[g])
     return apply_T(ctx, g, p) + p.smul(c)
 
@@ -179,12 +189,11 @@ def E(ctx: RepContext, mu_tuple) -> MacdonaldRecord:
     shifted, shifts = zip(*map(affine.omega_normalize, mu_tuple))
     ell = next((i for i, comp in enumerate(mu_tuple, 1) if any(comp)), 0)
     if any(shifts):
-        cur = E(ctx, shifted).poly.mul_monomial(
-            tuple(-c for c in shifts for _ in range(ctx.n)))
+        cur = E(ctx, shifted).poly
         for j, c in enumerate(shifts, 1):
             if c:
-                base = mu_tuple[:j] + shifted[j:]
-                cur = cur.smul(shift_factor(ctx, base, j, c).inv())
+                cur = omega_shift(ctx, mu_tuple[:j - 1] + shifted[j - 1:],
+                                  j, -c, cur)
     elif ell:
         # chain[s] is the index before letter s; chain[-1] is mu
         word = affine.coset_word(mu_tuple[ell - 1])
@@ -198,7 +207,7 @@ def E(ctx: RepContext, mu_tuple) -> MacdonaldRecord:
         rec = E(ctx, chain[start])
         for s in range(start, len(word)):
             rec = _remember(ctx, chain[s + 1],
-                            raise_step(ctx, ell, word[s], chain[s], rec.poly))
+                            raise_step(ctx, ell, word[s], rec))
         return rec
     else:
         cur = ctx.one()
@@ -222,27 +231,25 @@ def _y_matrices(ctx: RepContext, d):
     return hit
 
 
-def _joint_eigenvector(ctx: RepContext, mats, weight, d) -> LaurentPoly:
-    """The vector v with v M_i = weight_i v for every i, unique up to
-    scale, as a polynomial on the component of multidegree d."""
-    kernel = joint_left_kernel(mats, list(weight))
-    if len(kernel) != 1:
-        raise ArithmeticError(f"joint eigenspace on component {d} has "
-                              f"dimension {len(kernel)}")
-    return LaurentPoly(ctx.r, ctx.n, ctx.k,
-                       {m: c for m, c in zip(component_basis(ctx, d),
-                                             kernel[0]) if not c.is_zero()})
-
-
 def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
     """Joint Y-eigenvector found by exact linear algebra, first
-    basis-ordered coefficient normalized to 1."""
+    basis-ordered coefficient normalized to 1.
+
+    It is the vector v with v M_i = weight_i v for every Y-matrix M_i
+    on the component of mu's multidegree, unique up to scale.
+    """
     mu_tuple = _normalize_index(mu_tuple, ctx.n)
     if any(e < 0 for comp in mu_tuple for e in comp):
         raise ValueError("oracle needs a nonnegative index")
     d = index_multidegree(mu_tuple)
-    poly = _joint_eigenvector(ctx, _y_matrices(ctx, d),
-                              weight_of(ctx, mu_tuple), d)
+    kernel = joint_left_kernel(_y_matrices(ctx, d),
+                               list(weight_of(ctx, mu_tuple)))
+    if len(kernel) != 1:
+        raise ArithmeticError(f"joint eigenspace on component {d} has "
+                              f"dimension {len(kernel)}")
+    poly = LaurentPoly(ctx.r, ctx.n, ctx.k,
+                       {m: c for m, c in zip(component_basis(ctx, d),
+                                             kernel[0]) if not c.is_zero()})
     return poly.smul(poly.terms[min(poly.terms)].inv())
 
 
@@ -284,76 +291,62 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
     E(mu)'s top monomial, because T_j swaps positions j, j+1 in every
     group: s_j must fix gamma's rows before ell and raise row ell in the
     Bruhat order, and the target is the index whose gamma is s_j
-    applied to every row.  The shift move checks the q-corrected
-    relation E(mu + c omega_j) = shift_factor * x-underbar_j^(c omega)
-    E(mu).
+    applied to every row.  The shift move checks E(mu + c omega_j) =
+    omega_shift(mu, j, c, E(mu)).
     """
     mu_tuple = _normalize_index(mu_tuple, ctx.n)
     base = E(ctx, mu_tuple)
     kind = move[0]
     if kind == "pi":
         target = (affine.act_gen(affine.PI, mu_tuple[0]),) + mu_tuple[1:]
-        rhs = raise_step(ctx, 1, affine.PI, mu_tuple, base.poly)
-        return E(ctx, target).poly == rhs
+        return E(ctx, target).poly == raise_step(ctx, 1, affine.PI, base)
     if kind == "s":
         _, j, ell = move
         if not 1 <= ell <= ctx.r:
             raise ValueError("component index out of range")
+        if not 1 <= j <= ctx.n - 1:
+            raise ValueError("generator index out of range")
         gamma, _ = affine.gamma_sigma(mu_tuple)
         moved = tuple(affine.act_gen(j, row) for row in gamma)
         fault = _s_move_fault(gamma, moved, ell)
         if fault:
             raise ValueError(fault)
         target = affine.gamma_inverse(moved)
-        rhs = raise_step(ctx, ell, j, mu_tuple, base.poly)
-        return E(ctx, target).poly == rhs
+        return E(ctx, target).poly == raise_step(ctx, ell, j, base)
     if kind == "shift":
         _, j, c = move
-        if not 1 <= j <= ctx.r:
-            raise ValueError("component index out of range")
+        # omega_shift refuses j outside 1..r before mu[j - 1] is read
+        rhs = omega_shift(ctx, mu_tuple, j, c, base.poly)
         shifted = tuple(e + c for e in mu_tuple[j - 1])
-        target = mu_tuple[:j - 1] + (shifted,) + mu_tuple[j:]
-        flat = [0] * (ctx.r * ctx.n)
-        for pos in range(ctx.n):
-            flat[(j - 1) * ctx.n + pos] = c
-        rhs = base.poly.mul_monomial(tuple(flat))
-        return E(ctx, target).poly == \
-            rhs.smul(shift_factor(ctx, mu_tuple, j, c))
+        return E(ctx, mu_tuple[:j - 1] + (shifted,) + mu_tuple[j:]).poly \
+            == rhs
     raise ValueError(f"unknown move kind {kind!r}")
-
-
-def t_mu_apply(ctx: RepContext, mu, p: LaurentPoly) -> LaurentPoly:
-    """The operator word carrying 0 to mu, first letter applied first."""
-    for g in affine.coset_word(mu):
-        if g == affine.PI:
-            p = apply_pi(ctx, p)
-        else:
-            p = apply_T(ctx, g, p)
-    return p
 
 
 def verify_triangular(ctx: RepContext, mu, beta_tuple) -> bool:
     """Leading-block and lower-set shape of E_{(mu, beta)}.
 
-    Checks that the group-1 coefficient at mu is the T_mu image of
-    E_{(0, beta)} and that every other group-1 exponent lies strictly
-    below mu in the Bruhat order.
+    Checks that the terms of E_{(mu, beta)} with group-1 row mu are,
+    with that row stripped, the terms with group-1 row 0 of T_mu
+    E_{(0, beta)}, and that every other group-1 row lies strictly below
+    mu in the Bruhat order.  T_mu is the coset word of mu, first letter
+    applied first, evaluated by rep.apply_operator_expr.
     """
     mu = tuple(integer(e) for e in mu)
     if any(e < 0 for e in mu):
         raise ValueError("triangularity check needs nonnegative mu")
     beta_tuple = _normalize_index(beta_tuple, ctx.n) if beta_tuple else ()
-    zero_row = (0,) * ctx.n
-    full = E(ctx, (mu,) + beta_tuple)
-    block = t_mu_apply(ctx, mu, E(ctx, (zero_row,) + beta_tuple).poly)
-    lead = coefficient_of_group1(full.poly, mu)
-    expected = coefficient_of_group1(block, zero_row)
-    if lead != expected:
+    n, zero_row = ctx.n, (0,) * ctx.n
+    t_mu = [((), [("pi",) if g == affine.PI else ("T", g)
+                  for g in reversed(affine.coset_word(mu))])]
+    full = E(ctx, (mu,) + beta_tuple).poly.terms
+    block = apply_operator_expr(ctx, t_mu,
+                                E(ctx, (zero_row,) + beta_tuple).poly).terms
+    if {m[n:]: c for m, c in full.items() if m[:n] == mu} != \
+            {m[n:]: c for m, c in block.items() if m[:n] == zero_row}:
         return False
-    for row in group1_rows(full.poly):
-        if row != mu and not affine.bruhat_less(row, mu):
-            return False
-    return True
+    return all(row == mu or affine.bruhat_less(row, mu)
+               for row in {m[:n] for m in full})
 
 
 def index_multidegree(mu_tuple):

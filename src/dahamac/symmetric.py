@@ -49,16 +49,12 @@ def is_orbit_index(nu_tuple) -> bool:
 
 
 def enumerate_orbit_indices(n, r, d):
-    """All orbit indices with component degrees d, ascending."""
+    """All orbit indices with component degrees d, ascending: product
+    over ascending pools yields ascending tuples."""
     if len(d) != r:
         raise ValueError("degree tuple length must equal r")
-    out = []
-    pools = [list(compositions(dj, n)) for dj in d]
-    for nu in product(*pools):
-        if is_orbit_index(nu):
-            out.append(nu)
-    out.sort()
-    return out
+    pools = (compositions(dj, n) for dj in d)
+    return [nu for nu in product(*pools) if is_orbit_index(nu)]
 
 
 def delta_eigenvalue(ctx: RepContext, mu_tuple) -> Scalar:

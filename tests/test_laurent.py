@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 from dahamac.field import Scalar
 from dahamac.laurent import (
     LaurentPoly,
-    coefficient_of_group1,
-    group1_rows,
     is_positive,
     multidegree,
     poly_dumps,
@@ -151,15 +149,6 @@ def test_multidegree():
 def test_is_positive():
     assert is_positive(var(1, 1) * var(2, 2, 3))
     assert not is_positive(var(1, 1, -1))
-
-
-def test_group1_extraction():
-    tail = var(1, 1, r=1).smul(T)
-    p = LaurentPoly(R, N, K, {(0, 1, 1, 0): T, (1, 0, 0, 0): ONE})
-    assert coefficient_of_group1(p, (0, 1)) == tail
-    assert coefficient_of_group1(p, (1, 0)) == one(1)
-    assert coefficient_of_group1(p, (2, 0)).is_zero()
-    assert group1_rows(p) == {(0, 1), (1, 0)}
 
 
 # ---------------------------------------------------------------------------

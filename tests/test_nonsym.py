@@ -12,8 +12,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from dahamac import affine
+from dahamac import affine, nonsym
 from dahamac.field import Scalar
 from dahamac.laurent import LaurentPoly, clear_poly_denominators, \
     multidegree
@@ -28,12 +29,13 @@ from dahamac.nonsym import (
     kappa,
     knop_sahi_check,
     knop_sahi_moves,
+    omega_shift,
     raise_step,
     shift_factor,
     verify_triangular,
     weight_of,
 )
-from dahamac.rep import RepContext, apply_Y
+from dahamac.rep import RepContext, apply_T, apply_pi, apply_Y
 
 C21 = RepContext(2, 1, 1)
 C22 = RepContext(2, 2, 2)
@@ -286,7 +288,8 @@ def test_records_are_cached():
 
 # The reference: the walk over the whole coset word from the zeroed
 # component, which was E's body before the walk started from the longest
-# cached prefix.  Nonnegative indices only; nothing is cached.
+# cached prefix.  Each step's record is built here, weighed by weight_of.
+# Nonnegative indices only; nothing is cached.
 
 
 def full_walk_E(ctx, mu_tuple):
@@ -296,7 +299,8 @@ def full_walk_E(ctx, mu_tuple):
     index = mu_tuple[:ell - 1] + ((0,) * ctx.n,) + mu_tuple[ell:]
     cur = full_walk_E(ctx, index)
     for g in affine.coset_word(mu_tuple[ell - 1]):
-        cur = raise_step(ctx, ell, g, index, cur)
+        rec = MacdonaldRecord(index, cur, weight_of(ctx, index))
+        cur = raise_step(ctx, ell, g, rec)
         index = index[:ell - 1] + (affine.act_gen(g, index[ell - 1]),) \
             + index[ell:]
     return cur
@@ -337,9 +341,9 @@ def _count_raise_steps(monkeypatch):
     """The indices at which E calls raise_step from now on."""
     calls = []
 
-    def counted(ctx, ell, g, index, p):
-        calls.append(index)
-        return raise_step(ctx, ell, g, index, p)
+    def counted(ctx, ell, g, rec):
+        calls.append(rec.index)
+        return raise_step(ctx, ell, g, rec)
 
     monkeypatch.setattr("dahamac.nonsym.raise_step", counted)
     return calls
@@ -372,6 +376,27 @@ def test_one_letter_down_cached_costs_one_raise_step(monkeypatch):
     assert E(ctx, mu) == MacdonaldRecord(mu, full_walk_E(ctx, mu),
                                          weight_of(ctx, mu))
     assert calls == [below]
+
+
+def test_each_new_record_is_weighed_once(monkeypatch):
+    calls = []
+
+    def counted(ctx, index):
+        calls.append(index)
+        return weight_of(ctx, index)
+
+    monkeypatch.setattr("dahamac.nonsym.weight_of", counted)
+    ctx = RepContext(3, 2, 2)
+    clear_cache()
+    for mu in [((0, 2, 1), (1, 0, 2)), ((3, 0, 1), (1, 0, 2)),
+               ((-1, 1, 0), (2, -2, 0))]:
+        before = set(nonsym._E_CACHE)
+        calls.clear()
+        E(ctx, mu)
+        new = [index for key, index in nonsym._E_CACHE if key == ctx
+               and (key, index) not in before]
+        assert len(new) > 1
+        assert sorted(calls) == sorted(new)
 
 
 def test_index_shape_guards():
@@ -645,6 +670,13 @@ def test_shift_move_rank_two_needs_other_components_constant():
         assert not shift_factor(C22, ((1, 0), (1, 0)), 1, c).is_one()
 
 
+@pytest.mark.parametrize("j", [0, 2, -1, 5])
+def test_s_move_rejects_generator_index(j):
+    # checked before gamma's rows are moved: n = 2 has s_1 alone
+    with pytest.raises(ValueError, match="generator index out of range"):
+        knop_sahi_check(C22, ((1, 0), (0, 1)), ("s", j, 1))
+
+
 @pytest.mark.parametrize("j", [0, 3, -1])
 def test_shift_move_rejects_component_index(j):
     # checked before mu[j - 1] is read: j = 0 would read mu[-1]
@@ -667,6 +699,24 @@ def test_shift_factor_inverts_with_sign():
             Scalar.one(2)
 
 
+@given(st.data())
+def test_omega_shift_by_minus_c_undoes_c(data):
+    n, r = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    ctx = RepContext(n, r, r)
+    entries = st.integers(-2, 2)
+    mu = tuple(tuple(data.draw(entries) for _ in range(n))
+               for _ in range(r))
+    j, c = data.draw(st.integers(1, r)), data.draw(entries)
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[entries] * (n * r)),
+        st.tuples(st.integers(1, 5), st.integers(0, 2)), max_size=3))
+    p = LaurentPoly(r, n, r, {m: ctx.scalar(a, t=b)
+                              for m, (a, b) in terms.items()})
+    shifted = mu[:j - 1] + (tuple(e + c for e in mu[j - 1]),) + mu[j:]
+    assert omega_shift(ctx, shifted, j, -c, omega_shift(ctx, mu, j, c, p)) \
+        == p
+
+
 def test_corrected_shift_identity():
     # E at the omega-shifted index equals shift_factor times the
     # monomial multiple, for every index in a small box and both signs
@@ -687,6 +737,89 @@ def test_corrected_shift_identity():
 
 # ---------------------------------------------------------------------------
 # triangularity
+
+
+# The reference: verify_triangular before T_mu went through
+# rep.apply_operator_expr, with its own loop over the coset word and
+# rank-(r-1) group-1 coefficients.  It reads E through the module, so
+# a patched nonsym.E reaches it too.
+
+
+def reference_t_mu_apply(ctx, mu, p):
+    for g in affine.coset_word(mu):
+        p = apply_pi(ctx, p) if g == affine.PI else apply_T(ctx, g, p)
+    return p
+
+
+def reference_coefficient_of_group1(p, mu):
+    return LaurentPoly(p.r - 1, p.n, p.k, {m[p.n:]: c
+                                           for m, c in p.terms.items()
+                                           if m[:p.n] == tuple(mu)})
+
+
+def reference_triangular(ctx, mu, beta_tuple):
+    zero_row = (0,) * ctx.n
+    full = nonsym.E(ctx, (mu,) + beta_tuple).poly
+    block = reference_t_mu_apply(
+        ctx, mu, nonsym.E(ctx, (zero_row,) + beta_tuple).poly)
+    if reference_coefficient_of_group1(full, mu) != \
+            reference_coefficient_of_group1(block, zero_row):
+        return False
+    return all(row == mu or affine.bruhat_less(row, mu)
+               for row in {m[:ctx.n] for m in full.terms})
+
+
+@pytest.mark.parametrize("n, r", [(1, 2), (2, 2), (1, 1), (2, 1), (3, 1)])
+def test_triangular_matches_the_reference_on_a_box(n, r):
+    ctx = RepContext(n, r, r)
+    for flat in itertools.product(range(3), repeat=n * r):
+        mu = tuple(flat[i * n:(i + 1) * n] for i in range(r))
+        verdict = verify_triangular(ctx, mu[0], mu[1:])
+        assert verdict == reference_triangular(ctx, mu[0], mu[1:]), mu
+        assert verdict, mu
+
+
+def _row_not_below(mu):
+    """A row other than mu that is not Bruhat-below it: a rearrangement
+    of mu where one is, else mu with its first entry raised."""
+    for row in sorted(set(itertools.permutations(mu))):
+        if row != mu and not affine.bruhat_less(row, mu):
+            return row
+    return (mu[0] + 1,) + mu[1:]
+
+
+def _corrupted_leads(ctx, mu, beta_tuple):
+    """E((mu, beta))'s polynomial with one group-1 lead coefficient
+    scaled by t, and with a term added whose group-1 row is not
+    Bruhat-below mu."""
+    n, poly = ctx.n, E(ctx, (mu,) + beta_tuple).poly
+    lead = min(m for m in poly.terms if m[:n] == mu)
+    scaled = dict(poly.terms)
+    scaled[lead] = scaled[lead] * ctx.scalar(t=1)
+    extra = _row_not_below(mu) + lead[n:]
+    assert extra not in poly.terms
+    return [LaurentPoly(ctx.r, n, ctx.k, scaled),
+            poly + LaurentPoly(ctx.r, n, ctx.k, {extra: ctx.scalar()})]
+
+
+@pytest.mark.parametrize("ctx, mu, beta", [
+    (C22, (1, 0), ((0, 1),)), (C22, (0, 2), ((1, 1),)),
+    (C21, (1, 2), ()), (C31, (0, 1, 1), ()), (C31, (2, 0, 1), ())])
+def test_triangular_rejects_corrupted_records(monkeypatch, ctx, mu, beta):
+    index = (mu,) + beta
+    real = nonsym.E
+    for poly in _corrupted_leads(ctx, mu, beta):
+        def patched(ctx_, mu_tuple, poly=poly):
+            rec = real(ctx_, mu_tuple)
+            if ctx_ == ctx and rec.index == index:
+                return MacdonaldRecord(rec.index, poly, rec.weight)
+            return rec
+
+        monkeypatch.setattr(nonsym, "E", patched)
+        assert not verify_triangular(ctx, mu, beta)
+        assert not reference_triangular(ctx, mu, beta)
+        monkeypatch.setattr(nonsym, "E", real)
+        assert verify_triangular(ctx, mu, beta)
 
 
 def test_triangular_box_rank_two():

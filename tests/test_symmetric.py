@@ -61,6 +61,11 @@ def test_enumerate_orbit_indices():
         [((1, 0), (0, 1)), ((1, 0), (1, 0))]
     with pytest.raises(ValueError):
         enumerate_orbit_indices(2, 2, (1,))
+    for n, r in ((2, 2), (3, 2), (2, 3), (4, 1)):
+        for d in product(range(3), repeat=r):
+            listed = enumerate_orbit_indices(n, r, d)
+            assert listed == sorted(listed) and len(set(listed)) == \
+                len(listed)
 
 
 def test_orbit_enumeration_covers_sorted_orbits():
