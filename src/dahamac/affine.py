@@ -6,8 +6,9 @@ s_j swaps entries j, j+1 and pi maps (a_1, ..., a_n) to
 string "pi" or an int j; they act left to right, first letter first.
 
 Nonnegative vectors are identified with minimal coset representatives
-through a greedy word, and the bar map sends a word to the finite
-permutation obtained by forgetting the affine translation.
+through a greedy word.  Forgetting the affine translation sends a word
+to a finite permutation, the bar map: pi goes to s_{n-1}...s_1 and
+s_j to itself; sigma_of gives the bar of a coset word in closed form.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ def act_gen(g, a):
     out = list(a)
     out[j - 1], out[j] = out[j], out[j - 1]
     return tuple(out)
-
-
-def act(word, a):
-    """A word applied to a vector, first letter first."""
-    v = tuple(a)
-    for g in word:
-        v = act_gen(g, v)
-    return v
 
 
 def _covers_down(v):
@@ -73,7 +66,7 @@ def bruhat_less(a, b) -> bool:
 
 
 def coset_word(mu):
-    """Greedy word w with act(w, 0) = mu, for nonnegative mu.
+    """Greedy word w that carries 0 to mu, for nonnegative mu.
 
     Walking down from mu: an ascent mu_j < mu_{j+1} contributes s_j;
     otherwise mu is weakly decreasing and a pi step peels
@@ -121,22 +114,6 @@ def perm_inv(u):
 def perm_act(u, vec):
     """Position action used by the gamma twist: (u . v)(i) = v(u(i))."""
     return tuple(vec[u[i] - 1] for i in range(len(u)))
-
-
-def bar(word, n):
-    """Image of a word in S_n: pi maps to s_{n-1}...s_1, s_j to itself.
-
-    Computed by right-multiplying one-line windows in word order, which
-    matches composing the images with the first letter innermost.
-    """
-    p = list(range(1, n + 1))
-    for g in word:
-        if g == PI:
-            p = [p[-1]] + p[:-1]
-        else:
-            j = g
-            p[j - 1], p[j] = p[j], p[j - 1]
-    return tuple(p)
 
 
 def omega_normalize(mu):

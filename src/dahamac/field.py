@@ -829,7 +829,7 @@ class _OneMinusShift:
 
 class KroneckerRing:
     """Z[t, q_1..q_k] packed into Z by Kronecker substitution, exact for
-    one chain of integral coefficients and one comparison at its end.
+    one chain of integral coefficients and what is read at its end.
 
     The chain takes polynomials f_m in Z[t, q] (the coefficients, one
     per x-monomial m, of its input f) to F_m.  The caller gives f as
@@ -844,30 +844,51 @@ class KroneckerRing:
     - F is reached by sums, negations, products by 1 - t and by
       monomials, and exact divisions by monomials.
 
-    For each weight w = num / den (num, den in Z[t, q]) the comparison is
-    den F_m = num f_m at every m.  Its difference g = den F_m - num f_m
-    has every coefficient at most
+    A ring reads the chain's end in one of two ways:
 
-        C = max over w of (||den||_1 growth + ||num||_1) ||f||_1
+    - compare, when weights are given: for each weight w = num / den
+      (num, den in Z[t, q]), whether den F_m = num f_m at every m,
+      through the difference g = den F_m - num f_m;
+    - unpack, when none are: each packed F_m back into its polynomial.
 
-    in size, since the coefficients of a product are bounded by the
-    product of the 1-norms, and t-degree at most T, the largest of
-    deg_t den + deg_t f + t_rise and deg_t num + deg_t f over the
-    weights; likewise Q_l for q_l.
+    The coefficients of a product are bounded by the product of the
+    1-norms, so every coefficient of g is at most
+    (||den||_1 growth + ||num||_1) ||f||_1 in size, and every coefficient
+    of F_m at most growth ||f||_1.  Let C be the largest of the weights'
+    bounds for a ring that compares, and twice F's bound for a ring
+    that unpacks.  Let T be the largest of deg_t f + t_rise and, over
+    the weights, deg_t den + deg_t f + t_rise and deg_t num + deg_t f;
+    likewise Q_l for q_l.
 
-    The digit width is B = bit length of C, so every such coefficient
-    lies strictly inside (-2^B, 2^B).  The radix is mixed: t gets
-    T + 1 digits, q_1 the next Q_1 + 1 blocks of those, and so on, so
-    the packed value of a polynomial is its value at t = 2^B and
-    q_l = 2^(B R_l) with R_1 = T + 1 and R_(l+1) = R_l (Q_l + 1).
-    A monomial inside the degree box goes to 2^(B i), i = e_t +
+    The digit width is B = bit length of C, so every coefficient that
+    is compared lies strictly inside (-2^B, 2^B), and every one that is
+    unpacked strictly inside (-2^(B-1), 2^(B-1)).  The radix is mixed:
+    t gets T + 1 digits, q_1 the next Q_1 + 1 blocks of those, and so
+    on, so the packed value of a polynomial is its value at t = 2^B and
+    q_l = 2^(B R_l) with R_1 = T + 1 and R_(l+1) = R_l (Q_l + 1).  A
+    monomial inside the degree box goes to 2^(B i), i = e_t +
     sum R_l e_l, and distinct monomials get distinct i.
 
-    One-to-one: let g != 0 lie in the box with coefficients inside
-    (-2^B, 2^B), and let a be its coefficient of least i.  Then
+    Compare, one-to-one: let g != 0 lie in the box with coefficients
+    inside (-2^B, 2^B), and let a be its coefficient of least i.  Then
     pack(g) = a 2^(B i) modulo 2^(B (i + 1)), which is not 0 because
     0 < |a| < 2^B.  So pack(g) = 0 exactly when g = 0, and the packed
     comparison gives the polynomial verdict.
+
+    Unpack, digit by digit: a polynomial whose monomials lie in h
+    consecutive positions, with coefficients of size at most
+    2^(B-1) - 1, has a value of size at most
+    (2^(B-1) - 1)(2^(B h) - 1) / (2^B - 1) < 2^(B h - 1).  So its low h
+    digits are the value modulo 2^(B h) taken in
+    [-2^(B h - 1), 2^(B h - 1)), and the rest is the value less those,
+    divided by 2^(B h) exactly.  unpack splits the box in halves this
+    way, skips a half whose value is 0, and reads position i's single
+    digit as the coefficient of its monomial: e_t = i mod (T + 1), then
+    e_1 = (i div R_1) mod (Q_1 + 1), and so on, variable by variable,
+    so a q_l with Q_l = 0 reads as 0 whatever its R_l ties.  An int
+    whose digits run past the box leaves the excess in the top digit,
+    and a digit outside (-2^(B-1), 2^(B-1)) raises ValueError rather
+    than being misread.
 
     No value inside the chain needs to fit the box or the width.
     Packing is evaluation, a ring map, so sums, negations and products
@@ -879,27 +900,31 @@ class KroneckerRing:
     its packed value is 0 contributes 0 either way.
     """
 
-    def __init__(self, k, coeffs, weights, growth, t_rise, q_rise,
-                 lift=None):
+    def __init__(self, k, coeffs, growth, t_rise, q_rise=None, lift=None,
+                 weights=()):
         self.k = k
         coeffs = [c.num for c in coeffs]
         norm = sum(map(_norm1, coeffs))
-        lift = lift or {}
+        lift, q_rise = lift or {}, q_rise or {}
         top = [e + lift.get(v, 0) for v, e in
                enumerate(_degrees(set().union(*coeffs), k))]
         rise = [t_rise] + [q_rise.get(ell, 0) for ell in range(1, k + 1)]
-        size, box = 0, top
+        self._compares = bool(weights)
+        size = 0 if weights else 2 * growth
+        box = [e + up for e, up in zip(top, rise)]
         for w in weights:
             size = max(size, _norm1(w.den) * growth + _norm1(w.num))
             box = [max(b, e + d + up, f + d) for b, d, up, e, f in zip(
                 box, top, rise, _degrees(w.den, k), _degrees(w.num, k))]
         self.bits = max((size * norm).bit_length(), 1)
-        # (field shift of the variable, bit position of its first power)
+        # (field shift of the variable, its digit count, bit position of
+        # its first power)
         self._places = []
         step = self.bits
         for v, b in enumerate(box):
-            self._places.append(((k - v) * FIELD_BITS, step))
+            self._places.append(((k - v) * FIELD_BITS, b + 1, step))
             step *= b + 1
+        self._digits = step // self.bits
         self._actions = {}
         self._at = {}         # packed monomial -> its bit position
         self.one_minus_t = _OneMinusShift(self.bits)
@@ -908,7 +933,7 @@ class KroneckerRing:
         s = self._at.get(m)
         if s is None:
             s = self._at[m] = sum((m >> sh & MAX_EXP) * w
-                                  for sh, w in self._places)
+                                  for sh, _, w in self._places)
         return s
 
     def _pack(self, f):
@@ -932,6 +957,47 @@ class KroneckerRing:
             raise ValueError("only an integral scalar packs")
         return self._pack(s.num)
 
+    def unpack(self, v) -> Scalar:
+        """The integral scalar whose packed value is v, read in balanced
+        base-2^B digits by halving splits that skip zero halves;
+        ValueError for a digit outside (-2^(B-1), 2^(B-1)), or for a
+        ring that compares, whose width only its comparison needs."""
+        if self._compares:
+            raise ValueError("a ring built to compare does not unpack")
+        bits, half = self.bits, 1 << self.bits - 1
+        num = {}
+
+        def split(v, lo, count):
+            # v holds the digits lo .. lo + count - 1, relative to lo
+            while count > 1:
+                h = count // 2
+                w = bits * h
+                low = v & ((1 << w) - 1)
+                if low >> w - 1:
+                    low -= 1 << w
+                if low:
+                    split(low, lo, h)
+                v = (v - low) >> w
+                if not v:
+                    return
+                lo, count = lo + h, count - h
+            if not -half < v < half:
+                raise ValueError("packed integer past the ring's bound")
+            num[self._monomial_at(lo)] = v
+
+        if v:
+            split(v, 0, self._digits)
+        return Scalar(num, {0: 1}, self.k)
+
+    def _monomial_at(self, i):
+        """The packed monomial at digit position i, read variable by
+        variable in mixed radix."""
+        m = 0
+        for sh, radix, _ in self._places:
+            i, e = divmod(i, radix)
+            m |= e << sh
+        return m
+
     def fraction(self, s: Scalar):
         """(num, den) of s as multipliers of packed ints: a shift
         action for a single term, the packed int otherwise."""
@@ -952,12 +1018,12 @@ class KroneckerRing:
     def monomial(self, c=1, t=0, q=None):
         """The action of c * t^t * prod_l q_l^q[l] on packed ints;
         a negative exponent divides, exactly."""
-        s = t * self._places[0][1]
+        s = t * self._places[0][2]
         for ell, e in (q or {}).items():
             if not 1 <= ell <= self.k:
                 raise ValueError(f"q_{ell} outside session with {self.k} "
                                  "parameters")
-            s += e * self._places[ell][1]
+            s += e * self._places[ell][2]
         return self._action(c, s)
 
 

@@ -285,7 +285,8 @@ def knop_sahi_moves(ctx: RepContext, mu_tuple):
 def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
     """Verify one move of the raising machinery on E(mu).
 
-    move is ("pi",), ("s", j, ell) or ("shift", j, c).
+    move is ("pi",), ("s", j, ell) or ("shift", j, c), its integers
+    read by field.integer.
 
     The s-move is stated on the rows of gamma(mu), the exponent rows of
     E(mu)'s top monomial, because T_j swaps positions j, j+1 in every
@@ -301,7 +302,7 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
         target = (affine.act_gen(affine.PI, mu_tuple[0]),) + mu_tuple[1:]
         return E(ctx, target).poly == raise_step(ctx, 1, affine.PI, base)
     if kind == "s":
-        _, j, ell = move
+        j, ell = map(integer, move[1:])
         if not 1 <= ell <= ctx.r:
             raise ValueError("component index out of range")
         if not 1 <= j <= ctx.n - 1:
@@ -314,7 +315,7 @@ def knop_sahi_check(ctx: RepContext, mu_tuple, move) -> bool:
         target = affine.gamma_inverse(moved)
         return E(ctx, target).poly == raise_step(ctx, ell, j, base)
     if kind == "shift":
-        _, j, c = move
+        j, c = map(integer, move[1:])
         # omega_shift refuses j outside 1..r before mu[j - 1] is read
         rhs = omega_shift(ctx, mu_tuple, j, c, base.poly)
         shifted = tuple(e + c for e in mu_tuple[j - 1])
@@ -415,9 +416,9 @@ def _pack_record(ctx: RepContext, rec: MacdonaldRecord):
         if low < 0:
             lows[ell] = -low
     reach = max((sum(map(abs, m)) for m in poly.terms), default=0)
-    ring = KroneckerRing(ctx.k, poly.terms.values(), rec.weight,
+    ring = KroneckerRing(ctx.k, poly.terms.values(),
                          growth=(3 + 2 * reach) ** (n - 1), t_rise=n - 1,
-                         q_rise=lows, lift=tops)
+                         q_rise=lows, lift=tops, weights=rec.weight)
     up = ring.monomial(q=tops)
     return ring, LaurentPoly(r, n, ctx.k, {m: ring.pack(c) * up
                                            for m, c in poly.terms.items()})

@@ -44,7 +44,8 @@ scalar monomials and one_minus_t) and truthiness, false for zero, by
 which a zero term is dropped.  A context built with ring=... (field's
 KroneckerRing) supplies its monomials and 1 - t as actions on packed
 ints, and the same operators then run on polynomials whose
-coefficients are those ints.  The symmetrizer, Delta_n, the operator
+coefficients are those ints.  The symmetrizer runs its integral T
+chain that way and unpacks the result; Delta_n's Y_i, the operator
 expressions and the matrices need Scalars.
 """
 
@@ -230,36 +231,60 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
     lcm D of its coefficient denominators, and level m by t^(m-1), so
     T_k ... T_{m-1} carries the weight t^(k-1) and the level's
     normalizer is [m]_t.  T_j has coefficients in Z[t], so every
-    coefficient in the chain keeps denominator 1 and no sum reduces a
-    fraction.  The integral image is divided once, by
-    D prod_{m<=n} [m]_t, or with monic_at by its own coefficient at that
-    flat exponent tuple (ArithmeticError if it has none); either way
-    one reduction per distinct output coefficient: the image's
-    coefficients repeat along S_n orbits.
+    coefficient in the chain keeps denominator 1.  D p is packed once
+    into a field.KroneckerRing, the unchanged T_j run on the packed
+    ints through a context of that ring, and each distinct output int
+    is unpacked once.  The ring's unpacking is exact (its docstring
+    proves it) given these bounds on the chain, with R the largest sum
+    of |x-exponents| of a term of D p:
+
+    - ||T_j f||_1 <= (1 + 2R) ||f||_1, and R never grows (see
+      nonsym.check_record);
+    - level m sums t^(m-1) f and the m - 1 images of one to m - 1
+      T's, each times a t-power, so its 1-norm is at most
+      (1 + (1 + 2R) + ... + (1 + 2R)^(m-1)) ||f||_1 <= m (1 + 2R)^(m-1)
+      ||f||_1, and the whole chain at most
+      n! (1 + 2R)^(n(n-1)/2) ||D p||_1;
+    - every term of level m has t-degree raised by m - 1 (t^(k-1) and
+      m - k factors 1 - t), n(n-1)/2 over the chain;
+    - the q-degrees do not rise.
+
+    The integral image is divided once, by D prod_{m<=n} [m]_t, or with
+    monic_at by its own coefficient at that flat exponent tuple
+    (ArithmeticError if it has none); either way one reduction per
+    distinct output coefficient: the image's coefficients repeat along
+    S_n orbits.
     """
     norm, p = clear_poly_denominators(p)
-    for m in range(2, ctx.n + 1):
-        acc = p.smul(ctx.scalar(t=m - 1))
+    n = ctx.n
+    reach = max((sum(map(abs, m)) for m in p.terms), default=0)
+    ring = KroneckerRing(ctx.k, p.terms.values(),
+                         growth=math.factorial(n)
+                         * (1 + 2 * reach) ** (n * (n - 1) // 2),
+                         t_rise=n * (n - 1) // 2)
+    packed = RepContext(n, ctx.r, ctx.k, ring)
+    p = LaurentPoly(p.r, n, p.k,
+                    {m: ring.pack(c) for m, c in p.terms.items()})
+    for m in range(2, n + 1):
+        acc = p.smul(packed.scalar(t=m - 1))
         cur = p
         for j in range(m - 1, 0, -1):
-            cur = apply_T(ctx, j, cur)
-            acc = acc + (cur.smul(ctx.scalar(t=j - 1)) if j > 1 else cur)
+            cur = apply_T(packed, j, cur)
+            acc = acc + (cur.smul(packed.scalar(t=j - 1)) if j > 1 else cur)
         p = acc
-        norm = norm * t_bracket(ctx, m)
-    if monic_at is not None:
-        norm = p.terms.get(monic_at)
-        if norm is None:
-            raise ArithmeticError(
-                f"symmetrized polynomial has no term at x^{monic_at}")
+    images = {c: ring.unpack(c) for c in set(p.terms.values())}
+    if monic_at is None:
+        for m in range(2, n + 1):
+            norm = norm * t_bracket(ctx, m)
+    elif monic_at in p.terms:
+        norm = images[p.terms[monic_at]]
+    else:
+        raise ArithmeticError(
+            f"symmetrized polynomial has no term at x^{monic_at}")
     inv = norm.inv()
-    quotients = {}
-    terms = {}
-    for m, c in p.terms.items():
-        qc = quotients.get(c)
-        if qc is None:
-            qc = quotients[c] = c * inv
-        terms[m] = qc
-    return LaurentPoly(p.r, p.n, p.k, terms)
+    quotients = {c: s * inv for c, s in images.items()}
+    return LaurentPoly(p.r, n, p.k,
+                       {m: quotients[c] for m, c in p.terms.items()})
 
 
 def t_bracket(ctx: RepContext, m=None) -> Scalar:

@@ -10,9 +10,7 @@ from hypothesis import given, strategies as st
 from dahamac import affine
 from dahamac.affine import (
     PI,
-    act,
     act_gen,
-    bar,
     bruhat_less,
     coset_word,
     gamma_inverse,
@@ -28,6 +26,32 @@ from dahamac.affine import (
 vectors = st.lists(st.integers(0, 3), min_size=2, max_size=4).map(tuple)
 perms3 = st.permutations((1, 2, 3)).map(tuple)
 words = st.lists(st.sampled_from([PI, 1, 2]), max_size=6)
+
+
+# The references: a word's action on a vector, and its bar image in S_n.
+
+
+def act(word, a):
+    """A word applied to a vector, first letter first."""
+    v = tuple(a)
+    for g in word:
+        v = act_gen(g, v)
+    return v
+
+
+def bar(word, n):
+    """Image of a word in S_n: pi maps to s_{n-1}...s_1, s_j to itself.
+
+    Computed by right-multiplying one-line windows in word order, which
+    matches composing the images with the first letter innermost.
+    """
+    p = list(range(1, n + 1))
+    for g in word:
+        if g == PI:
+            p = [p[-1]] + p[:-1]
+        else:
+            p[g - 1], p[g] = p[g], p[g - 1]
+    return tuple(p)
 
 
 def test_generator_action():

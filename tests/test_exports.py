@@ -27,8 +27,6 @@ USERS = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
 
 # names kept without a user in the program, each for a test
 ALLOWED = {
-    "affine.act": "the reference action that checks coset_word",
-    "affine.bar": "the reference that checks sigma_of's closed form",
     "nonsym.clear_cache": "empties the memo caches between tests",
     "field.Scalar.evaluate": "the numeric specialisations of the "
                              "external anchors",

@@ -492,15 +492,15 @@ def _integral(p):
 def test_packing_is_one_to_one_within_its_bound(f, g):
     # with growth 1 and the weight 1, the ring's bound covers f - g
     f, g = _integral(f), _integral(g)
-    ring = field.KroneckerRing(K, [f, g], [ONE], growth=1, t_rise=0,
-                               q_rise={})
+    ring = field.KroneckerRing(K, [f, g], growth=1, t_rise=0,
+                               weights=[ONE])
     assert (ring.pack(f) == ring.pack(g)) == (f == g)
     assert ring.pack(f) - ring.pack(g) == ring.pack(f - g)
 
 
 def test_packed_actions():
-    ring = field.KroneckerRing(K, [T * Q1], [ONE], growth=1, t_rise=0,
-                               q_rise={})
+    ring = field.KroneckerRing(K, [T * Q1], growth=1, t_rise=0,
+                               weights=[ONE])
     tq = ring.pack(T * Q1)
     assert tq * ring.monomial(q={1: -1}) == ring.pack(T)
     assert tq * ring.monomial(2, t=-1) == ring.pack(Q1 + Q1)
@@ -513,8 +513,8 @@ def test_packed_actions():
 
 
 def test_packed_division_is_exact_or_refused():
-    ring = field.KroneckerRing(K, [T * Q1], [ONE], growth=1, t_rise=0,
-                               q_rise={})
+    ring = field.KroneckerRing(K, [T * Q1], growth=1, t_rise=0,
+                               weights=[ONE])
     with pytest.raises(ArithmeticError):
         ring.pack(T) * ring.monomial(q={1: -1})
     with pytest.raises(ArithmeticError):

@@ -317,10 +317,10 @@ def _chain(mu_tuple):
     """The indices the walk to mu passes, mu last."""
     ell = next(i for i, comp in enumerate(mu_tuple, 1) if any(comp))
     head, tail = mu_tuple[:ell - 1], mu_tuple[ell:]
-    word = affine.coset_word(mu_tuple[ell - 1])
-    zero = (0,) * len(mu_tuple[0])
-    return [head + (affine.act(word[:s], zero),) + tail
-            for s in range(len(word) + 1)]
+    rows = [(0,) * len(mu_tuple[0])]
+    for g in affine.coset_word(mu_tuple[ell - 1]):
+        rows.append(affine.act_gen(g, rows[-1]))
+    return [head + (row,) + tail for row in rows]
 
 
 @pytest.mark.parametrize("n, r", [(3, 2), (2, 3)])
@@ -682,6 +682,16 @@ def test_shift_move_rejects_component_index(j):
     # checked before mu[j - 1] is read: j = 0 would read mu[-1]
     with pytest.raises(ValueError, match="component index out of range"):
         knop_sahi_check(C22, ((1, 0), (0, 1)), ("shift", j, 1))
+
+
+@pytest.mark.parametrize("move", [("s", 1.0, 1), ("s", 1, 1.0),
+                                  ("shift", 1, 0.5), ("s", True, 1),
+                                  ("shift", 1, True)])
+def test_moves_read_their_integers_as_integers(move):
+    # a float or a bool is no integer, here as everywhere the package
+    # reads one
+    with pytest.raises(ValueError, match="expected an integer"):
+        knop_sahi_check(C22, ((1, 0), (0, 1)), move)
 
 
 def test_shift_factor_values():

@@ -8,9 +8,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from dahamac import rep
+from dahamac import affine, rep
 from dahamac.field import MAX_EXP, KroneckerRing, Scalar
-from dahamac.laurent import LaurentPoly, poly_dumps, swap_vars, xi
+from dahamac.laurent import (LaurentPoly, clear_poly_denominators,
+                             poly_dumps, swap_vars, xi)
+from dahamac.nonsym import E, MacdonaldRecord, check_record
 from dahamac.rep import (
     RepContext,
     apply_Delta_n,
@@ -30,7 +32,7 @@ from dahamac.rep import (
     t_bracket,
     verify_daha_relations,
 )
-from dahamac.stability import project
+from dahamac.stability import StableIndex, iota, kill_index, project
 
 CTX21 = RepContext(2, 1, 1)
 CTX22 = RepContext(2, 2, 2)
@@ -157,8 +159,8 @@ def test_T_on_packed_ints_is_T_on_scalars_packed(case, t_inverse):
     # through a context of the ring, is the packing of the operator on
     # Scalars; a packed 0 is a dropped term
     ctx, j, p = case
-    ring = KroneckerRing(ctx.k, p.terms.values(), [ctx.scalar()],
-                         growth=1, t_rise=1, q_rise={})
+    ring = KroneckerRing(ctx.k, p.terms.values(), growth=1, t_rise=1,
+                         weights=[ctx.scalar()])
     packed = RepContext(ctx.n, ctx.r, ctx.k, ring)
     image = apply_T(packed, j, LaurentPoly(
         ctx.r, ctx.n, ctx.k, {m: ring.pack(c) for m, c in p.terms.items()}),
@@ -171,8 +173,8 @@ def test_T_on_packed_ints_is_T_on_scalars_packed(case, t_inverse):
 def test_pi_on_packed_ints_divides_exactly():
     ctx = CTX22
     p = mono(ctx, ((2, 3), (0, 1))).smul(ctx.scalar(q={1: 3, 2: 1}))
-    ring = KroneckerRing(ctx.k, p.terms.values(), [ctx.scalar()],
-                         growth=1, t_rise=0, q_rise={})
+    ring = KroneckerRing(ctx.k, p.terms.values(), growth=1, t_rise=0,
+                         weights=[ctx.scalar()])
     packed = RepContext(ctx.n, ctx.r, ctx.k, ring)
     image = apply_pi(packed, LaurentPoly(
         ctx.r, ctx.n, ctx.k, {m: ring.pack(c) for m, c in p.terms.items()}))
@@ -361,6 +363,179 @@ def test_Delta_matches_two_eps_on_projected_eps_images(terms):
     e = project(symmetrize_eps(big, p))
     assert apply_T(CTX22, 1, e) == e
     assert apply_Delta_n(CTX22, e) == two_eps_Delta(CTX22, e)
+
+
+# ---------------------------------------------------------------------------
+# the symmetrizer's chain on packed integers
+
+# The reference: the symmetrizer's chain on Scalars, as it ran before
+# the chain moved onto a field.KroneckerRing.
+
+
+def scalar_chain_eps(ctx, p, monic_at=None):
+    norm, p = clear_poly_denominators(p)
+    for m in range(2, ctx.n + 1):
+        acc = p.smul(ctx.scalar(t=m - 1))
+        cur = p
+        for j in range(m - 1, 0, -1):
+            cur = apply_T(ctx, j, cur)
+            acc = acc + (cur.smul(ctx.scalar(t=j - 1)) if j > 1 else cur)
+        p = acc
+        norm = norm * t_bracket(ctx, m)
+    if monic_at is not None:
+        norm = p.terms.get(monic_at)
+        if norm is None:
+            raise ArithmeticError(f"no term at x^{monic_at}")
+    inv = norm.inv()
+    return LaurentPoly(p.r, p.n, p.k,
+                       {m: c * inv for m, c in p.terms.items()})
+
+
+def _stability_pool_Ps():
+    """(ctx, orbit index) of every P that the stability workload asks
+    for: iota(nu, n) for n from max(ell, 1) to 4 and the kill indices
+    up to n = 4, over r in {1, 2}, components of length <= 2 with
+    entries <= 2, total degree <= 4."""
+    comps = [()] + [c for length in (1, 2)
+                    for c in itertools.product(range(3), repeat=length)
+                    if c[-1]]
+    out = set()
+    for r in (1, 2):
+        for combo in itertools.product(comps, repeat=r):
+            if sum(map(sum, combo)) > 4:
+                continue
+            try:
+                nu = StableIndex(combo)
+            except ValueError:
+                continue
+            for n in range(max(nu.ell, 1), 5):
+                out.add((RepContext(n, r, r), iota(nu, n)))
+        out.update((RepContext(n, r, r), kill_index(n, r))
+                   for n in range(2, 5))
+    return sorted(out, key=lambda case: (case[0].r, case[0].n, case[1]))
+
+
+def _P_input(ctx, nu):
+    return (E(ctx, affine.gamma_inverse(nu)).poly,
+            tuple(e for comp in nu for e in comp))
+
+
+def test_packed_eps_matches_the_scalar_chain_on_the_stability_pool():
+    cases = _stability_pool_Ps()
+    assert len(cases) > 100
+    for ctx, nu in cases:
+        p, top = _P_input(ctx, nu)
+        assert symmetrize_eps(ctx, p, monic_at=top) == \
+            scalar_chain_eps(ctx, p, monic_at=top), (ctx, nu)
+        assert symmetrize_eps(ctx, p) == scalar_chain_eps(ctx, p), (ctx, nu)
+
+
+@st.composite
+def eps_inputs(draw):
+    """(ctx, p): n in 1..3, r in 1..2, exponents -2..2, and coefficients
+    that are sums of up to two parameter monomials of either sign of
+    exponent, so that D is not 1."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    ctx = RepContext(n, r, r)
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        flat = tuple(draw(st.integers(-2, 2)) for _ in range(n * r))
+        c = ctx.scalar(0)
+        for _ in range(draw(st.integers(1, 2))):
+            c = c + ctx.scalar(draw(st.integers(-40, 40)),
+                               t=draw(st.integers(-1, 2)),
+                               q={draw(st.integers(1, r)):
+                                  draw(st.integers(-1, 2))})
+        if c:
+            terms[flat] = c
+    return ctx, LaurentPoly(r, n, r, terms)
+
+
+@given(eps_inputs(), st.booleans())
+def test_packed_eps_matches_the_scalar_chain(case, monic):
+    ctx, p = case
+    want = scalar_chain_eps(ctx, p)
+    assert symmetrize_eps(ctx, p) == want
+    if monic and want.terms:
+        top = max(want.terms)
+        assert symmetrize_eps(ctx, p, monic_at=top) == \
+            scalar_chain_eps(ctx, p, monic_at=top)
+
+
+def test_packed_eps_at_n_one():
+    ctx = RepContext(1, 2, 2)
+    t, q1, q2 = ctx.scalar(t=1), ctx.scalar(q={1: 1}), ctx.scalar(q={2: 1})
+    one = ctx.scalar()
+    p = LaurentPoly(2, 1, 2, {(3, -1): (one + t) / (one - q2),
+                              (0, 2): q1 * q1 - ctx.scalar(2 ** 70, t=4),
+                              (-1, 0): ctx.scalar(-7, q={1: -2})})
+    for f in (p, LaurentPoly(2, 1, 2), mono(ctx, ((0,), (0,)))):
+        assert symmetrize_eps(ctx, f) == scalar_chain_eps(ctx, f) == f
+    assert symmetrize_eps(ctx, p, monic_at=(0, 2)) == \
+        scalar_chain_eps(ctx, p, monic_at=(0, 2))
+
+
+def test_packed_eps_reads_q2_past_an_absent_q1():
+    # nu = ((), (2,)) at r = 2: E has q_2 in its coefficients and no q_1,
+    # so q_1's digit box has width 1 and q_2's first power sits where
+    # q_1's would; each digit must still be read as q_2
+    nu = StableIndex(((), (2,)))
+    for n in (1, 2, 3):
+        ctx = RepContext(n, 2, 2)
+        p, top = _P_input(ctx, iota(nu, n))
+        got = symmetrize_eps(ctx, p, monic_at=top)
+        assert got == scalar_chain_eps(ctx, p, monic_at=top)
+        if n > 1:
+            text = repr(got)
+            assert "q2" in text and "q1" not in text
+    ctx = RepContext(2, 2, 2)
+    c = ctx.scalar(3, t=2, q={2: 1}) - ctx.scalar(5, q={2: 2}) + ctx.scalar()
+    ring = KroneckerRing(2, [c], growth=1, t_rise=0)
+    assert ring.unpack(ring.pack(c)) == c
+
+
+def test_unpack_needs_its_last_bit():
+    # a coefficient at its bound, as eps's chain at n = 1 (growth 1)
+    # leaves it: the ring for it unpacks it, and the ring one bit
+    # narrower (built for half of it) reads the digit wrapped, with a
+    # carry into t
+    c = Scalar.integer(2 ** 20 + 1, 1)
+    ring = KroneckerRing(1, [c], growth=1, t_rise=1)
+    assert ring.unpack(ring.pack(c)) == c
+    narrow = KroneckerRing(1, [Scalar.integer(2 ** 19, 1)], growth=1,
+                           t_rise=1)
+    assert narrow.bits == ring.bits - 1
+    assert narrow.unpack(narrow.pack(c)) == \
+        Scalar.integer(2 ** 20 + 1 - 2 ** 21, 1) + Scalar.t(1)
+
+
+def test_unpack_refuses_an_int_past_its_box():
+    # coefficients of t-degree <= 2 and q_1-degree <= 1: q_1^2 packs
+    # past the box, into a digit the top one carries
+    one = Scalar.one(1)
+    f = Scalar.t(1, 2) * Scalar.q(1, 1) + Scalar.integer(3, 1)
+    ring = KroneckerRing(1, [f], growth=4, t_rise=0)
+    assert ring.unpack(ring.pack(f)) == f
+    assert ring.unpack(-ring.pack(f)) == -f
+    for v in (ring.pack(Scalar.q(1, 1, 2)), -ring.pack(Scalar.q(1, 1, 2)),
+              ring.pack(f) + ring.pack(Scalar.q(1, 1, 3)),
+              1 << ring.bits - 1):
+        with pytest.raises(ValueError, match="past the ring's bound"):
+            ring.unpack(v)
+    with pytest.raises(ValueError, match="compare"):
+        KroneckerRing(1, [f], growth=1, t_rise=0, weights=[one]).unpack(0)
+
+
+def test_check_record_rejects_a_corrupted_record_through_the_ring():
+    ctx = CTX22
+    rec = E(ctx, ((1, 0), (0, 1)))
+    assert check_record(ctx, rec)
+    first = min(rec.poly.terms)
+    bumped = LaurentPoly(ctx.r, ctx.n, ctx.k, {first: ctx.scalar(t=1)})
+    assert not check_record(
+        ctx, MacdonaldRecord(rec.index, rec.poly + bumped, rec.weight))
+    assert not check_record(ctx, MacdonaldRecord(
+        rec.index, rec.poly, (rec.weight[1], rec.weight[0])))
 
 
 # ---------------------------------------------------------------------------
