@@ -43,7 +43,7 @@ it uses the heuristic gcd of Char, Geddes and Gonnet (evaluate at a
 large integer, reconstruct by balanced digits, verify by exact
 division); the verifying division leaves the cofactors, and a candidate
 of 1 needs no division.  A primitive PRS is the verified fallback.  A
-gcd whose evaluation image would pass _HEU_MAX_BITS raises ValueError.
+gcd whose images would cost more than _HEU_MAX_WORK raises ValueError.
 """
 
 from __future__ import annotations
@@ -347,16 +347,18 @@ class _HeuFail(Exception):
     pass
 
 
-# the largest image _heu evaluates, in bits: the keys' OR in the variable
-# (under twice its degree) times the point's bit length; the benchmark
-# workloads' images stay below 1,000 bits
-_HEU_MAX_BITS = 1 << 18
+# the most work one top-level gcd spends in _heu: an image of d digits
+# (d the keys' OR in the variable, under twice its degree) costs d times
+# its d * bits(x) bits, one pass of the reconstruction per digit; the
+# benchmark workloads' images stay below 1,000 bits, and a common factor
+# of degree 20,000 costs ~2^31.2, one of degree 40,000 ~2^33.2
+_HEU_MAX_WORK = 1 << 33
 
 
-def _heu(f, g, vs, G, acc):
+def _heu(f, g, vs, G, acc, budget):
     """Heuristic gcd of f, g sharing the variables at shifts vs (t
-    first), with both cofactors; G covers f and g, and acc is the OR of
-    their keys."""
+    first), with both cofactors; G covers f and g, acc is the OR of
+    their keys, and budget[0] the work left to the top-level gcd."""
     # Split integer content per level.  Recursive calls receive evaluated
     # images whose content carries the outer variable's digits, so the gcd
     # of the contents must be preserved in the result, not stripped.
@@ -369,8 +371,10 @@ def _heu(f, g, vs, G, acc):
     deg = acc >> v & MAX_EXP
     x = 2 * min(p_maxnorm(f), p_maxnorm(g)) + 29
     for _ in range(6):
-        if deg * x.bit_length() > _HEU_MAX_BITS:
-            raise ValueError(f"gcd image past {_HEU_MAX_BITS} bits")
+        budget[0] -= deg * deg * x.bit_length()
+        if budget[0] < 0:
+            raise ValueError(f"gcd image past the {_HEU_MAX_WORK}-bit work "
+                             "bound of one gcd")
         fe = p_eval(f, v, x)
         ge = p_eval(g, v, x)
         accfe, accge = _keys_or(fe), _keys_or(ge)
@@ -384,7 +388,7 @@ def _heu(f, g, vs, G, acc):
                 h = {0: igcd(p_icontent(fe), p_icontent(ge))}
         else:
             try:
-                h, _, _ = _heu(fe, ge, sub, G, accfe | accge)
+                h, _, _ = _heu(fe, ge, sub, G, accfe | accge, budget)
             except _HeuFail:
                 x = 73 * x // 32 + 1
                 continue
@@ -540,7 +544,7 @@ def p_gcd(f, g):
     vs = _shared_vars(accf, accg, range(top, -1, -FIELD_BITS))
     if vs:
         try:
-            return _heu(f, g, vs, G, accf | accg)
+            return _heu(f, g, vs, G, accf | accg, [_HEU_MAX_WORK])
         except _HeuFail:
             pass
     cf = p_icontent(f)
@@ -1029,42 +1033,45 @@ class KroneckerRing:
 
 # ---------------------------------------------------------------------------
 # rendering and serialization
+#
+# power_text writes every power and signed_sum joins every sum, of t and
+# the q's here and of the x's in laurent, in plain text and in LaTeX.
 
 
-def _mon_text(m, latex=False):
-    parts = []
-    names = ["t"] + [f"q{i}" for i in range(1, len(m))]
-    if latex:
-        names = ["t"] + [f"q_{{{i}}}" for i in range(1, len(m))]
-    for name, e in zip(names, m):
-        if e == 0:
-            continue
-        if e == 1:
-            parts.append(name)
-        elif latex:
-            parts.append(f"{name}^{{{e}}}")
-        else:
-            parts.append(f"{name}^{e}")
-    return parts
+def power_text(name, e, latex=False):
+    """name^e, or name^{e} in LaTeX; the bare name when e = 1."""
+    if e == 1:
+        return name
+    return f"{name}^{{{e}}}" if latex else f"{name}^{e}"
+
+
+def signed_sum(terms):
+    """The sum of term texts: the first as it is, each later one joined
+    by " - " with its leading "-" dropped, or by " + "; "0" for none."""
+    out = []
+    for term in terms:
+        if out:
+            term = " - " + term[1:] if term.startswith("-") else " + " + term
+        out.append(term)
+    return "".join(out) or "0"
 
 
 def render_param_poly(p, k, latex=False):
-    if not p:
-        return "0"
-    out = []
+    names = ["t"] + [f"q_{{{i}}}" if latex else f"q{i}"
+                     for i in range(1, k + 1)]
+    # after the coefficient, between the powers
+    lead, sep = ("", " ") if latex else ("*", "*")
+    terms = []
     for m in sorted(p, reverse=True):
         c = p[m]
-        parts = _mon_text(_unpack(m, k), latex)
-        if not parts:
+        body = sep.join(power_text(name, e, latex)
+                        for name, e in zip(names, _unpack(m, k)) if e)
+        if not body:
             body = str(abs(c))
-        else:
-            body = ("" if abs(c) == 1 else str(abs(c)) + ("" if latex else "*"))
-            body += ("" if latex else "*").join(parts) if not latex else " ".join(parts)
-        if not out:
-            out.append(("-" if c < 0 else "") + body)
-        else:
-            out.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(out)
+        elif abs(c) != 1:
+            body = str(abs(c)) + lead + body
+        terms.append("-" + body if c < 0 else body)
+    return signed_sum(terms)
 
 
 def render_scalar(s: Scalar, latex=False) -> str:

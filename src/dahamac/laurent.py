@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 
-from .field import clear_denominators, integer, scalar_to_json, \
-    scalar_from_json
+from .field import clear_denominators, integer, power_text, render_scalar, \
+    scalar_from_json, scalar_to_json, signed_sum
 
 
 class LaurentPoly:
@@ -200,51 +200,24 @@ def is_positive(p: LaurentPoly) -> bool:
 # rendering and serialization
 
 
-def _exp_txt(i, j, e, latex):
-    if latex:
-        v = f"x_{{{i},{j}}}"
-        return v if e == 1 else f"{v}^{{{e}}}"
-    v = f"x[{i},{j}]"
-    return v if e == 1 else f"{v}^{e}"
-
-
 def render_term(p, m, c, latex=False):
-    from .field import render_scalar
-
-    vs = []
-    for idx, e in enumerate(m):
-        if e:
-            i, j = divmod(idx, p.n)
-            vs.append(_exp_txt(i + 1, j + 1, e, latex))
-    body = (" " if latex else "*").join(vs)
+    sep, lp, rp = (" ", "\\left(", "\\right)") if latex else ("*", "(", ")")
+    names = [f"x_{{{i},{j}}}" if latex else f"x[{i},{j}]"
+             for i in range(1, p.r + 1) for j in range(1, p.n + 1)]
+    vs = [power_text(name, e, latex) for name, e in zip(names, m) if e]
+    body = sep.join(vs)
     if c.is_one() and vs:
         return body
     ctxt = render_scalar(c, latex)
-    if not c.is_monomial():
-        if latex:
-            # \frac bodies are unambiguous already; bare sums are not
-            if not ctxt.startswith("\\frac"):
-                ctxt = f"\\left({ctxt}\\right)"
-        else:
-            ctxt = f"({ctxt})"
-    if not vs:
-        return ctxt
-    return f"{ctxt}{' ' if latex else '*'}{body}"
+    # \frac bodies are unambiguous already; bare sums are not
+    if not (c.is_monomial() or ctxt.startswith("\\frac")):
+        ctxt = lp + ctxt + rp
+    return f"{ctxt}{sep}{body}" if vs else ctxt
 
 
 def render_poly(p: LaurentPoly, latex=False) -> str:
-    if not p.terms:
-        return "0"
-    out = []
-    for m in sorted(p.terms, reverse=True):
-        term = render_term(p, m, p.terms[m], latex)
-        if not out:
-            out.append(term)
-        elif term.startswith("-"):
-            out.append(" - " + term[1:])
-        else:
-            out.append(" + " + term)
-    return "".join(out)
+    return signed_sum(render_term(p, m, p.terms[m], latex)
+                      for m in sorted(p.terms, reverse=True))
 
 
 def poly_to_json(p: LaurentPoly) -> dict:

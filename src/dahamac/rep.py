@@ -22,9 +22,11 @@ and the derived elements
 with composition applying the rightmost factor first.  The second form
 of Y_i and theta_i is the one applied: t T_j^{-1} = T_j + (t-1), and
 the power of t in front is exactly one t per inverse factor, so it is
-absorbed and no t^{-1} ever multiplies a coefficient.  T_j has
-coefficients in Z[t] and pi multiplies by q-monomials, so on an input
-with polynomial coefficients every denominator that appears is a
+absorbed and no t^{-1} ever multiplies a coefficient.  Y_i and theta_i
+are one pi-word, T_{i-1} ... T_1 pi T_{n-1} ... T_i, with the inverse
+factors on opposite sides of pi: right of it in Y_i, left in theta_i.
+T_j has coefficients in Z[t] and pi multiplies by q-monomials, so on an
+input with polynomial coefficients every denominator that appears is a
 q-monomial.  The symmetrizer eps is the normalized sum of t^{-l(w)} T_w
 over the finite symmetric group, and
 Delta_n = eps (Y_1 + ... + Y_n - [n]_t) eps.
@@ -155,19 +157,12 @@ def apply_T_inv(ctx: RepContext, j: int, p: LaurentPoly) -> LaurentPoly:
     return apply_T(ctx, j, p, t_inverse=True).smul(ctx.scalar(t=-1))
 
 
-def apply_X(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
+def apply_X(ctx: RepContext, i: int, p: LaurentPoly, e=1) -> LaurentPoly:
+    """X_i^e p, for e = 1 or e = -1 (X_i^{-1})."""
     if not 1 <= i <= ctx.n:
         raise IndexError("X index out of range")
     flat = [0] * (ctx.r * ctx.n)
-    flat[i - 1] = 1
-    return p.mul_monomial(tuple(flat))
-
-
-def apply_X_inv(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
-    if not 1 <= i <= ctx.n:
-        raise IndexError("X index out of range")
-    flat = [0] * (ctx.r * ctx.n)
-    flat[i - 1] = -1
+    flat[i - 1] = e
     return p.mul_monomial(tuple(flat))
 
 
@@ -189,28 +184,27 @@ def apply_pi(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(r, n, ctx.k, out)
 
 
-def apply_Y(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
+def _pi_word(ctx, i, p, inverse_first):
+    """T_{i-1} ... T_1 pi T_{n-1} ... T_i p, each factor on the side of
+    pi that inverse_first names (the right side when true) in the form
+    t T_j^{-1}."""
     if not 1 <= i <= ctx.n:
-        raise IndexError("Y index out of range")
-    out = p
+        name = "Y" if inverse_first else "theta"
+        raise IndexError(f"{name} index out of range")
     for j in range(i, ctx.n):
-        out = apply_T(ctx, j, out, t_inverse=True)
-    out = apply_pi(ctx, out)
+        p = apply_T(ctx, j, p, t_inverse=inverse_first)
+    p = apply_pi(ctx, p)
     for j in range(1, i):
-        out = apply_T(ctx, j, out)
-    return out
+        p = apply_T(ctx, j, p, t_inverse=not inverse_first)
+    return p
+
+
+def apply_Y(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
+    return _pi_word(ctx, i, p, True)
 
 
 def apply_theta(ctx: RepContext, i: int, p: LaurentPoly) -> LaurentPoly:
-    if not 1 <= i <= ctx.n:
-        raise IndexError("theta index out of range")
-    out = p
-    for j in range(i, ctx.n):
-        out = apply_T(ctx, j, out)
-    out = apply_pi(ctx, out)
-    for j in range(1, i):
-        out = apply_T(ctx, j, out, t_inverse=True)
-    return out
+    return _pi_word(ctx, i, p, False)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +310,8 @@ def apply_Delta_n(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
 
 # generator token -> action on (ctx, index, p); pi, with no index, is
 # the one token outside it
-_GENERATORS = {"Tinv": apply_T_inv, "T": apply_T, "Xinv": apply_X_inv,
+_GENERATORS = {"Tinv": apply_T_inv, "T": apply_T,
+               "Xinv": lambda ctx, i, p: apply_X(ctx, i, p, -1),
                "X": apply_X, "Y": apply_Y}
 
 

@@ -313,8 +313,8 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
-def _check_gcd_triple(sympy, f, g):
-    h, f_h, g_h = field.p_gcd(f, g)
+def _check_gcd_triple(sympy, f, g, triple=None):
+    h, f_h, g_h = triple or field.p_gcd(f, g)
     assert field.p_mul(h, f_h) == f
     assert field.p_mul(h, g_h) == g
     gens = sympy.symbols("t q1 q2")
@@ -445,6 +445,22 @@ def test_gcd_with_a_high_power_non_divisor_is_fast(sympy):
     assert time.perf_counter() - t0 < 2.0
     assert (s.num, s.den) == (_packed(num), _packed(den))
     _check_gcd_triple(sympy, _packed(num), _packed(den))
+
+
+def test_gcd_of_a_high_degree_common_factor_is_found(sympy):
+    """(t^20000 + q2 + 2 q1)(t + 1) and (t^20000 + q2 + 2 q1)(2t - 3 q2^2):
+    the t-image is ~120,000 bits and the q2-image ~360,000, past the
+    2^18-bit cap on one image that refused this gcd, inside the bound on
+    the work of the whole gcd."""
+    common = _packed({(20000, 0, 0): 1, (0, 0, 1): 1, (0, 1, 0): 2})
+    a = _packed({(1, 0, 0): 1, (0, 0, 0): 1})
+    b = _packed({(1, 0, 0): 2, (0, 0, 2): -3})
+    f, g = field.p_mul(common, a), field.p_mul(common, b)
+    t0 = time.perf_counter()
+    triple = field.p_gcd(f, g)
+    assert time.perf_counter() - t0 < 2.0
+    assert triple[1:] == (a, b)
+    _check_gcd_triple(sympy, f, g, triple)
 
 
 def test_gcd_refuses_an_image_past_its_size_limit():

@@ -22,7 +22,6 @@ from dahamac.rep import (
     apply_T_inv,
     apply_theta,
     apply_X,
-    apply_X_inv,
     apply_Y,
     component_basis,
     degrees_upto,
@@ -220,9 +219,16 @@ def test_pi_X_commutation():
 def test_X_operators():
     p = CTX22.one()
     assert apply_X(CTX22, 2, p) == var(CTX22, 1, 2)
-    assert apply_X_inv(CTX22, 2, apply_X(CTX22, 2, p)) == p
+    assert apply_X(CTX22, 2, apply_X(CTX22, 2, p), -1) == p
     with pytest.raises(IndexError):
         apply_X(CTX22, 3, p)
+
+
+@given(polys22(), st.integers(1, 2))
+def test_X_inverse_inverts_X(p, i):
+    assert apply_X(CTX22, i, apply_X(CTX22, i, p), -1) == p
+    assert apply_X(CTX22, i, apply_X(CTX22, i, p, -1)) == p
+    assert apply_operator_expr(CTX22, f"Xinv{i} X{i}", p) == p
 
 
 def test_Y_weight_on_constants():
@@ -237,6 +243,15 @@ def test_theta_weight_on_constants():
     for i in (1, 2, 3):
         assert apply_theta(ctx, i, ctx.one()) == \
             ctx.one().smul(ctx.scalar(t=i - 1))
+
+
+@pytest.mark.parametrize("i", [0, 4])
+def test_Y_and_theta_refuse_an_index_outside_1_to_n(i):
+    ctx = RepContext(3, 1, 1)
+    with pytest.raises(IndexError, match="^Y index out of range$"):
+        apply_Y(ctx, i, ctx.one())
+    with pytest.raises(IndexError, match="^theta index out of range$"):
+        apply_theta(ctx, i, ctx.one())
 
 
 def _Y_by_definition(ctx, i, p):
@@ -275,7 +290,7 @@ def _laurent_input(ctx):
     return LaurentPoly(ctx.r, ctx.n, ctx.k, terms)
 
 
-@pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (4, 1), (2, 3)])
+@pytest.mark.parametrize("n, r", [(1, 1), (2, 1), (3, 2), (4, 1), (2, 3)])
 def test_integral_Y_and_theta_match_their_definitions(n, r):
     ctx = RepContext(n, r, r)
     p = _laurent_input(ctx)

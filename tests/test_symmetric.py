@@ -180,22 +180,42 @@ def _schur(shape, n):
     return dict(out)
 
 
+def _rank_one_partitions():
+    """(n, lambda) for n <= 4 and |lambda| <= 4, lambda padded with
+    zeros to n parts: 37 pairs."""
+    for n in (1, 2, 3, 4):
+        for lam in product(range(5), repeat=n):
+            if sum(lam) <= 4 and list(lam) == sorted(lam, reverse=True):
+                yield n, lam
+
+
 def test_P_at_q_equal_t_is_the_schur_polynomial():
     # Macdonald, Symmetric Functions and Hall Polynomials, ch. VI, §4:
     # P_lambda(x; t, t) = s_lambda(x); checked numerically at rank 1
     count = 0
-    for n in (1, 2, 3):
-        ctx = RepContext(n, 1, 1)
-        for lam in product(range(4), repeat=n):
-            if sum(lam) > 3 or list(lam) != sorted(lam, reverse=True):
-                continue
-            want = _schur([p for p in lam if p], n)
-            poly = P(ctx, (lam,)).poly
-            for t in (Fraction(2, 3), Fraction(-5, 2)):
-                got = {m: c.evaluate(t, [t]) for m, c in poly.terms.items()}
-                assert {m: c for m, c in got.items() if c} == want, (lam, t)
-            count += 1
-    assert count == 17
+    for n, lam in _rank_one_partitions():
+        want = _schur([p for p in lam if p], n)
+        poly = P(RepContext(n, 1, 1), (lam,)).poly
+        for t in (Fraction(2, 3), Fraction(-5, 2)):
+            got = {m: c.evaluate(t, [t]) for m, c in poly.terms.items()}
+            assert {m: c for m, c in got.items() if c} == want, (lam, t)
+        count += 1
+    assert count == 37
+
+
+def test_P_at_t_equal_1_is_the_monomial_symmetric_polynomial():
+    # Macdonald, Symmetric Functions and Hall Polynomials, ch. VI, §4:
+    # P_lambda(x; q, 1) = m_lambda(x), the sum of x^alpha over the
+    # distinct rearrangements alpha of lambda; checked at rank 1
+    count = 0
+    for n, lam in _rank_one_partitions():
+        want = dict.fromkeys(set(permutations(lam)), 1)
+        poly = P(RepContext(n, 1, 1), (lam,)).poly
+        for q in (Fraction(2, 3), Fraction(-5, 2)):
+            got = {m: c.evaluate(1, [q]) for m, c in poly.terms.items()}
+            assert {m: c for m, c in got.items() if c} == want, (lam, q)
+        count += 1
+    assert count == 37
 
 
 # ---------------------------------------------------------------------------
