@@ -31,13 +31,29 @@ equal as field elements exactly when their (k, num, den) are equal;
 only RepContext.scalar calls a Scalar constructor, and nothing reads
 num or den.
 
+Most denominators are products of a monomial and binomials: the
+intertwiners of E's raising walk bring in 1 - t^a q^b.  So a Scalar may
+also carry its denominator factored, as c * m * prod F_i^e_i over a
+process-wide table of interned irreducible factors (see "binomials and
+the table of factors" below).  den is always the expansion of the
+factorization, and the canonical form does not depend on it.  A
+denominator of one term, or of two that split, is factored when a
+Scalar is built; sums, products and clear_denominators of factored
+Scalars are factored again, with their lcms and cofactors read off the
+exponents and only trial divisions by known factors; a linear factor is
+first tested by one pass over the numerator (_linear_divides).  Any
+other denominator, of three or more terms as from a pivot of the
+linear algebra or P's monic normaliser, or a binomial that does not
+split, takes the general path through p_gcd, and the input decides
+which path an operation takes.  scalar_from_json reduces its input by
+p_gcd, and the Scalar it returns is factored when its denominator is.
+
 p_gcd(f, g) returns (h, f/h, g/h).  A single-term operand settles it
-directly.  So does a two-term operand c * m * (c1 * u + c2 * w) whose
-exponent direction u / w has coprime entries, as most denominators
-1 - t^a q^b that an intertwiner creates have: that factor is
-irreducible, and one pass over the other operand, summing its
-coefficients by exponent class modulo the direction, decides whether
-it divides (_binomial_gcd).  Next, an operand that divides the other
+directly.  So does a two-term operand that splits into known factors,
+c * m * (c1 * u + c2 * w) of primitive direction or a unit binomial
+u^g +- w^g: one pass over the other operand, summing its coefficients
+by exponent class modulo the direction, decides whether each factor
+divides (_binomial_gcd).  Next, an operand that divides the other
 exactly is the gcd, the shorter tried as the divisor first.  Otherwise
 it uses the heuristic gcd of Char, Geddes and Gonnet (evaluate at a
 large integer, reconstruct by balanced digits, verify by exact
@@ -272,32 +288,124 @@ def _monomial_gcd(f, g, G):
             {m - mh: c // ch for m, c in g.items()})
 
 
-def _binomial_gcd(b, f, accf, G):
-    """p_gcd(b, f) for a two-term b whose direction is primitive, else
-    None; accf is the OR of f's keys and G covers b and f.
+# ---------------------------------------------------------------------------
+# binomials and the table of factors
+#
+# A two-term polynomial b is c * m * (c1 * u + c2 * w) with c its signed
+# integer content, m its monomial content, c1 > 0 and u > w sharing no
+# variable.  When the exponent vector of u / w has coprime entries (a
+# primitive direction), c1 * u + c2 * w is irreducible: a unimodular
+# change of monomials makes it linear in one variable.  When the entries
+# have gcd g > 1 and the coefficients are units, u = u0^g, w = w0^g and
+#
+#     u0^g - w0^g = prod over d | g of Phi_d(u0, w0),
+#     u0^g + w0^g = prod over d | 2g, d not dividing g, of Phi_d(u0, w0),
+#
+# with Phi_d(u0, w0) = w0^phi(d) Phi_d(u0 / w0) the homogenised
+# cyclotomic polynomial, irreducible by the same change of monomials.
+# Other binomials, such as 4t^2 - 1, are not split.  Every factor is
+# interned once per process, so a factor is an int: its index in
+# _FACTORS.  Distinct factors are primitive irreducibles with a positive
+# lex-leading coefficient and no monomial factor, so they are pairwise
+# coprime.
+#
+# The table only grows: live Scalars hold factor ids, so it is never
+# reset, nonsym.clear_cache included.  It holds each distinct factor of
+# a split denominator seen in the process, which stays small: 72, 66
+# and 23 factors after an eigen, oracle and stability pass, and 26
+# (about 12 kB with the cyclotomic table) after
+# `dahamac stability --nu "3,1|2" --n-max 7`; 407 after the whole test
+# suite, hypothesis runs included, in one process.
 
-    b = c * m * B with m the monomial and c the integer content of b,
-    B = c1 * u + c2 * w, c1 > 0, and u, w sharing no variable.  When
-    the exponent vector e of u / w has coprime entries, B is
-    irreducible (a unimodular change of monomials makes it linear in
-    one variable), so gcd(b, f) = gcd(c * m, f) * (B if B divides f).
-    B divides f exactly when f vanishes on x^e = -c2 / c1, which is
-    one pass over f: split each exponent a as r + k e, and every class
-    r must have sum over k of its coefficients times (-c2 / c1)^k = 0.
-    """
+# The largest g whose unit binomials u0^g +- w0^g are split.  Their
+# cyclotomic factors' degrees add up to g, but cyclotomic(2g) is built
+# by dividing out every smaller Phi_e, about d^2 steps: ~1 ms at g = 64
+# and ~11 ms at g = 256 (Python 3.11, 2-CPU x86-64 host), once per
+# process.  The cap keeps input such as 1 - t^1000000 from building
+# Phi_d of that degree; such a binomial takes the gcd path.  The
+# benchmark workloads see g <= 3, and at g = 64 a factored sum and
+# product still cost half the gcd path's.
+_SPLIT_MAX = 64
+_CYCLOTOMIC = {1: [-1, 1]}   # d -> coefficients of Phi_d, constant first
+_FACTORS = []                # factor -> its polynomial
+_FACTOR_ROOTS = []           # factor -> (u, w, c1, c2, d), d = 0 if linear
+_FACTOR_IDS = {}             # (u, w, c1, c2, d) -> factor
+
+
+def cyclotomic(d):
+    """Phi_d's integer coefficients, constant term first: x^d - 1 divided
+    by every Phi_e with e a proper divisor of d, each monic."""
+    out = _CYCLOTOMIC.get(d)
+    if out is None:
+        out = [-1] + [0] * (d - 1) + [1]
+        for e in range(1, d):
+            if d % e == 0:
+                q = cyclotomic(e)
+                dq = len(q) - 1
+                quo = [0] * (len(out) - dq)
+                for i in range(len(out) - 1, dq - 1, -1):
+                    c = quo[i - dq] = out[i]
+                    for j, a in enumerate(q):
+                        out[i - dq + j] -= c * a
+                out = quo
+        _CYCLOTOMIC[d] = out
+    return out
+
+
+def _factor(u, w, c1, c2, d=0):
+    """The interned factor c1 * u + c2 * w (d = 0) or Phi_d(u, w)."""
+    if d in (1, 2):
+        c1, c2, d = 1, -1 if d == 1 else 1, 0
+    root = (u, w, c1, c2, d)
+    fid = _FACTOR_IDS.get(root)
+    if fid is None:
+        if d:
+            cs = cyclotomic(d)
+            top = len(cs) - 1
+            poly = {j * u + (top - j) * w: a for j, a in enumerate(cs) if a}
+        else:
+            poly = {u: c1, w: c2}
+        fid = _FACTOR_IDS[root] = len(_FACTORS)
+        _FACTORS.append(poly)
+        _FACTOR_ROOTS.append(root)
+    return fid
+
+
+def _split_binomial(b):
+    """(c, m, factors) with b = c * m * the product of the factors,
+    distinct and each to the first power, or None for a binomial that
+    is not split."""
     (m1, a1), (m2, a2) = b.items()
     if m1 < m2:
         m1, a1, m2, a2 = m2, a2, m1, a1
-    m = _mon_min(m1, m2, G)
+    m = _mon_min(m1, m2, _guards(m1))
     u, w = m1 - m, m2 - m
     g, x = 0, u | w
     while x:
         g = igcd(g, x & MAX_EXP)
         x >>= FIELD_BITS
-    if g != 1:
-        return None
     c = igcd(a1, a2) if a1 > 0 else -igcd(a1, a2)
     c1, c2 = a1 // c, a2 // c
+    if g == 1:
+        return c, m, (_factor(u, w, c1, c2),)
+    if c1 != 1 or c2 not in (1, -1) or g > _SPLIT_MAX:
+        return None
+    u, w = u // g, w // g
+    return c, m, tuple(_factor(u, w, 1, 0, d) for d in range(1, 2 * g + 1)
+                       if 2 * g % d == 0 and (g % d == 0) == (c2 == -1))
+
+
+def _linear_divides(fid, f, accf, G):
+    """Whether the linear factor c1 * u + c2 * w divides f, by one pass
+    over f; None when the pass cannot decide.  accf is the OR of f's
+    keys, and G covers the factor and f.
+
+    It divides f exactly when f vanishes on x^e = -c2 / c1, e the
+    exponent vector of u / w: split each exponent a of f as r + k e,
+    and every class r must have sum over k of its coefficients times
+    (-c2 / c1)^k = 0.
+    """
+    u, w, c1, c2, _ = _FACTOR_ROOTS[fid]
     # k = a_s // e_s on the top variable s of u leaves 0 <= r_s < e_s
     s = (u.bit_length() - 1) // FIELD_BITS * FIELD_BITS
     us = u >> s & MAX_EXP
@@ -321,26 +429,60 @@ def _binomial_gcd(b, f, accf, G):
                    if wide else mf - k * d)
             classes[key] = classes.get(key, 0) + (
                 -cf if c2 == 1 and k & 1 else cf)
-        divides = not any(classes.values())
-    else:
-        for mf, cf in f.items():
-            k = (mf >> s & MAX_EXP) // us
-            classes.setdefault(mf - k * d, {})[k] = cf
-        # sum of cf (-c2 / c1)^k, times c1^max(k) / (-c2)^min(k)
-        divides = not any(
-            sum(cf * (-c2) ** (k - min(ks)) * c1 ** (max(ks) - k)
-                for k, cf in ks.items())
-            for ks in classes.values())
+        return not any(classes.values())
+    for mf, cf in f.items():
+        k = (mf >> s & MAX_EXP) // us
+        classes.setdefault(mf - k * d, {})[k] = cf
+    # sum of cf (-c2 / c1)^k, times c1^max(k) / (-c2)^min(k)
+    return not any(
+        sum(cf * (-c2) ** (k - min(ks)) * c1 ** (max(ks) - k)
+            for k, cf in ks.items())
+        for ks in classes.values())
+
+
+def _product(c, m, factors):
+    """c * m * the product of the factors, with their multiplicities."""
+    out = {m: c}
+    for fid, e in factors.items():
+        for _ in range(e):
+            out = p_mul(out, _FACTORS[fid])
+    return out
+
+
+def _binomial_gcd(b, f, accf, G):
+    """p_gcd(b, f) for a two-term b that splits, else None; accf is the
+    OR of f's keys and G covers b and f.
+
+    With b = c * m * F_1 ... F_j split into distinct factors,
+    gcd(b, f) = gcd(c * m, f) times the F_i that divide f: a linear F_i
+    is decided by one pass over f, and a cyclotomic one by trial
+    division.
+    """
+    split = _split_binomial(b)
+    if split is None:
+        return None
+    c, m, fids = split
+    hits = {}
+    rest = {}
+    for fid in fids:
+        if _FACTOR_ROOTS[fid][4]:
+            hit = p_exact_div(f, _FACTORS[fid], G, accf) is not None
+        else:
+            hit = _linear_divides(fid, f, accf, G)
+            if hit is None:
+                return None
+        (hits if hit else rest)[fid] = 1
     h = {0: 1}
     if m or c not in (1, -1):
         h = _monomial_gcd_with({m: c}, f, G)
     (mh, ch), = h.items()
     if mh or ch != 1:
         f = {mf - mh: cf // ch for mf, cf in f.items()}
-    B = {u: c1, w: c2}
-    if not divides:
+    if not hits:
         return h, {mb - mh: cb // ch for mb, cb in b.items()}, f
-    return p_mul(h, B), {m - mh: c // ch}, p_exact_div(f, B, G, accf)
+    common = _product(1, 0, hits)
+    return (p_mul(h, common), _product(c // ch, m - mh, rest),
+            p_exact_div(f, common, G, accf))
 
 
 class _HeuFail(Exception):
@@ -581,22 +723,170 @@ def _f_reduce(num, den):
 
 
 # ---------------------------------------------------------------------------
+# factored denominators
+#
+# A factorization (c, m, fs) of a denominator stands for
+# c * m * prod over fs of F^e: c > 0, m a monomial, fs a dict from factor
+# to exponent.  Its expansion is the denominator, as _product writes it.
+
+
+# the factors of a monomial denominator: shared, since no factorization
+# is changed in place
+_NO_FACTORS = {}
+
+
+def _factorization(den):
+    """The factorization of a canonical denominator of one term, or of
+    two that split; None otherwise."""
+    if len(den) == 1:
+        (m, c), = den.items()
+        return c, m, _NO_FACTORS
+    if len(den) == 2:
+        split = _split_binomial(den)
+        if split is not None:
+            c, m, fids = split
+            return c, m, dict.fromkeys(fids, 1)
+    return None
+
+
+def _cancel(num, c, m, fs, trial):
+    """(num / h, c, m, fs, h != 1) for h the gcd of num and the
+    denominator (c, m, fs), the second to fourth entries its quotient by
+    h, when h divides c * m * prod over trial of F^e."""
+    if not trial and not m and c == 1:
+        return num, c, m, fs, False
+    acc = _keys_or(num)
+    changed = False
+    for fid, e in trial.items():
+        if len(num) == 1:
+            break             # no factor divides a monomial
+        F = _FACTORS[fid]
+        G = _guards(acc | max(F))
+        # one pass rejects a linear factor that does not divide
+        if (not _FACTOR_ROOTS[fid][4]
+                and _linear_divides(fid, num, acc, G) is False):
+            continue
+        n = 0
+        while n < e:
+            q = p_exact_div(num, F, G, acc)
+            if q is None:
+                break
+            num = q
+            n += 1
+        if n:
+            if not changed:
+                fs = dict(fs)
+                changed = True
+            if n == fs[fid]:
+                del fs[fid]
+            else:
+                fs[fid] -= n
+    if m or c != 1:
+        (mh, ch), = _monomial_gcd_with({m: c}, num,
+                                       _guards(acc | m)).items()
+        if mh or ch != 1:
+            num = {mn - mh: cn // ch for mn, cn in num.items()}
+            c, m, changed = c // ch, m - mh, True
+    return num, c, m, fs, changed
+
+
+def _factored_add(x, y):
+    """x + y over the lcm of two factored denominators.
+
+    The lcm takes each factor's larger exponent.  A factor F of
+    exponent a in x's denominator and b < a in y's does not divide the
+    numerator x.num * (lcm / x.den) + y.num * (lcm / y.den): F divides
+    the second term, and not the first, since x.num is coprime to x.den
+    and lcm / x.den holds other factors only.  So only the factors of
+    equal exponent on both sides are tried, and the monomial and the
+    content.
+    """
+    (c1, m1, f1), (c2, m2, f2) = x.fac, y.fac
+    c = c1 if c1 == c2 else c1 // igcd(c1, c2) * c2
+    m = m1 if m1 == m2 else m1 + m2 - _mon_min(m1, m2, _guards(m1 | m2))
+    up1, up2 = {}, {}
+    if f1 == f2:
+        fs = equal = f1
+    else:
+        fs = dict(f1)
+        equal = {}
+        for fid, e in f2.items():
+            e1 = f1.get(fid, 0)
+            if e > e1:
+                up1[fid] = e - e1
+                fs[fid] = e
+            elif e == e1:
+                equal[fid] = e
+        for fid, e in f1.items():
+            e2 = f2.get(fid, 0)
+            if e > e2:
+                up2[fid] = e - e2
+    mult = _product(c // c1, m - m1, up1)
+    num = p_add(p_mul(x.num, mult),
+                p_mul(y.num, _product(c // c2, m - m2, up2)))
+    if not num:
+        return Scalar.zero(x.k)
+    num, c, m, fs, changed = _cancel(num, c, m, fs, equal)
+    if changed:
+        return Scalar(num, _product(c, m, fs), x.k, (c, m, fs))
+    # an unchanged denominator keeps its dict and its factorization
+    for z, up, cz, mz in ((x, up1, c1, m1), (y, up2, c2, m2)):
+        if not up and c == cz and m == mz:
+            return Scalar(num, z.den, x.k, z.fac)
+    return Scalar(num, p_mul(x.den, mult), x.k, (c, m, fs))
+
+
+def _factored_mul(x, y):
+    """x * y for factored denominators: each numerator is reduced
+    against the other side's denominator, and the exponents add."""
+    (c1, m1, f1), (c2, m2, f2) = x.fac, y.fac
+    n1, c2, m2, f2, cut2 = _cancel(x.num, c2, m2, f2, f2)
+    n2, c1, m1, f1, cut1 = _cancel(y.num, c1, m1, f1, f1)
+    num = p_mul(n1, n2)
+    if not (cut1 or cut2):
+        # an unchanged denominator keeps its dict and its factorization
+        if _is_one(y.den):
+            return Scalar(num, x.den, x.k, x.fac)
+        if _is_one(x.den):
+            return Scalar(num, y.den, x.k, y.fac)
+    fs = dict(f1)
+    for fid, e in f2.items():
+        fs[fid] = fs.get(fid, 0) + e
+    # p_mul of the two denominators raises on an exponent past MAX_EXP
+    den = p_mul(_product(c1, m1, f1) if cut1 else x.den,
+                _product(c2, m2, f2) if cut2 else y.den)
+    return Scalar(num, den, x.k, (c1 * c2, m1 + m2, fs))
+
+
+# ---------------------------------------------------------------------------
 # the public Scalar type
 
 
 class Scalar:
     """An element of Q(t, q_1, ..., q_k), stored as a fraction in
     canonical form; the constructor stores what it is given, so its
-    callers pass canonical num and den."""
+    callers pass canonical num and den.
 
-    __slots__ = ("num", "den", "k")
+    fac is den factored as (c, m, {factor: exponent}) with c > 0 and m
+    a monomial, or None.  The constructor factors a den of one term, or
+    of two that split, when it is not given fac.  An operation whose
+    operands are both factored stays factored and calls no general gcd:
+    a product trial-divides each numerator by the other side's factors;
+    a sum takes the lcm and trial-divides by the factors of equal
+    exponent on both sides alone, since a numerator is coprime to its
+    own denominator (see _factored_add).  Every other operation takes
+    the gcd path.
+    """
 
-    def __init__(self, num, den, k):
+    __slots__ = ("num", "den", "k", "fac")
+
+    def __init__(self, num, den, k, fac=None):
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         self.num = num
         self.den = den
         self.k = k
+        self.fac = _factorization(den) if fac is None else fac
 
     # -- constructors ------------------------------------------------------
 
@@ -678,6 +968,8 @@ class Scalar:
             return other
         if not n2:
             return self
+        if self.fac is not None and other.fac is not None:
+            return _factored_add(self, other)
         k = self.k
         if d1 == d2:
             num = p_add(n1, n2)
@@ -697,7 +989,7 @@ class Scalar:
         return Scalar(*_f_norm(tn, p_mul(p_mul(d1r, d2r), g0)), k)
 
     def __neg__(self):
-        return Scalar(p_neg(self.num), self.den, self.k)
+        return Scalar(p_neg(self.num), self.den, self.k, self.fac)
 
     def __sub__(self, other):
         return self + (-other)
@@ -709,6 +1001,8 @@ class Scalar:
         k = self.k
         if not n1 or not n2:
             return Scalar.zero(k)
+        if self.fac is not None and other.fac is not None:
+            return _factored_mul(self, other)
         if not _is_one(d2):
             _, n1, d2 = p_gcd(n1, d2)
         if not _is_one(d1):
@@ -770,10 +1064,15 @@ def clear_denominators(scalars, k):
     """(D, [c * D for c in scalars]) with D the lcm of the denominators,
     all as Scalars in k parameters with denominator 1.
 
-    D grows by one distinct denominator at a time, and the cofactors of
-    that step's p_gcd keep D / den for every denominator seen, so no
-    exact division is needed.
+    When every denominator is factored, D takes each factor's largest
+    exponent, and D / den is the product of the rest.  Otherwise D grows
+    by one distinct denominator at a time, and the cofactors of that
+    step's p_gcd keep D / den for every denominator seen, so no exact
+    division is needed.
     """
+    scalars = list(scalars)
+    if all(c.fac is not None for c in scalars):
+        return _factored_lcm(scalars, k)
     lcm = {0: 1}
     mult = {}                 # denominator -> lcm / denominator
     keys = []
@@ -791,6 +1090,29 @@ def clear_denominators(scalars, k):
     out = [Scalar(p_mul(c.num, mult[key]), {0: 1}, k)
            for c, key in zip(scalars, keys)]
     return Scalar(lcm, {0: 1}, k), out
+
+
+def _factored_lcm(scalars, k):
+    """clear_denominators when every denominator is factored."""
+    keys = [(ci, mi, tuple(fi.items())) for ci, mi, fi in
+            (s.fac for s in scalars)]
+    facs = {key: s.fac for key, s in zip(keys, scalars)}
+    c, m, fs = 1, 0, {}
+    for ci, mi, fi in facs.values():
+        c = c // igcd(c, ci) * ci
+        if mi:
+            m = m + mi - _mon_min(m, mi, _guards(m | mi))
+        for fid, e in fi.items():
+            if e > fs.get(fid, 0):
+                fs[fid] = e
+    # lcm / denominator, for each distinct factorization
+    mult = {key: _product(c // ci, m - mi,
+                          {fid: e - fi.get(fid, 0) for fid, e in fs.items()
+                           if e > fi.get(fid, 0)})
+            for key, (ci, mi, fi) in facs.items()}
+    out = [Scalar(p_mul(s.num, mult[key]), {0: 1}, k)
+           for key, s in zip(keys, scalars)]
+    return Scalar(_product(c, m, fs), {0: 1}, k), out
 
 
 # ---------------------------------------------------------------------------

@@ -221,10 +221,18 @@ def render_poly(p: LaurentPoly, latex=False) -> str:
 
 
 def poly_to_json(p: LaurentPoly) -> dict:
+    """The JSON form of p.  Each distinct coefficient object is rendered
+    once, and the terms that hold it share that rendering: a symmetrised
+    polynomial repeats its coefficients along S_n orbits."""
+    rendered = {}             # id of a coefficient -> its JSON form
     terms = []
     for m in sorted(p.terms):
+        c = p.terms[m]
+        coeff = rendered.get(id(c))
+        if coeff is None:
+            coeff = rendered[id(c)] = scalar_to_json(c)
         exp = [list(m[i * p.n:(i + 1) * p.n]) for i in range(p.r)]
-        terms.append({"exp": exp, "coeff": scalar_to_json(p.terms[m])})
+        terms.append({"exp": exp, "coeff": coeff})
     return {"r": p.r, "n": p.n, "params": p.k, "terms": terms}
 
 

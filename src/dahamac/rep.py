@@ -247,10 +247,14 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
     monic_at by its own coefficient at that flat exponent tuple
     (ArithmeticError if it has none); either way one reduction per
     distinct output coefficient: the image's coefficients repeat along
-    S_n orbits.
+    S_n orbits.  At n = 1 there is no chain and no ring: the sum is p.
     """
-    norm, p = clear_poly_denominators(p)
     n = ctx.n
+    if n == 1:
+        if monic_at is None:
+            return p
+        return p.smul(_term_at(p, monic_at).inv())
+    norm, p = clear_poly_denominators(p)
     reach = max((sum(map(abs, m)) for m in p.terms), default=0)
     ring = KroneckerRing(ctx.k, p.terms.values(),
                          growth=math.factorial(n)
@@ -270,15 +274,21 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
     if monic_at is None:
         for m in range(2, n + 1):
             norm = norm * t_bracket(ctx, m)
-    elif monic_at in p.terms:
-        norm = images[p.terms[monic_at]]
     else:
-        raise ArithmeticError(
-            f"symmetrized polynomial has no term at x^{monic_at}")
+        norm = images[_term_at(p, monic_at)]
     inv = norm.inv()
     quotients = {c: s * inv for c, s in images.items()}
     return LaurentPoly(p.r, n, p.k,
                        {m: quotients[c] for m, c in p.terms.items()})
+
+
+def _term_at(p: LaurentPoly, flat):
+    """p's coefficient at the flat exponent tuple; ArithmeticError if
+    it has none."""
+    if flat not in p.terms:
+        raise ArithmeticError(
+            f"symmetrized polynomial has no term at x^{flat}")
+    return p.terms[flat]
 
 
 def t_bracket(ctx: RepContext, m=None) -> Scalar:

@@ -541,3 +541,197 @@ def test_packed_division_is_exact_or_refused():
         ring.monomial(q={3: 1})
     with pytest.raises(ValueError, match="integral"):
         ring.pack(ONE / (ONE - T))
+
+
+# ---------------------------------------------------------------------------
+# factored denominators, with the gcd path as the reference
+
+# den pieces: primitive binomials (unit and not), unit binomials of
+# non-primitive direction u^g +- w^g, and 4t^2 - 1, which is not split
+_PIECES = [
+    {(0, 0, 0): 1, (1, 1, 0): -1},        # 1 - t q1
+    {(1, 0, 0): 2, (0, 0, 1): -3},        # 2t - 3 q2
+    {(1, 0, 0): 1, (0, 0, 2): 1},         # t + q2^2
+    {(0, 0, 0): 1, (2, 0, 0): -1},        # 1 - t^2
+    {(2, 2, 0): 1, (0, 0, 0): 1},         # (t q1)^2 + 1
+    {(3, 0, 0): 1, (0, 0, 3): -1},        # t^3 - q2^3
+    {(0, 0, 0): 1, (6, 0, 0): 1},         # 1 + t^6
+    {(0, 0, 0): -1, (4, 0, 2): 1},        # t^4 q2^2 - 1
+    {(2, 0, 0): 4, (0, 0, 0): -1},        # 4t^2 - 1
+]
+_UNSPLIT = 8
+
+
+def _plain(s):
+    """s without its factorization, so that every operation on it takes
+    the gcd path."""
+    out = Scalar(s.num, s.den, s.k)
+    out.fac = None
+    return out
+
+
+def _check_factorization(s):
+    """den is the expansion of the factorization: c > 0 times the
+    monomial times each factor to its exponent, every factor primitive
+    with a positive lex-leading coefficient."""
+    if s.fac is None:
+        return
+    c, m, fs = s.fac
+    assert c > 0 and all(e > 0 for e in fs.values())
+    assert field._product(c, m, fs) == s.den
+    for fid in fs:
+        f = field._FACTORS[fid]
+        assert f[max(f)] > 0 and field.p_icontent(f) == 1
+
+
+@st.composite
+def factored_scalars(draw, allow_zero=True):
+    """num * (product of pieces) / (monomial * product of pieces), built
+    through Scalar arithmetic from one- and two-term denominators."""
+    pieces = st.lists(st.tuples(st.integers(0, len(_PIECES) - 1),
+                                st.integers(1, 2)), max_size=3)
+    num = _packed(draw(_PARAM_POLYS))
+    if allow_zero and draw(st.booleans()):
+        num = {}
+    for i, e in draw(pieces):
+        for _ in range(e):
+            num = field.p_mul(num, _packed(_PIECES[i]))
+    s = Scalar(num, {0: 1}, K)
+    for i, e in draw(pieces.filter(bool)):
+        piece = Scalar(_packed(_PIECES[i]), {0: 1}, K).inv()
+        s = s * piece ** e
+    mono = Scalar.param_monomial(K, draw(st.integers(0, 2)),
+                                 {1: draw(st.integers(0, 2)),
+                                  2: draw(st.integers(0, 2))},
+                                 draw(st.integers(1, 6)))
+    s = s / mono
+    _check_factorization(s)
+    return s
+
+
+@given(factored_scalars(), factored_scalars(allow_zero=False))
+def test_factored_arithmetic_matches_the_gcd_path(a, b):
+    pa, pb = _plain(a), _plain(b)
+    for got, want in ((a + b, pa + pb), (a - b, pa - pb), (a * b, pa * pb),
+                      (a / b, pa / pb), (b.inv(), pb.inv())):
+        assert got == want
+        assert_canonical(got)
+        _check_factorization(got)
+    # the sum of a - b and b is a again, over a's smaller denominator,
+    # so it must cancel factors that both terms have
+    back = (a - b) + b
+    assert back == a
+    _check_factorization(back)
+
+
+@given(st.lists(factored_scalars(), min_size=1, max_size=3))
+def test_factored_clear_denominators_matches_the_gcd_path(cs):
+    # the square of the first scalar shares its factors to a higher
+    # exponent; the lcm must take the higher one in either order
+    cs = cs + [cs[0] * cs[0]]
+    for order in (cs, cs[::-1]):
+        d, out = field.clear_denominators(order, K)
+        want_d, want = field.clear_denominators([_plain(c) for c in order],
+                                                K)
+        assert d == want_d and out == want
+
+
+def test_factored_operands_take_the_factored_path(monkeypatch):
+    """A sum and a product of scalars whose denominators are products
+    of split binomials call no general gcd."""
+    a = (T + Q1) / (ONE - T) / (ONE - T * T * Q2 * Q2)
+    b = Q2 / (ONE + T * T * T)
+    assert a.fac and a.fac[2] and b.fac and b.fac[2]
+    pa, pb = _plain(a), _plain(b)
+    want = [pa + pb, pa * pb, pa - pa, field.clear_denominators([pa, pb], K)]
+    monkeypatch.setattr(field, "p_gcd", _unreachable)
+    assert [a + b, a * b, a - a, field.clear_denominators([a, b], K)] == want
+
+
+def test_a_non_unit_binomial_of_non_primitive_direction_is_not_split():
+    s = Scalar(_packed(_PIECES[_UNSPLIT]), {0: 1}, K).inv()
+    assert s.fac is None
+    assert field._split_binomial(_packed(_PIECES[_UNSPLIT])) is None
+    # 1 - t^2 splits into 1 - t and 1 + t, (t q1)^2 + 1 stays whole
+    assert len(Scalar(_packed(_PIECES[3]), {0: 1}, K).inv().fac[2]) == 2
+    assert len(Scalar(_packed(_PIECES[4]), {0: 1}, K).inv().fac[2]) == 1
+
+
+def test_cyclotomic_table_matches_sympy(sympy):
+    x = sympy.Symbol("x")
+    for d in range(1, 31):
+        want = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+        assert field.cyclotomic(d) == [int(c) for c in want], d
+
+
+def test_exponents_past_the_limit_raise_through_factored_arithmetic():
+    """The lcm's cofactor t raises t^MAX_EXP past the limit in a sum,
+    and q2^low times q2^(low + 2) in a product, denominators and
+    numerators alike."""
+    low = MAX_EXP // 2
+    a = Scalar.t(K, MAX_EXP) / (ONE - Q1)
+    b = ONE / (T * (ONE + Q1))
+    assert a.fac[2] and b.fac[2]
+    with pytest.raises(ValueError):
+        a + b
+    c = ONE / (Scalar.q(2, K, low) * (ONE - T * Q1))
+    d = ONE / (Scalar.q(2, K, low + 2) * (ONE + T * Q1))
+    assert c.fac[2] and d.fac[2]
+    with pytest.raises(ValueError):
+        c * d
+    with pytest.raises(ValueError):
+        c.inv() * d.inv()
+
+
+def test_a_binomial_in_many_variables_is_factored_quickly():
+    """1 - t q1 ... q40 at k = 40, as a Scalar and from JSON, and a
+    product and a sum that reduce against it: the factored path costs
+    time linear in the terms, not in the subsets of the variables."""
+    k = 40
+    one = Scalar.one(k)
+    m = Scalar.param_monomial(k, 1, dict.fromkeys(range(1, k + 1), 1))
+    zero, ones = [0] * (k + 1), [1] * (k + 1)
+    t0 = time.perf_counter()
+    s = (one - m).inv()
+    j = scalar_from_json({"num": [["1", zero]],
+                          "den": [["1", zero], ["-1", ones]]})
+    assert j == s and s.fac and s.fac[2]
+    assert s * (one - m * m) == one + m
+    other = (one + Scalar.q(1, k)).inv()
+    assert (s + other) - other == s
+    assert time.perf_counter() - t0 < 2.0
+
+
+@st.composite
+def cyclotomic_binomials(draw):
+    """+-c m (u^g +- w^g) with g in 2..6, u and w sharing no variable,
+    and a product of some of its cyclotomic factors."""
+    g = draw(st.integers(2, 6))
+    support = draw(st.sampled_from([(0,), (1, 2), (0, 2)]))
+    e = [0, 0, 0]
+    for v in support:
+        e[v] = draw(st.sampled_from([-2, -1, 1, 2]))
+    assume(gcd(*e) == 1)
+    m = draw(st.tuples(*[st.integers(0, 2)] * 3))
+    u = tuple(a + g * max(x, 0) for a, x in zip(m, e))
+    w = tuple(a + g * max(-x, 0) for a, x in zip(m, e))
+    c = draw(st.sampled_from([1, -1, 2, -3]))
+    b = _packed({u: c, w: c * draw(st.sampled_from([1, -1]))})
+    _, _, fids = field._split_binomial(b)
+    part = {0: 1}
+    for fid in fids:
+        if draw(st.booleans()):
+            part = field.p_mul(part, field._FACTORS[fid])
+    return b, part
+
+
+@given(cyclotomic_binomials(), _PARAM_POLYS)
+def test_gcd_with_a_cyclotomic_binomial_matches_sympy(sympy, case, other):
+    """u^g +- w^g against other times some of its cyclotomic factors,
+    in both orders, decided without the heuristic gcd."""
+    b, part = case
+    f = field.p_mul(_packed(other), part)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_heu", _unreachable)
+        _check_gcd_triple(sympy, b, f)
+        _check_gcd_triple(sympy, f, b)

@@ -490,6 +490,30 @@ def test_packed_eps_at_n_one():
         scalar_chain_eps(ctx, p, monic_at=(0, 2))
 
 
+def test_eps_at_n_one_builds_no_ring(monkeypatch):
+    """S_1 is trivial: the sum is p, or p over its coefficient at
+    monic_at, as the scalar chain gives it, with no ring built."""
+    ctx = RepContext(1, 2, 2)
+    t, q2 = ctx.scalar(t=1), ctx.scalar(q={2: 1})
+    one = ctx.scalar()
+    p = LaurentPoly(2, 1, 2, {(3, -1): (one + t) / (one - q2),
+                              (0, 2): q2 * q2 - ctx.scalar(3, t=4),
+                              (-1, 0): ctx.scalar(-7, q={1: -2})})
+    want = {top: scalar_chain_eps(ctx, p, monic_at=top) for top in p.terms}
+
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a KroneckerRing was built at n = 1")
+
+    monkeypatch.setattr(rep, "KroneckerRing", no_ring)
+    assert symmetrize_eps(ctx, p) is p
+    for top, expected in want.items():
+        got = symmetrize_eps(ctx, p, monic_at=top)
+        assert got == expected
+        assert poly_dumps(got) == poly_dumps(expected)
+    with pytest.raises(ArithmeticError, match="no term at"):
+        symmetrize_eps(ctx, p, monic_at=(1, 1))
+
+
 def test_packed_eps_reads_q2_past_an_absent_q1():
     # nu = ((), (2,)) at r = 2: E has q_2 in its coefficients and no q_1,
     # so q_1's digit box has width 1 and q_2's first power sits where

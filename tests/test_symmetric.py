@@ -218,6 +218,58 @@ def test_P_at_t_equal_1_is_the_monomial_symmetric_polynomial():
     assert count == 37
 
 
+def _hall_littlewood(sympy, lam, t):
+    """P_lam(x_1..x_n; t) as {exponent tuple: Fraction}, by the
+    symmetrisation formula (Macdonald, ch. III, (2.2)):
+
+        P_lam = 1 / v_lam(t) * sum over w in S_n of
+                w(x^lam prod_{i<j} (x_i - t x_j) / (x_i - x_j)),
+
+    v_lam(t) = prod over the multiplicities m of lam's parts, 0
+    included, of prod_{j=1..m} (1 - t^j) / (1 - t).  The Vandermonde
+    prod_{i<j} (x_i - x_j) changes sign with w, so the sum is the
+    alternant of x^lam prod_{i<j} (x_i - t x_j) divided by it."""
+    n = len(lam)
+    xs = sympy.symbols(f"x1:{n + 1}")
+    t = sympy.Rational(t.numerator, t.denominator)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    base = sympy.Mul(*(x ** e for x, e in zip(xs, lam)),
+                     *(xs[i] - t * xs[j] for i, j in pairs))
+    alternant = 0
+    for w in permutations(range(n)):
+        sign = (-1) ** sum(w[i] > w[j] for i, j in pairs)
+        alternant += sign * base.subs({xs[i]: xs[w[i]] for i in range(n)},
+                                      simultaneous=True)
+    vandermonde = sympy.Mul(*(xs[i] - xs[j] for i, j in pairs))
+    quo, rem = sympy.div(sympy.Poly(alternant, *xs),
+                         sympy.Poly(vandermonde, *xs))
+    assert rem.is_zero
+    v = sympy.Integer(1)
+    for part in set(lam):
+        for j in range(1, lam.count(part) + 1):
+            v *= (1 - t ** j) / (1 - t)
+    return {m: Fraction(int(c.p), int(c.q))
+            for m, c in ((m, c / v) for m, c in quo.terms()) if c}
+
+
+def test_P_at_q_equal_0_is_the_hall_littlewood_polynomial():
+    # Macdonald, Symmetric Functions and Hall Polynomials, ch. VI, §4:
+    # P_lambda(x; 0, t) = P_lambda(x; t); checked at rank 1 against the
+    # symmetrisation formula, worked out in SymPy
+    sympy = pytest.importorskip("sympy")
+    count = 0
+    for n, lam in _rank_one_partitions():
+        if n > 3:
+            continue
+        poly = P(RepContext(n, 1, 1), (lam,)).poly
+        for t in (Fraction(2, 3), Fraction(-5, 2)):
+            got = {m: c.evaluate(t, [0]) for m, c in poly.terms.items()}
+            assert {m: c for m, c in got.items() if c} == \
+                _hall_littlewood(sympy, lam, t), (lam, t)
+        count += 1
+    assert count == 25
+
+
 # ---------------------------------------------------------------------------
 # the symmetrizer against its definition
 
