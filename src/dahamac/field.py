@@ -48,18 +48,18 @@ split, takes the general path through p_gcd, and the input decides
 which path an operation takes.  scalar_from_json reduces its input by
 p_gcd, and the Scalar it returns is factored when its denominator is.
 
-p_gcd(f, g) returns (h, f/h, g/h).  A single-term operand settles it
-directly.  So does a two-term operand that splits into known factors,
-c * m * (c1 * u + c2 * w) of primitive direction or a unit binomial
-u^g +- w^g: one pass over the other operand, summing its coefficients
-by exponent class modulo the direction, decides whether each factor
-divides (_binomial_gcd).  Next, an operand that divides the other
-exactly is the gcd, the shorter tried as the divisor first.  Otherwise
-it uses the heuristic gcd of Char, Geddes and Gonnet (evaluate at a
-large integer, reconstruct by balanced digits, verify by exact
-division); the verifying division leaves the cofactors, and a candidate
-of 1 needs no division.  A primitive PRS is the verified fallback.  A
-gcd whose images would cost more than _HEU_MAX_WORK raises ValueError.
+p_gcd(f, g) returns (h, f/h, g/h).  An operand of one term, or of two
+that split into known factors, settles it (_split_gcd): _cancel reduces
+the other operand against that factorization, by the same trial
+division by interned factors as factored arithmetic, and h is what it
+cancelled.  f is tried first, then g.  Next, an operand that divides
+the other exactly is the gcd, the shorter tried as the divisor first.
+Otherwise it uses the heuristic gcd of Char, Geddes and Gonnet
+(evaluate at a large integer, reconstruct by balanced digits, verify by
+exact division); the verifying division leaves the cofactors, and a
+candidate of 1 needs no division.  A primitive PRS is the verified
+fallback.  A gcd whose images would cost more than _HEU_MAX_WORK raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -263,31 +263,6 @@ def p_exact_div(f, g, G, acc):
     return out
 
 
-def _monomial_gcd_with(f, g, G):
-    # f is a single monomial; G covers f and g
-    (gm, gc), = f.items()
-    gc = abs(gc)
-    for m, c in g.items():
-        if gm:
-            gm = _mon_min(gm, m, G)
-        elif gc == 1:
-            break
-        gc = igcd(gc, c)
-    return {gm: gc}
-
-
-def _monomial_gcd(f, g, G):
-    """p_gcd when f or g is a single term: h divides every term, so the
-    cofactors need no trial division."""
-    if len(f) == 1:
-        h = _monomial_gcd_with(f, g, G)
-    else:
-        h = _monomial_gcd_with(g, f, G)
-    (mh, ch), = h.items()
-    return (h, {m - mh: c // ch for m, c in f.items()},
-            {m - mh: c // ch for m, c in g.items()})
-
-
 # ---------------------------------------------------------------------------
 # binomials and the table of factors
 #
@@ -449,42 +424,6 @@ def _product(c, m, factors):
     return out
 
 
-def _binomial_gcd(b, f, accf, G):
-    """p_gcd(b, f) for a two-term b that splits, else None; accf is the
-    OR of f's keys and G covers b and f.
-
-    With b = c * m * F_1 ... F_j split into distinct factors,
-    gcd(b, f) = gcd(c * m, f) times the F_i that divide f: a linear F_i
-    is decided by one pass over f, and a cyclotomic one by trial
-    division.
-    """
-    split = _split_binomial(b)
-    if split is None:
-        return None
-    c, m, fids = split
-    hits = {}
-    rest = {}
-    for fid in fids:
-        if _FACTOR_ROOTS[fid][4]:
-            hit = p_exact_div(f, _FACTORS[fid], G, accf) is not None
-        else:
-            hit = _linear_divides(fid, f, accf, G)
-            if hit is None:
-                return None
-        (hits if hit else rest)[fid] = 1
-    h = {0: 1}
-    if m or c not in (1, -1):
-        h = _monomial_gcd_with({m: c}, f, G)
-    (mh, ch), = h.items()
-    if mh or ch != 1:
-        f = {mf - mh: cf // ch for mf, cf in f.items()}
-    if not hits:
-        return h, {mb - mh: cb // ch for mb, cb in b.items()}, f
-    common = _product(1, 0, hits)
-    return (p_mul(h, common), _product(c // ch, m - mh, rest),
-            p_exact_div(f, common, G, accf))
-
-
 class _HeuFail(Exception):
     pass
 
@@ -522,12 +461,9 @@ def _heu(f, g, vs, G, acc, budget):
         accfe, accge = _keys_or(fe), _keys_or(ge)
         sub = _shared_vars(accfe, accge, vs[1:])
         if not sub:
-            if len(fe) == 1:
-                h = _monomial_gcd_with(fe, ge, G)
-            elif len(ge) == 1:
-                h = _monomial_gcd_with(ge, fe, G)
-            else:
-                h = {0: igcd(p_icontent(fe), p_icontent(ge))}
+            # no variable is left in both images, so only integers
+            # divide both: their gcd is that of their contents
+            h = {0: igcd(p_icontent(fe), p_icontent(ge))}
         else:
             try:
                 h, _, _ = _heu(fe, ge, sub, G, accfe | accge, budget)
@@ -660,19 +596,15 @@ def p_gcd(f, g):
             return {}, {}, {}
         s = -1 if p[max(p)] < 0 else 1
         return (p_iscale(p, s), {0: s} if f else {}, {0: s} if g else {})
+    out = _split_gcd(f, g)
+    if out:
+        return out
+    out = _split_gcd(g, f)
+    if out:
+        return out[0], out[2], out[1]
     accf = _keys_or(f)
     accg = _keys_or(g)
     G = _guards(accf | accg)
-    if len(f) == 1 or len(g) == 1:
-        return _monomial_gcd(f, g, G)
-    if len(f) == 2:
-        out = _binomial_gcd(f, g, accg, G)
-        if out:
-            return out
-    if len(g) == 2:
-        out = _binomial_gcd(g, f, accf, G)
-        if out:
-            return out[0], out[2], out[1]
     # when one operand divides the other, it is the gcd; the shorter
     # is tried as the divisor first
     short, long_ = (f, g) if len(f) <= len(g) else (g, f)
@@ -713,21 +645,13 @@ def _f_norm(num, den):
     return num, den
 
 
-def _f_reduce(num, den):
-    if not num:
-        return {}, {0: 1}
-    if _is_one(den):
-        return num, den
-    _, num, den = p_gcd(num, den)
-    return _f_norm(num, den)
-
-
 # ---------------------------------------------------------------------------
 # factored denominators
 #
-# A factorization (c, m, fs) of a denominator stands for
-# c * m * prod over fs of F^e: c > 0, m a monomial, fs a dict from factor
-# to exponent.  Its expansion is the denominator, as _product writes it.
+# A factorization (c, m, fs) stands for c * m * prod over fs of F^e: c an
+# integer, positive for a denominator, m a monomial, fs a dict from
+# factor to exponent.  Its expansion is the polynomial, as _product
+# writes it.
 
 
 # the factors of a monomial denominator: shared, since no factorization
@@ -735,14 +659,14 @@ def _f_reduce(num, den):
 _NO_FACTORS = {}
 
 
-def _factorization(den):
-    """The factorization of a canonical denominator of one term, or of
-    two that split; None otherwise."""
-    if len(den) == 1:
-        (m, c), = den.items()
+def _factorization(p):
+    """The factorization of a polynomial of one term, or of two that
+    split, with c of its lex-leading sign; None otherwise."""
+    if len(p) == 1:
+        (m, c), = p.items()
         return c, m, _NO_FACTORS
-    if len(den) == 2:
-        split = _split_binomial(den)
+    if len(p) == 2:
+        split = _split_binomial(p)
         if split is not None:
             c, m, fids = split
             return c, m, dict.fromkeys(fids, 1)
@@ -751,8 +675,8 @@ def _factorization(den):
 
 def _cancel(num, c, m, fs, trial):
     """(num / h, c, m, fs, h != 1) for h the gcd of num and the
-    denominator (c, m, fs), the second to fourth entries its quotient by
-    h, when h divides c * m * prod over trial of F^e."""
+    factorization (c, m, fs), the second to fourth entries its quotient
+    by h, when h divides c * m * prod over trial of F^e."""
     if not trial and not m and c == 1:
         return num, c, m, fs, False
     acc = _keys_or(num)
@@ -782,26 +706,43 @@ def _cancel(num, c, m, fs, trial):
             else:
                 fs[fid] -= n
     if m or c != 1:
-        (mh, ch), = _monomial_gcd_with({m: c}, num,
-                                       _guards(acc | m)).items()
+        # the fieldwise min of m and num's monomials, and the gcd of c
+        # and num's coefficients
+        G = _guards(acc | m)
+        mh, ch = m, abs(c)
+        for mn, cn in num.items():
+            if mh:
+                mh = _mon_min(mh, mn, G)
+            elif ch == 1:
+                break
+            ch = igcd(ch, cn)
         if mh or ch != 1:
             num = {mn - mh: cn // ch for mn, cn in num.items()}
             c, m, changed = c // ch, m - mh, True
     return num, c, m, fs, changed
 
 
-def _factored_add(x, y):
-    """x + y over the lcm of two factored denominators.
+def _split_gcd(a, b):
+    """p_gcd(a, b) when a is one term or two that split, else None: h is
+    what _cancel takes out of b against a's factorization."""
+    fac = _factorization(a)
+    if fac is None:
+        return None
+    c, m, fs = fac
+    b, ca, ma, rest, changed = _cancel(b, c, m, fs, fs)
+    if not changed:
+        return {0: 1}, a, b
+    # each factor of a split binomial is to the first power
+    return (_product(c // ca, m - ma, {fid: 1 for fid in fs
+                                        if fid not in rest}),
+            _product(ca, ma, rest), b)
 
-    The lcm takes each factor's larger exponent.  A factor F of
-    exponent a in x's denominator and b < a in y's does not divide the
-    numerator x.num * (lcm / x.den) + y.num * (lcm / y.den): F divides
-    the second term, and not the first, since x.num is coprime to x.den
-    and lcm / x.den holds other factors only.  So only the factors of
-    equal exponent on both sides are tried, and the monomial and the
-    content.
-    """
-    (c1, m1, f1), (c2, m2, f2) = x.fac, y.fac
+
+def _lcm(fac1, fac2):
+    """(c, m, fs, equal, up1, up2): the lcm (c, m, fs) of two
+    factorizations, the factors of equal exponent in both, and up_i the
+    factors of lcm / fac_i with their exponents."""
+    (c1, m1, f1), (c2, m2, f2) = fac1, fac2
     c = c1 if c1 == c2 else c1 // igcd(c1, c2) * c2
     m = m1 if m1 == m2 else m1 + m2 - _mon_min(m1, m2, _guards(m1 | m2))
     up1, up2 = {}, {}
@@ -821,6 +762,22 @@ def _factored_add(x, y):
             e2 = f2.get(fid, 0)
             if e > e2:
                 up2[fid] = e - e2
+    return c, m, fs, equal, up1, up2
+
+
+def _factored_add(x, y):
+    """x + y over the lcm of two factored denominators.
+
+    The lcm takes each factor's larger exponent.  A factor F of
+    exponent a in x's denominator and b < a in y's does not divide the
+    numerator x.num * (lcm / x.den) + y.num * (lcm / y.den): F divides
+    the second term, and not the first, since x.num is coprime to x.den
+    and lcm / x.den holds other factors only.  So only the factors of
+    equal exponent on both sides are tried, and the monomial and the
+    content.
+    """
+    (c1, m1, _), (c2, m2, _) = x.fac, y.fac
+    c, m, fs, equal, up1, up2 = _lcm(x.fac, y.fac)
     mult = _product(c // c1, m - m1, up1)
     num = p_add(p_mul(x.num, mult),
                 p_mul(y.num, _product(c // c2, m - m2, up2)))
@@ -971,17 +928,8 @@ class Scalar:
         if self.fac is not None and other.fac is not None:
             return _factored_add(self, other)
         k = self.k
-        if d1 == d2:
-            num = p_add(n1, n2)
-            if not num:
-                return Scalar.zero(k)
-            return Scalar(*_f_reduce(num, d1), k)
-        g0, d1r, d2r = p_gcd(d1, d2)
-        if _is_one(g0):
-            num = p_add(p_mul(n1, d2), p_mul(n2, d1))
-            if not num:
-                return Scalar.zero(k)
-            return Scalar(*_f_norm(num, p_mul(d1, d2)), k)
+        # over d1 d2 / g0, only factors of g0 can cancel
+        g0, d1r, d2r = (d1, {0: 1}, {0: 1}) if d1 == d2 else p_gcd(d1, d2)
         tn = p_add(p_mul(n1, d2r), p_mul(n2, d1r))
         if not tn:
             return Scalar.zero(k)
@@ -1097,22 +1045,15 @@ def _factored_lcm(scalars, k):
     keys = [(ci, mi, tuple(fi.items())) for ci, mi, fi in
             (s.fac for s in scalars)]
     facs = {key: s.fac for key, s in zip(keys, scalars)}
-    c, m, fs = 1, 0, {}
-    for ci, mi, fi in facs.values():
-        c = c // igcd(c, ci) * ci
-        if mi:
-            m = m + mi - _mon_min(m, mi, _guards(m | mi))
-        for fid, e in fi.items():
-            if e > fs.get(fid, 0):
-                fs[fid] = e
+    lcm = reduce(lambda a, b: _lcm(a, b)[:3], facs.values(),
+                 (1, 0, _NO_FACTORS))
+    c, m, _ = lcm
     # lcm / denominator, for each distinct factorization
-    mult = {key: _product(c // ci, m - mi,
-                          {fid: e - fi.get(fid, 0) for fid, e in fs.items()
-                           if e > fi.get(fid, 0)})
-            for key, (ci, mi, fi) in facs.items()}
+    mult = {key: _product(c // fac[0], m - fac[1], _lcm(lcm, fac)[5])
+            for key, fac in facs.items()}
     out = [Scalar(p_mul(s.num, mult[key]), {0: 1}, k)
            for key, s in zip(keys, scalars)]
-    return Scalar(_product(c, m, fs), {0: 1}, k), out
+    return Scalar(_product(*lcm), {0: 1}, k), out
 
 
 # ---------------------------------------------------------------------------
@@ -1463,5 +1404,6 @@ def scalar_from_json(d) -> Scalar:
     if len(lengths) != 1 or 0 in lengths:
         raise ValueError("scalar JSON exponents differ in length")
     k = lengths.pop() - 1
-    return Scalar(*_f_reduce({_pack(m): c for m, c in num.items()},
-                             {_pack(m): c for m, c in den.items()}), k)
+    _, num, den = p_gcd({_pack(m): c for m, c in num.items()},
+                        {_pack(m): c for m, c in den.items()})
+    return Scalar(*_f_norm(num, den), k)

@@ -637,13 +637,14 @@ def test_verify_seed_adds_spotcheck(capsys):
 
 
 def test_apply_refuses_a_gcd_past_its_image_limit(capsys):
-    # 2t - 3 q2^2 against t^(2^31 - 1) q2^2 - q1 + 1: the heuristic gcd
-    # would evaluate t^(2^31 - 1) at a point near 2^5
+    # 2t - 3 q2^2 + q1 against t^(2^31 - 1) q2^2 - q1 + 1: the heuristic
+    # gcd would evaluate t^(2^31 - 1) at a point near 2^5
     poly = json.dumps({"r": 1, "n": 1, "params": 2, "terms": [
         {"exp": [[0]], "coeff": {
             "num": [["1", [MAX_EXP, 0, 2]], ["-1", [0, 1, 0]],
                     ["1", [0, 0, 0]]],
-            "den": [["2", [1, 0, 0]], ["-3", [0, 0, 2]]]}}]})
+            "den": [["2", [1, 0, 0]], ["-3", [0, 0, 2]],
+                    ["1", [0, 1, 0]]]}}]})
     t0 = time.perf_counter()
     code, out, err = run(capsys, "apply", "--n", "1", "--q-count", "2",
                          "--expr", "X1", "--poly", poly)
@@ -684,6 +685,18 @@ def test_stability_stable_family(capsys):
     assert report["projections"] == {"2": True}
     assert report["matches_remark"] is True
     assert sorted(report["members"]) == ["2", "3"]
+
+
+def test_stability_report_is_indented_json_on_either_output(tmp_path,
+                                                            capsys):
+    code, out, _ = run(capsys, "stability", "--nu", "2,1", "--n-max", "3")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    target = tmp_path / "family.json"
+    code, empty, _ = run(capsys, "stability", "--nu", "2,1", "--n-max", "3",
+                         "--out", str(target))
+    assert code == 0 and empty == ""
+    assert target.read_text() == out
 
 
 def test_stability_transient_family(capsys):

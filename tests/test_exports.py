@@ -1,6 +1,8 @@
 """Every public module-level function and class in dahamac has a user,
 and so does every public method of a public class (dunder methods are
-the language's, not the program's, and are not checked).
+the language's, not the program's, and are not checked).  By the same
+rule, every private module-level function and every private method of
+any class has a caller.
 
 A name counts as used when the program, the scripts, the benchmark or
 the acceptance file refers to it outside its own definition: as a
@@ -61,20 +63,45 @@ def _public_definitions(tree):
                 yield f"{node.name}.{method.name}", method
 
 
-def test_every_public_definition_has_a_user():
+def _private_definitions(tree):
+    """(qualified name, node) of each private function at module level
+    and each private, non-dunder method of a class at module level."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and private(node.name):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if (isinstance(method, ast.FunctionDef)
+                        and private(method.name)):
+                    yield f"{node.name}.{method.name}", method
+
+
+def _unused(definitions):
+    """The qualified names, as module.name, that definitions(tree) gives
+    for a module of the package and that nothing among USERS refers to
+    outside the definition itself (recursion does not count)."""
     trees = {path: ast.parse(path.read_text()) for path in USERS}
     counts = Counter(name for tree in trees.values()
                      for name in _referenced(tree))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for qualified, node in _public_definitions(trees[path]):
-            # a reference inside the definition itself (recursion) does
-            # not count
+        for qualified, node in definitions(trees[path]):
             own = sum(name == node.name for name in _referenced(node))
             key = f"{path.stem}.{qualified}"
             if counts[node.name] == own and key not in ALLOWED:
                 unused.append(key)
-    assert unused == []
+    return unused
+
+
+def test_every_public_definition_has_a_user():
+    assert _unused(_public_definitions) == []
+
+
+def test_every_private_definition_has_a_caller():
+    assert _unused(_private_definitions) == []
 
 
 def test_allowed_names_still_exist():

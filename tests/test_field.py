@@ -398,10 +398,16 @@ def _is_primitive(b):
     return gcd(*(x - y for x, y in zip(e1, e2))) == 1
 
 
-@given(binomials(), _PARAM_POLYS, st.integers(0, 2))
-def test_gcd_with_a_binomial_matches_sympy(sympy, b, other, planted):
-    """b against other * b^planted, in both orders; a primitive
-    direction never reaches the heuristic gcd."""
+one_terms = st.builds(
+    lambda e, c: _packed({e: c}),
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(-6, 6).filter(bool))
+
+
+@given(binomials(), _PARAM_POLYS, st.integers(0, 2), one_terms)
+def test_gcd_with_a_binomial_matches_sympy(sympy, b, other, planted, one):
+    """b against other * b^planted, and a one-term operand (signed
+    content times a monomial) against both, in both orders; a primitive
+    direction and a single term never reach the heuristic gcd."""
     f = _packed(other)
     for _ in range(planted):
         f = field.p_mul(f, b)
@@ -410,6 +416,10 @@ def test_gcd_with_a_binomial_matches_sympy(sympy, b, other, planted):
             mp.setattr(field, "_heu", _unreachable)
         _check_gcd_triple(sympy, b, f)
         _check_gcd_triple(sympy, f, b)
+        mp.setattr(field, "_heu", _unreachable)
+        for g in (f, b):
+            _check_gcd_triple(sympy, one, g)
+            _check_gcd_triple(sympy, g, one)
 
 
 def test_binomial_gcd_near_the_exponent_limit(monkeypatch):
@@ -465,13 +475,28 @@ def test_gcd_of_a_high_degree_common_factor_is_found(sympy):
 
 def test_gcd_refuses_an_image_past_its_size_limit():
     """t^(2^31 - 1) would be evaluated at a point near 2^5, an image of
-    ~10^10 bits."""
+    ~10^10 bits; the three-term denominator 2t - 3 q2^2 + q1 is no
+    known factor, so the heuristic gcd is reached."""
     num = {(MAX_EXP, 0, 2): 1, (0, 1, 0): -1, (0, 0, 0): 1}
-    den = {(1, 0, 0): 2, (0, 0, 2): -3}
+    den = {(1, 0, 0): 2, (0, 0, 2): -3, (0, 1, 0): 1}
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="gcd image past"):
         scalar_from_json({"num": _json_poly(num), "den": _json_poly(den)})
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_gcd_with_a_split_binomial_past_the_class_keys_is_exact():
+    """2t - 3 q2^2 is a linear factor, so trial division decides it
+    against t^(2^31 - 1) q2^2 - q1 + 1: the class pass cannot (a wide,
+    non-unit class sum), and the heuristic gcd's image would be past its
+    work bound."""
+    num = {(MAX_EXP, 0, 2): 1, (0, 1, 0): -1, (0, 0, 0): 1}
+    den = {(1, 0, 0): 2, (0, 0, 2): -3}
+    t0 = time.perf_counter()
+    s = scalar_from_json({"num": _json_poly(num), "den": _json_poly(den)})
+    assert time.perf_counter() - t0 < 2.0
+    assert (s.num, s.den) == (_packed(num), _packed(den))
+    assert s.fac == (1, 0, {field._split_binomial(_packed(den))[2][0]: 1})
 
 
 @given(_PARAM_POLYS, _PARAM_POLYS, _PARAM_POLYS)
