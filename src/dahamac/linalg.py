@@ -1,25 +1,33 @@
 """Exact linear algebra over the coefficient field, sized for the small
 graded components that the verification suites touch.
 
-One elimination routine does all the work: a sparse Gauss–Jordan in
-`rref`.  Rows are kept as dicts from column to nonzero scalar, and each
-pivot is chosen by Markowitz's rule, so that a matrix that is
-triangular up to a permutation of rows and columns (as each Y matrix
-is) eliminates with no fill in the rows still to be pivoted.  The
+`rref` is a sparse Gauss–Jordan.  Rows are kept as dicts from column
+to nonzero scalar, and each pivot is chosen by Markowitz's rule, so
+that a matrix that is triangular up to a permutation of rows and
+columns eliminates with no fill in the rows still to be pivoted.  The
 column counts the rule needs are kept in a column index (Duff, Erisman
 and Reid, Direct Methods for Sparse Matrices, ch. 7), updated as
 entries change rather than recounted per pivot; the index also lists
 the rows a pivot eliminates in, and a pivot of Markowitz cost 0 (a
 row or a column of one entry) is found without scanning every entry.
 The pivot key is the same as a full scan's, and so is the output.
-`nullspace` reads a kernel basis off that form, and
-`joint_left_kernel` is one nullspace of the stacked equations of all
-its matrices.
+`nullspace` reads a kernel basis off that form.
+
+`joint_left_kernel` does not eliminate.  Cherednik's Y operators act
+triangularly on monomials (Cherednik, "Nonsymmetric Macdonald
+polynomials", IMRN 1995), so the Y matrices of one component share a
+triangular order of their positions, and their common left
+eigenvectors follow by forward substitution along it.  Only the
+conditions that substitution leaves on its free unknowns go to
+`nullspace`; for the Y families the oracle meets there are none
+(pinned by tests/test_nonsym.py::test_the_oracle_runs_no_elimination).
 
 The field is whatever the inputs' scalars belong to: zero and one are
 taken from the inputs, never built here."""
 
 from __future__ import annotations
+
+from graphlib import TopologicalSorter
 
 
 def rref(rows):
@@ -110,20 +118,68 @@ def nullspace(rows, zero, one):
     return basis
 
 
-def joint_left_kernel(mats, shifts):
-    """Vectors v with v (M_i - shift_i I) = 0 for every i.
+def _combine(pairs, start=()):
+    """start plus the sum of form * a over the (form, a) pairs, where a
+    form is a dict from free unknown to nonzero scalar; zero
+    coefficients are dropped."""
+    out = dict(start)
+    for form, a in pairs:
+        for u, c in form.items():
+            c = c * a
+            out[u] = out[u] + c if u in out else c
+    return {u: c for u, c in out.items() if not c.is_zero()}
 
-    mats is a list of square matrices (rows convention), shifts a list
-    of nonzero scalars, from the first of which the field's zero and one
-    are taken.  The result is one nullspace of the stacked equations
-    sum_l v_l (M_i - shift_i I)_{lj} = 0, one row for every i and every
-    column j.  Each distinct diagonal value of M_i is shifted once.
+
+def joint_left_kernel(mats, shifts):
+    """Basis of the vectors v with v (M_i - shift_i I) = 0 for every i.
+
+    mats is a list of square matrices (rows convention) whose
+    off-diagonal entries admit one shared triangular order, shifts a
+    list of nonzero scalars, from the first of which the field's zero
+    and one are taken.  The order is a topological order of the
+    positions under the edges l -> j for M_i[l][j] != 0, l != j; when
+    there is none (the edges have a cycle), ValueError is raised.
+
+    Column j of M_i - shift_i I is the equation
+    v_j d_ij + sum_l v_l M_i[l][j] = 0, where d_ij = M_i[j][j] - shift_i
+    (each distinct diagonal value of M_i is shifted once) and every l of
+    the sum comes before j.  So the positions are walked in order and
+    each v_j is written in terms of the free unknowns, the v_j of the
+    positions where every d_ij is zero: the first equation with
+    d_ij != 0 gives v_j, and the other equations of the column, or all
+    of them at a free position, must then hold.  Each that does not
+    hold identically is a condition on the free unknowns.  The result
+    is one vector per free unknown when there is no condition, and one
+    per vector of the nullspace of the conditions otherwise; it spans
+    the nullspace of the stacked equations, but it is not that
+    nullspace's basis.
     """
     dim = len(mats[0])
     zero, one = shifts[0] - shifts[0], shifts[0] / shifts[0]
-    eqs = []
+    diags = []
     for M, a in zip(mats, shifts):
-        diag = {m: m - a for m in {M[j][j] for j in range(dim)}}
-        eqs += [[diag[M[j][j]] if l == j else M[l][j] for l in range(dim)]
-                for j in range(dim)]
-    return nullspace(eqs, zero, one)
+        shifted = {m: m - a for m in {M[j][j] for j in range(dim)}}
+        diags.append([shifted[M[j][j]] for j in range(dim)])
+    cols = [[[(l, M[l][j]) for l in range(dim)
+              if l != j and not M[l][j].is_zero()] for j in range(dim)]
+            for M in mats]
+    order = TopologicalSorter({j: {l for col in cols for l, _ in col[j]}
+                               for j in range(dim)}).static_order()
+    forms, nfree, conditions = [None] * dim, 0, []
+    for j in order:
+        sums = [_combine((forms[l], a) for l, a in col[j]) for col in cols]
+        solver = next((i for i, d in enumerate(diags) if not d[j].is_zero()),
+                      None)
+        if solver is None:
+            forms[j] = {nfree: one}
+            nfree += 1
+            conditions += [s for s in sums if s]
+            continue
+        forms[j] = _combine([(sums[solver], -diags[solver][j].inv())])
+        conditions += [r for i, s in enumerate(sums) if i != solver
+                       if (r := _combine([(forms[j], diags[i][j])], s))]
+    if not conditions:
+        return [[v.get(u, zero) for v in forms] for u in range(nfree)]
+    return [[sum((a * c[u] for u, a in v.items()), zero) for v in forms]
+            for c in nullspace([[r.get(u, zero) for u in range(nfree)]
+                                for r in conditions], zero, one)]

@@ -7,7 +7,10 @@ against SymPy's exact rank over the fraction field QQ(t, q1)
 (`DomainMatrix`; `Matrix.rank` zero-tests symbolic entries
 heuristically and is about a hundred times slower on these matrices).
 `rref` is also checked against `full_scan_rref`, the elimination that
-recounts its columns and scans every entry at each pivot.
+recounts its columns and scans every entry at each pivot, and
+`joint_left_kernel` against `stacked_kernel`, the nullspace of all its
+equations at once.  The two bases need not be equal, so the check is
+that they span the same space.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from __future__ import annotations
 from collections import Counter
 
 import sympy
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import find, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from dahamac import nonsym
 from dahamac.linalg import joint_left_kernel, nullspace, rref
 from dahamac.rep import RepContext
 
@@ -222,28 +227,76 @@ def test_joint_left_kernel_of_a_commuting_pair():
     assert all(w[i] * p[2][j] == w[j] * p[2][i]
                for i in range(3) for j in range(3))
     assert joint_left_kernel([m1, m2], [T, Q1]) == []
+    for shifts in ([T], [Q1], [ONE]):
+        assert_same_span(joint_left_kernel([m1], shifts),
+                         stacked_kernel([m1], shifts))
+    for shifts in ([T, ONE], [Q1, ONE], [T, Q1], [T, Q1 * Q1]):
+        assert_same_span(joint_left_kernel([m1, m2], shifts),
+                         stacked_kernel([m1, m2], shifts))
 
 
-def _stacked(mats, shifts):
-    """The equations of joint_left_kernel, written out: column j of
-    M - shift I for every matrix and every j."""
+# The reference: joint_left_kernel as it was before the forward
+# substitution, one nullspace of the stacked equations of every matrix.
+
+
+def stacked_kernel(mats, shifts):
+    """Basis of the vectors v with v (M_i - shift_i I) = 0 for every i:
+    the nullspace of the equations sum_l v_l (M_i - shift_i I)_{lj} = 0,
+    one row for every i and every column j."""
     dim = len(mats[0])
-    return [[M[l][j] - (a if l == j else ZERO) for l in range(dim)]
-            for M, a in zip(mats, shifts) for j in range(dim)]
+    zero, one = shifts[0] - shifts[0], shifts[0] / shifts[0]
+    eqs = []
+    for M, a in zip(mats, shifts):
+        diag = {m: m - a for m in {M[j][j] for j in range(dim)}}
+        eqs += [[diag[M[j][j]] if l == j else M[l][j] for l in range(dim)]
+                for j in range(dim)]
+    return nullspace(eqs, zero, one)
 
 
-@given(st.data())
-def test_joint_left_kernel_with_repeated_diagonals(data):
-    # diagonals from two values, shifts among them: many differences
-    # are zero and must drop out of the equations
-    dim = data.draw(st.integers(1, 4))
-    values = (T, Q1)
-    mats = [[[data.draw(st.sampled_from(values)) if i == j
-              else data.draw(entries())[0] for j in range(dim)]
-             for i in range(dim)] for _ in range(data.draw(st.integers(1, 2)))]
-    shifts = [data.draw(st.sampled_from(values)) for _ in mats]
-    assert joint_left_kernel(mats, shifts) == \
-        nullspace(_stacked(mats, shifts), ZERO, ONE)
+def assert_same_span(basis, reference):
+    """basis and reference are bases of one space: they have as many
+    vectors, and each and their union have that many as rank."""
+    rank = [len(rref(vs)[1]) for vs in (basis, reference, basis + reference)]
+    assert len(basis) == len(reference)
+    assert rank == [len(reference)] * 3
+
+
+@st.composite
+def triangular_families(draw):
+    """(mats, shifts): up to three matrices, upper triangular under one
+    shared permutation of up to five positions, with diagonals from
+    three values and shifts among them, so many shifted diagonals are
+    zero.  A position drawn free carries every shift on its diagonal,
+    so the kernel has up to that many dimensions; the off-diagonal
+    entries are zero about half the time, so the free positions'
+    conditions often hold and kernels of dimension 0, 1 and 2 all
+    occur."""
+    values = (T, Q1, T * Q1)
+    dim = draw(st.integers(1, 5))
+    shifts = [draw(st.sampled_from(values))
+              for _ in range(draw(st.integers(1, 3)))]
+    free = [draw(st.booleans()) for _ in range(dim)]
+    perm = draw(st.permutations(range(dim)))
+    mats = []
+    for a in shifts:
+        M = [[ZERO] * dim for _ in range(dim)]
+        for x, p in enumerate(perm):
+            M[p][p] = a if free[p] else draw(st.sampled_from(values))
+            for y in perm[x + 1:]:
+                M[p][y] = draw(entries())[0]
+        mats.append(M)
+    return mats, shifts
+
+
+@given(triangular_families())
+def test_joint_left_kernel_with_repeated_diagonals(family):
+    assert_same_span(joint_left_kernel(*family), stacked_kernel(*family))
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2])
+def test_triangular_families_reach_each_kernel_dimension(dim):
+    find(triangular_families(), lambda f: len(stacked_kernel(*f)) == dim,
+         settings=settings(database=None, max_examples=1000))
 
 
 def test_joint_left_kernel_of_triangular_pairs_with_repeated_diagonals():
@@ -257,5 +310,52 @@ def test_joint_left_kernel_of_triangular_pairs_with_repeated_diagonals():
     for shifts, dim in (([T, Q1], 1), ([Q1, T], 1), ([T, T], 0),
                         ([Q1, Q1], 0)):
         kernel = joint_left_kernel([m1, m2], shifts)
-        assert kernel == nullspace(_stacked([m1, m2], shifts), ZERO, ONE)
+        assert_same_span(kernel, stacked_kernel([m1, m2], shifts))
         assert len(kernel) == dim
+
+
+def test_joint_left_kernel_spans_the_stacked_kernel_on_oracle_families(
+        oracle_cases):
+    # the Y family of every component the oracle tests use, shifted by
+    # each index's weight (a one-dimensional kernel) and by that weight
+    # rotated (no kernel where the rotated weight is no joint eigenvalue)
+    for ctx, mu in oracle_cases:
+        mats = nonsym._y_matrices(ctx, nonsym.index_multidegree(mu))
+        weight = list(nonsym.weight_of(ctx, mu))
+        for shifts in (weight, weight[1:] + weight[:1]):
+            kernel = joint_left_kernel(mats, shifts)
+            assert_same_span(kernel, stacked_kernel(mats, shifts))
+        assert len(joint_left_kernel(mats, weight)) == 1
+
+
+def test_joint_left_kernel_refuses_a_cycle():
+    # each matrix is triangular, but under opposite orders
+    m1 = [[T, ONE], [ZERO, Q1]]
+    m2 = [[T, ZERO], [ONE, Q1]]
+    assert len(joint_left_kernel([m1], [T])) == 1
+    with pytest.raises(ValueError):
+        joint_left_kernel([m1, m2], [T, T])
+    with pytest.raises(ValueError):
+        joint_left_kernel([[[T, ONE], [ONE, T]]], [T])
+
+
+def test_joint_left_kernel_checks_the_matrices_it_does_not_solve_with():
+    # position 0 is free in both matrices.  Column 1 is solved with m1,
+    # the first matrix with a nonzero shifted diagonal there:
+    # v_1 = x v_0.  m2's column 1 then holds only when c = x (1 - T), and
+    # each m2 alone has a line of left eigenvectors
+    m1 = [[T, Q1], [ZERO, Q1]]
+    x = Q1 / (T - Q1)
+    for c, dim in ((x * (ONE - T), 1), (x * T, 0), (ONE, 0)):
+        m2 = [[ONE, c], [ZERO, T]]
+        assert len(joint_left_kernel([m2], [ONE])) == 1
+        kernel = joint_left_kernel([m1, m2], [T, ONE])
+        assert len(kernel) == dim
+        assert_same_span(kernel, stacked_kernel([m1, m2], [T, ONE]))
+
+
+def test_joint_left_kernel_checks_a_free_column():
+    # both positions are free, and column 1 forces v_0 = 0
+    m = [[T, Q1], [ZERO, T]]
+    assert joint_left_kernel([m], [T]) == [[ZERO, ONE]]
+    assert joint_left_kernel([m, m], [T, T]) == [[ZERO, ONE]]
