@@ -3,10 +3,15 @@
 Terms are stored as a dict mapping flattened exponent tuples (row-major,
 length r*n, row i = variable group i) to nonzero coefficients: Scalars,
 or any values with +, unary -, * and truthiness (see rep).  The grading
-is the r-vector of row sums.  Building-block operators: the exponent
-swap s_j within a group and the divided-difference ksi_j, implemented
-per monomial by its closed geometric sum so no rational functions in x
-ever appear.
+is the r-vector of row sums.
+
+swap_vars (the exponent swap s_j within a group) and xi (the divided
+difference xi_j, per monomial by its closed geometric sum, so no
+rational function in x appears) are not called by the program:
+rep.apply_T does their work in one pass.  They are the reference that
+tests/test_rep.py builds three_pass_apply_T from, and they stay here
+because the benchmark's tracer (perfbench/tracing.py) names them
+(ROADMAP item 14).
 """
 
 from __future__ import annotations
@@ -223,7 +228,8 @@ def render_poly(p: LaurentPoly, latex=False) -> str:
 def poly_to_json(p: LaurentPoly) -> dict:
     """The JSON form of p.  Each distinct coefficient object is rendered
     once, and the terms that hold it share that rendering: a symmetrised
-    polynomial repeats its coefficients along S_n orbits."""
+    polynomial repeats its coefficient values, and rep.symmetrize_eps
+    gives the terms of one value one object."""
     rendered = {}             # id of a coefficient -> its JSON form
     terms = []
     for m in sorted(p.terms):

@@ -247,9 +247,9 @@ def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
     if len(kernel) != 1:
         raise ArithmeticError(f"joint eigenspace on component {d} has "
                               f"dimension {len(kernel)}")
+    basis = component_basis(ctx, d)
     poly = LaurentPoly(ctx.r, ctx.n, ctx.k,
-                       {m: c for m, c in zip(component_basis(ctx, d),
-                                             kernel[0]) if not c.is_zero()})
+                       {basis[j]: c for j, c in kernel[0].items()})
     return poly.smul(poly.terms[min(poly.terms)].inv())
 
 

@@ -110,10 +110,11 @@ def apply_T(ctx: RepContext, j: int, p: LaurentPoly,
     division by t.
 
     One pass over p's terms serves all r groups: a term's xi_j piece in
-    group g is taken after s_j has acted on groups 1..g-1 (laurent.xi
-    term by term), and every piece goes into one accumulator, so each
-    accumulated term takes one (1-t) product.  s_j permutes monomials,
-    so the swapped terms never collide.
+    group g is taken after s_j has acted on groups 1..g-1, and every
+    piece goes into one accumulator, so each accumulated term takes one
+    (1-t) product.  s_j permutes monomials, so the swapped terms never
+    collide.  tests/test_rep.py checks this pass against
+    three_pass_apply_T, built from laurent.xi and laurent.swap_vars.
     """
     _check_j(ctx, j)
     n = ctx.n
@@ -246,8 +247,12 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
     The integral image is divided once, by D prod_{m<=n} [m]_t, or with
     monic_at by its own coefficient at that flat exponent tuple
     (ArithmeticError if it has none); either way one reduction per
-    distinct output coefficient: the image's coefficients repeat along
-    S_n orbits.  At n = 1 there is no chain and no ring: the sum is p.
+    distinct output coefficient, shared by the terms of that value.
+    Values repeat (465 distinct among the 1,451 output coefficients of
+    one `stability` bench pass), but not along S_n orbits of the
+    exponent columns: 63 of the 72 terms of P(((3,1,0),(2,0,0))) at
+    n = 3, r = 2 differ from some term of their column orbit.  At n = 1
+    there is no chain and no ring: the sum is p.
     """
     n = ctx.n
     if n == 1:
@@ -448,17 +453,18 @@ def component_basis(ctx: RepContext, d):
 
 
 def matrix_of(ctx: RepContext, op, d):
-    """Matrix of op on the positive component of multidegree d.
-
-    Row i holds the expansion of op(basis[i]) over the basis.
+    """Matrix of op on the positive component of multidegree d, as the
+    sparse rows of linalg: row i maps the column of each basis monomial
+    to its nonzero coefficient in op(basis[i]).  ValueError if an image
+    has a term outside the component.
     """
     basis = component_basis(ctx, d)
     index = {m: c for c, m in enumerate(basis)}
-    zero, one = ctx.scalar(0), ctx.scalar()
+    one = ctx.scalar()
     mat = []
     for m in basis:
         image = op(LaurentPoly(ctx.r, ctx.n, ctx.k, {m: one}))
-        row = [zero] * len(basis)
+        row = {}
         for mm, c in image.terms.items():
             if mm not in index:
                 raise ValueError("operator escapes the graded component")

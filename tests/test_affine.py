@@ -7,7 +7,6 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from dahamac import affine
 from dahamac.affine import (
     PI,
     act_gen,

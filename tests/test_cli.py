@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from dahamac import cli
 from dahamac.cli import SUITES, build_parser, main, parse_index, \
     parse_ragged
-from dahamac.field import MAX_EXP, Scalar
+from dahamac.field import MAX_EXP
 from dahamac.laurent import LaurentPoly, poly_from_json
 from dahamac.nonsym import E
 from dahamac.rep import RepContext, apply_T, apply_Y

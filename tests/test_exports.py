@@ -13,6 +13,13 @@ not count, so a function only they call is a dead export.
 T_j, pi and Y_i have one definition each, in rep: the exact check of
 E runs them on packed integers through a context of its ring, so a
 second definition would be a second operator route.
+
+No module of the package, the scripts, the benchmark or the tests has
+an unused import: a name an import binds is read somewhere in its
+module.  `from __future__` imports and imports marked `noqa: F401`,
+the flake8 mark of an import made for its effect (the package's
+submodules in __init__.py, the benchmark worker's set-up import), are
+exempt.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ PACKAGE = ROOT / "src" / "dahamac"
 USERS = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
          *(ROOT / "perfbench").glob("*.py"),
          ROOT / "tests" / "test_acceptance.py"]
+LINTED = [path for folder in ("src/dahamac", "scripts", "perfbench", "tests")
+          for path in sorted((ROOT / folder).glob("*.py"))]
 
 # names kept without a user in the program, each for a test
 ALLOWED = {
@@ -122,3 +131,28 @@ def test_each_operator_has_one_definition():
                                         ast.ClassDef))
                    and node.name in OPERATORS)
     assert defs == {f"rep.{name}": 1 for name in OPERATORS}
+
+
+def _unused_imports(path):
+    """The names that the imports of the module at path bind and that
+    the module never reads, other than those of the exempt imports."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if (isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                or any("noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        bound.update(alias.asname or alias.name.partition(".")[0]
+                     for alias in node.names)
+    read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_module_has_an_unused_import():
+    assert {path.relative_to(ROOT).as_posix(): names for path in LINTED
+            if (names := _unused_imports(path))} == {}

@@ -88,10 +88,19 @@ def test_demazure_lusztig_on_degree_one():
 def test_pinned_T_matrix():
     t = CTX21.scalar(t=1)
     one = CTX21.scalar()
-    zero = Scalar.zero(1)
     mat = matrix_of(CTX21, lambda p: apply_T(CTX21, 1, p), (1,))
-    assert mat == [[zero, t], [one, one - t]]
+    assert mat == [{1: t}, {0: one, 1: one - t}]
     assert component_basis(CTX21, (1,)) == [(0, 1), (1, 0)]
+
+
+def test_matrix_of_refuses_what_leaves_the_component():
+    # X_1 raises the degree, so x_{1,2} maps outside the component
+    with pytest.raises(ValueError, match="escapes the graded component"):
+        matrix_of(CTX21, lambda p: apply_X(CTX21, 1, p), (1,))
+    with pytest.raises(ValueError, match="length mismatch"):
+        matrix_of(CTX22, lambda p: p, (1,))
+    with pytest.raises(ValueError, match="negative multidegree"):
+        matrix_of(CTX22, lambda p: p, (1, -1))
 
 
 @given(polys22())

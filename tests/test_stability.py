@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from dahamac import affine
 from dahamac.field import Scalar
 from dahamac.laurent import LaurentPoly
-from dahamac.rep import RepContext
+from dahamac.nonsym import E
+from dahamac.rep import RepContext, apply_T
 from dahamac.symmetric import P
 from dahamac.stability import (
     StableIndex,
@@ -210,3 +212,19 @@ def test_stable_family_skips_remark_when_undefined():
 def test_stable_family_range_guard():
     with pytest.raises(ValueError):
         stable_family(StableIndex(((2, 1),)), 1)
+
+
+@pytest.mark.parametrize("comps, n_max", [
+    (((2, 1), (1,)), 6), (((3, 1), (2,)), 6), (((1,),), 5),
+    (((2, 1), (1, 1)), 5)])
+def test_the_E_behind_a_padded_index_is_fixed_by_the_trailing_T_j(
+        comps, n_max):
+    # the E whose symmetrisation is P(iota(nu, n)): its trailing zero
+    # columns make T_j E = E exactly for ell + 1 <= j <= n - 1, and for
+    # no other j, the block that the symmetriser's chain could skip
+    nu = StableIndex(comps)
+    for n in range(nu.ell, n_max + 1):
+        ctx = RepContext(n, nu.r, nu.r)
+        e = E(ctx, affine.gamma_inverse(iota(nu, n))).poly
+        assert [j for j in range(1, n) if apply_T(ctx, j, e) == e] == \
+            list(range(nu.ell + 1, n))
