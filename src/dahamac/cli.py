@@ -76,21 +76,8 @@ class SessionConfig:
         return self.max_deg
 
 
-def parse_index(spec, n, r):
-    """r groups of n integers: entries ',', groups '|'."""
-    try:
-        comps = tuple(tuple(integer(e) for e in part.split(","))
-                      for part in spec.split("|"))
-    except ValueError:
-        raise UsageError(f"cannot parse index {spec!r}")
-    if len(comps) != r or any(len(c) != n for c in comps):
-        raise UsageError(
-            f"index {spec!r} must have {r} group(s) of {n} entries")
-    return comps
-
-
 def parse_ragged(spec):
-    """Groups of any (possibly zero) length, for stable indices."""
+    """Integer groups, entries ',' and groups '|'; a group may be empty."""
     comps = []
     for part in spec.split("|"):
         part = part.strip()
@@ -100,6 +87,15 @@ def parse_ragged(spec):
         except ValueError:
             raise UsageError(f"cannot parse index {spec!r}")
     return tuple(comps)
+
+
+def parse_index(spec, n, r):
+    """r groups of n integers, in parse_ragged's grammar."""
+    comps = parse_ragged(spec)
+    if len(comps) != r or any(len(c) != n for c in comps):
+        raise UsageError(
+            f"index {spec!r} must have {r} group(s) of {n} entries")
+    return comps
 
 
 def format_index(index):
@@ -141,6 +137,23 @@ def cmd_p(config: SessionConfig, nu_spec) -> str:
     return render_poly(rec.poly, latex=latex) + "\neigenvalue: " + value
 
 
+def _read_poly(config, text):
+    """The polynomial of a JSON text in the session's shape, checked
+    before any exponent is packed: packing an exponent of L entries
+    takes time quadratic in L."""
+    try:
+        d = json.loads(text)
+        shape = [integer(d[key]) for key in ("r", "n", "params")]
+        lengths = {len(m) for item in d["terms"] for part in ("num", "den")
+                   for _, m in item["coeff"][part]}
+        if shape == [config.r, config.n, config.q_count] \
+                and lengths <= {config.q_count + 1}:
+            return poly_from_json(d)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot parse polynomial JSON: {exc}")
+    raise UsageError("polynomial shape does not match --n/--r/--q-count")
+
+
 def cmd_apply(config: SessionConfig, expr, poly_text=None, poly_file=None,
               mu_spec=None) -> str:
     given = [x for x in (poly_text, poly_file, mu_spec) if x is not None]
@@ -155,13 +168,7 @@ def cmd_apply(config: SessionConfig, expr, poly_text=None, poly_file=None,
         if poly_file is not None:
             with open(poly_file) as fh:
                 text = fh.read()
-        try:
-            p = poly_from_json(json.loads(text))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"cannot parse polynomial JSON: {exc}")
-        if (p.r, p.n) != (config.r, config.n) or p.k != config.q_count:
-            raise UsageError("polynomial shape does not match --n/--r/"
-                             "--q-count")
+        p = _read_poly(config, text)
     try:
         image = apply_operator_expr(ctx, expr, p)
     except (ValueError, IndexError, ZeroDivisionError) as exc:

@@ -70,7 +70,7 @@ from operator import or_
 
 FIELD_BITS = 32
 MAX_EXP = (1 << FIELD_BITS - 1) - 1   # the value bits of one field
-_GUARD_BITS = [0]                     # guard bits of the lowest i fields
+_GUARD_BITS = {}                      # field count -> those fields' guards
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +80,12 @@ _GUARD_BITS = [0]                     # guard bits of the lowest i fields
 def _guards(m):
     """Guard bits of every field up to the top field of m."""
     nf = m.bit_length() // FIELD_BITS + 1
-    while len(_GUARD_BITS) <= nf:
-        _GUARD_BITS.append(_GUARD_BITS[-1] << FIELD_BITS | MAX_EXP + 1)
-    return _GUARD_BITS[nf]
+    try:
+        return _GUARD_BITS[nf]
+    except KeyError:   # the top bit of each field: 2^31 sum_i 2^(32 i)
+        G = _GUARD_BITS[nf] = ((MAX_EXP + 1) * ((1 << nf * FIELD_BITS) - 1)
+                               // ((1 << FIELD_BITS) - 1))
+        return G
 
 
 def _pack(exps):

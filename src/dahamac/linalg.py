@@ -9,16 +9,17 @@ nothing here fills in zeros.
 rule (Duff, Erisman and Reid, Direct Methods for Sparse Matrices,
 ch. 7), so that a matrix that is triangular up to a permutation of rows
 and columns eliminates with no fill in the rows still to be pivoted.
-`nullspace` reads a kernel basis off that form.
 
 `joint_left_kernel` does not eliminate.  Cherednik's Y operators act
 triangularly on monomials (Cherednik, "Nonsymmetric Macdonald
 polynomials", IMRN 1995), so the Y matrices of one component share a
 triangular order of their positions, and their common left
-eigenvectors follow by forward substitution along it.  Only the
-conditions that substitution leaves on its free unknowns go to
-`nullspace`; for the Y families the oracle meets there are none
-(pinned by tests/test_nonsym.py::test_the_oracle_runs_no_elimination).
+eigenvector follows by forward substitution along it.  It solves only
+for one free position (every shifted diagonal entry zero) and refuses
+two.  The Y families have one: their joint diagonals are the weights
+of the component's indices, which are pairwise distinct because
+`nonsym.weight_of` is injective (its t- and q-exponents give back σ and
+γ, and `gamma_inverse(γ)` is the index).
 
 The field is whatever the inputs' scalars belong to: zero and one are
 taken from the inputs, never built here."""
@@ -70,36 +71,8 @@ def rref(rows):
     return reduced, pivots
 
 
-def nullspace(rows, ncols, one):
-    """Basis of {x : A x = 0} for A given as sparse rows over ncols
-    columns, with one that of A's field: one sparse vector per free
-    column, ascending, with a one there and no entry in the other free
-    columns."""
-    reduced, pivots = rref(rows)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = {fc: one}
-        for prow, pcol in zip(reduced, pivots):
-            if fc in prow:
-                v[pcol] = -prow[fc]
-        basis.append(v)
-    return basis
-
-
-def _combine(pairs, start=()):
-    """start plus the sum of form * a over the (form, a) pairs, where
-    start and each form are sparse vectors; zero coefficients are
-    dropped."""
-    out = dict(start)
-    for form, a in pairs:
-        for u, c in form.items():
-            c = c * a
-            out[u] = out[u] + c if u in out else c
-    return {u: c for u, c in out.items() if not c.is_zero()}
-
-
 def joint_left_kernel(mats, shifts):
-    """Basis of the vectors v with v (M_i - shift_i I) = 0 for every i.
+    """The vectors v with v (M_i - shift_i I) = 0 for every i: [v] or [].
 
     mats is a list of square matrices, each a list of sparse rows, whose
     off-diagonal entries admit one shared triangular order, shifts a
@@ -111,16 +84,13 @@ def joint_left_kernel(mats, shifts):
     Column j of M_i - shift_i I is the equation
     v_j d_ij + sum_l v_l M_i[l][j] = 0, where d_ij = M_i[j][j] - shift_i
     (each distinct diagonal value of M_i is shifted once) and every l of
-    the sum comes before j.  So the positions are walked in order and
-    each v_j is written in terms of the free unknowns, the v_j of the
-    positions where every d_ij is zero: the first equation with
-    d_ij != 0 gives v_j, and the other equations of the column, or all
-    of them at a free position, must then hold.  Each that does not
-    hold identically is a condition on the free unknowns.  The result
-    is one sparse vector per free unknown when there is no condition,
-    and one per vector of the nullspace of the conditions otherwise; it
-    spans the nullspace of the stacked equations, but it is not that
-    nullspace's basis.
+    the sum comes before j.  A position where every d_ij is zero is
+    free.  Two free positions raise ValueError, and none gives [].  With
+    one, v is zero before it and one there; past it, the first equation
+    with d_ij != 0 gives v_j, and the column's other equations must hold
+    exactly, or [] is returned.  No entry of v is zero: a column whose
+    sums are all zero is skipped, and in any other a zero v_j fails a
+    check.
     """
     dim = len(mats[0])
     zero, one = shifts[0] - shifts[0], shifts[0] / shifts[0]
@@ -134,24 +104,22 @@ def joint_left_kernel(mats, shifts):
                 if j != l:
                     col[j].append((l, c))
         cols.append(col)
-    order = TopologicalSorter({j: {l for col in cols for l, _ in col[j]}
-                               for j in range(dim)}).static_order()
-    forms, nfree, conditions = [None] * dim, 0, []
-    for j in order:
-        sums = [_combine((forms[l], a) for l, a in col[j]) for col in cols]
-        solver = next((i for i, d in enumerate(diags) if not d[j].is_zero()),
-                      None)
-        if solver is None:
-            forms[j] = {nfree: one}
-            nfree += 1
-            conditions += [s for s in sums if s]
+    preds = {j: {l for col in cols for l, _ in col[j]} for j in range(dim)}
+    order = list(TopologicalSorter(preds).static_order())
+    free = [j for j in order if all(d[j].is_zero() for d in diags)]
+    if len(free) > 1:
+        raise ValueError(f"{len(free)} free positions, not one")
+    if not free:
+        return []
+    v = {free[0]: one}
+    for j in order[order.index(free[0]) + 1:]:
+        sums = [sum((v[l] * c for l, c in col[j] if l in v), zero)
+                for col in cols]
+        if all(s.is_zero() for s in sums):
             continue
-        forms[j] = _combine([(sums[solver], -diags[solver][j].inv())])
-        conditions += [r for i, s in enumerate(sums) if i != solver
-                       if (r := _combine([(forms[j], diags[i][j])], s))]
-    basis = [{j: v[u] for j, v in enumerate(forms) if u in v}
-             for u in range(nfree)]
-    if not conditions:
-        return basis
-    return [_combine((basis[u], a) for u, a in c.items())
-            for c in nullspace(conditions, nfree, one)]
+        solver = next(i for i, d in enumerate(diags) if not d[j].is_zero())
+        v[j] = sums[solver] * -diags[solver][j].inv()
+        if any(not (s + v[j] * d[j]).is_zero()
+               for i, (s, d) in enumerate(zip(sums, diags)) if i != solver):
+            return []
+    return [v]

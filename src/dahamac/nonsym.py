@@ -237,6 +237,8 @@ def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
 
     It is the vector v with v M_i = weight_i v for every Y-matrix M_i
     on the component of mu's multidegree, unique up to scale.
+    ValueError for two free positions (see joint_left_kernel), which
+    distinct weights rule out; ArithmeticError for a zero eigenspace.
     """
     mu_tuple = _normalize_index(mu_tuple, ctx.n)
     if any(e < 0 for comp in mu_tuple for e in comp):

@@ -39,6 +39,8 @@ def test_parse_index():
         parse_index("0,1", 3, 1)
     with pytest.raises(Exception):
         parse_index("a,b", 2, 1)
+    with pytest.raises(cli.UsageError, match="must have 2 group"):
+        parse_index("0,1|", 2, 2)
 
 
 def test_parse_ragged():
@@ -98,6 +100,12 @@ def test_e_shape_error(capsys):
                        "--mu", "0,1")
     assert code == 2
     assert err.startswith("error:")
+    # an empty group is read, then refused by its shape
+    for spec, want in (
+            ("0,1|", "index '0,1|' must have 2 group(s) of 2 entries"),
+            ("0,a|1,0", "cannot parse index '0,a|1,0'")):
+        assert run(capsys, "e", "--n", "2", "--r", "2", "--mu", spec) == \
+            (2, "", f"error: {want}\n")
 
 
 def test_p_text(capsys):
@@ -331,6 +339,31 @@ def _poly_with_exponent(e):
     return json.dumps({"r": 1, "n": 2, "params": 1, "terms": [
         {"exp": [[1, 0]], "coeff": {"num": [["1", [e, 0]]],
                                     "den": [["1", [0, 0]]]}}]})
+
+
+def _poly_of_t(params, length):
+    """x[1,1] at n=2, r=1 with the coefficient t, whose exponent lists
+    have the given length, under a header of params parameters."""
+    return json.dumps({"r": 1, "n": 2, "params": params, "terms": [
+        {"exp": [[1, 0]], "coeff": {"num": [["1", [1] + [0] * (length - 1)]],
+                                    "den": [["1", [0] * length]]}}]})
+
+
+@pytest.mark.parametrize("params, length", [
+    (32000, 32001), (128000, 128001), (1, 32001)])
+def test_apply_refuses_long_exponents_before_packing_them(
+        capsys, tmp_path, params, length):
+    # a packed exponent has one 32-bit field per entry: packing a long
+    # one, and caching the guard masks of every shorter field count, took
+    # time and memory quadratic in its length
+    path = tmp_path / "poly.json"
+    path.write_text(_poly_of_t(params, length))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "apply", "--n", "2", "--expr", "T1",
+                         "--poly-file", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        2, "", "error: polynomial shape does not match --n/--r/--q-count\n")
 
 
 @pytest.mark.parametrize("given_input", [

@@ -427,9 +427,10 @@ def test_oracle_agrees_up_to_scale(oracle_cases):
 
 
 def test_the_oracle_runs_no_elimination(monkeypatch, oracle_cases):
-    """On each oracle family the forward substitution of
-    joint_left_kernel leaves one free unknown and no condition on it, so
-    the oracle never calls rref."""
+    """On each oracle family exactly one position is free under the
+    index's weight, so joint_left_kernel does not refuse the family;
+    every check of its forward substitution holds, so it returns the
+    one vector; and the oracle never calls rref."""
     want = []
     for ctx, mu in oracle_cases:
         poly = E(ctx, mu).poly
