@@ -6,6 +6,9 @@ identity suites with a JSON report), stability (a truncation-stable
 family with its verdicts), apply (a textual operator expression
 applied to a polynomial).
 
+verify --max-deg bounds every suite, the stability suite's families
+included (one per orbit index of the box); its default is 1 per group.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or parse
 error.  Output is deterministic for a fixed invocation; the optional
 seed only adds randomized serialization round-trip spot-checks to
@@ -20,7 +23,6 @@ import random
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import product
 
 from .field import MAX_EXP, integer, render_scalar, scalar_to_json
 from .laurent import LaurentPoly, render_poly, poly_to_json, poly_from_json
@@ -28,7 +30,8 @@ from .rep import RepContext, verify_daha_relations, apply_operator_expr, \
     degrees_upto, _monomials_upto
 from .nonsym import E, check_record, knop_sahi_check, knop_sahi_moves, \
     verify_triangular
-from .symmetric import P, is_orbit_index, verify_spectrum
+from .symmetric import P, enumerate_orbit_indices, is_orbit_index, \
+    verify_spectrum
 from .stability import StableIndex, stable_family, \
     verify_quotient_relations, verify_P_stability
 
@@ -138,9 +141,9 @@ def cmd_p(config: SessionConfig, nu_spec) -> str:
 
 
 def _read_poly(config, text):
-    """The polynomial of a JSON text in the session's shape, checked
-    before any exponent is packed: packing an exponent of L entries
-    takes time quadratic in L."""
+    """The polynomial of a JSON text in the session's shape.  A header
+    or an exponent length of another shape gets the one shape message,
+    before any coefficient is decoded."""
     try:
         d = json.loads(text)
         shape = [integer(d[key]) for key in ("r", "n", "params")]
@@ -241,30 +244,17 @@ def _suite_symmetric(config):
                "failing_indices": bad}
 
 
-# the stability suite's families: components of length <= 2, entries <= 2
-_STABLE_MAX_LEN = 2
-_STABLE_MAX_ENTRY = 2
-
-
-def _stable_indices(r):
-    pool = [()] + [comp for length in range(1, _STABLE_MAX_LEN + 1)
-                   for comp in product(range(_STABLE_MAX_ENTRY + 1),
-                                       repeat=length) if comp[-1]]
-    for combo in sorted(product(sorted(pool), repeat=r)):
-        try:
-            nu = StableIndex(combo)
-        except ValueError:
-            continue  # padding does not reach an orbit representative
-        yield nu
-
-
 def _suite_stability(config):
     report = verify_quotient_relations(config.n, config.r, config.bound(),
                                        k=config.q_count)
     for name, row in report["identities"].items():
         yield {"name": name, "ok": not row["failures"]}
-    for nu in _stable_indices(config.r):
-        if max(nu.ell, 1) <= config.n:
+    # one family per orbit index of the box, trailing zeros dropped
+    for d in degrees_upto(config.bound()):
+        for index in enumerate_orbit_indices(config.n, config.r, d):
+            nu = StableIndex(tuple(
+                c[:max((j + 1 for j, e in enumerate(c) if e), default=0)]
+                for c in index))
             yield {"name": "family " + format_index(nu.components),
                    "ok": verify_P_stability(nu, config.n, k=config.q_count)}
 
@@ -364,7 +354,8 @@ def _add_common(sub, verify=False):
     sub.add_argument("--out", default=None, help="write output to a file")
     if verify:
         sub.add_argument("--max-deg", default=None,
-                         help="componentwise degree bound, e.g. \"2,1\"")
+                         help="degree bound of every suite and stability "
+                         "family, e.g. \"2,1\" (default 1 in each group)")
         sub.add_argument("--seed", type=integer, default=None,
                          help="seed for randomized round-trip spot-checks")
     else:

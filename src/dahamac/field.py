@@ -89,13 +89,13 @@ def _guards(m):
 
 
 def _pack(exps):
-    """The packed monomial of (e_t, e_q1, ..., e_qk)."""
-    m = 0
+    """The packed monomial of (e_t, e_q1, ..., e_qk), in one pass: a
+    shift-or per field would copy the growing int k times."""
     for e in exps:
         if not 0 <= e <= MAX_EXP:
             raise ValueError(f"exponent {e} outside 0..{MAX_EXP}")
-        m = m << FIELD_BITS | e
-    return m
+    return int.from_bytes(b"".join(e.to_bytes(FIELD_BITS // 8, "big")
+                                   for e in exps), "big")
 
 
 def _unpack(m, k):

@@ -252,8 +252,10 @@ def poly_from_json(d) -> LaurentPoly:
         rows = item["exp"]
         if len(rows) != r or any(len(row) != n for row in rows):
             raise ValueError(f"exponent rows must be {r} rows of {n}")
-        c = scalar_from_json(item["coeff"])
-        if c.is_zero() or c.k != k:
+        coeff = item["coeff"]
+        if any(len(m) != k + 1 for part in ("num", "den")
+               for _, m in coeff[part]) \
+                or (c := scalar_from_json(coeff)).is_zero():
             raise ValueError(f"coefficients must be nonzero, in {k} "
                              "q-parameters")
         m = tuple(integer(e) for row in rows for e in row)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -707,6 +708,50 @@ def test_verify_symmetric_collision_exits_nonzero(capsys):
     assert report["ok"] is True
     assert all(row["ok"] and row["distinct"] for row in report["checks"])
     assert all(row["count_matches_dim"] for row in report["checks"])
+
+
+def _box_families(n, bound):
+    """The stability suite's family names for a box, by brute force: the
+    S_n orbit of an index, acting on its columns, has the representative
+    with columns in descending order; a family drops each component's
+    trailing zeros.  In component degree order, then ascending."""
+    comps = [[c for c in product(range(b + 1), repeat=n) if sum(c) <= b]
+             for b in bound]
+    reps = {tuple(zip(*sorted(zip(*index), reverse=True)))
+            for index in product(*comps)}
+    names = []
+    for rep in sorted(reps, key=lambda rep: ([sum(c) for c in rep], rep)):
+        family = [list(c) for c in rep]
+        for c in family:
+            while c and c[-1] == 0:
+                c.pop()
+        names.append("stability: family " + "|".join(
+            ",".join(map(str, c)) for c in family))
+    return names
+
+
+def _stability_rows(capsys, *argv):
+    code, out, _ = run(capsys, "verify", "--suite", "stability", *argv)
+    rows = json.loads(out)["checks"]
+    assert code == 0 and all(row["ok"] for row in rows)
+    return [row["name"] for row in rows
+            if row["name"].startswith("stability: family")]
+
+
+def test_verify_stability_checks_the_families_of_its_box(capsys):
+    # a fixed pool of 378 families at r = 3, whatever the box, took 20 s
+    start = time.perf_counter()
+    families = _stability_rows(capsys, "--n", "2", "--r", "3",
+                               "--max-deg", "1,1,1")
+    assert time.perf_counter() - start < 5
+    assert len(families) == 14
+    assert families == _box_families(2, (1, 1, 1))
+
+
+def test_verify_stability_families_reach_the_box_entries(capsys):
+    assert _stability_rows(capsys, "--n", "1", "--max-deg", "3") == \
+        _box_families(1, (3,)) == ["stability: family " + nu
+                                   for nu in ("", "1", "2", "3")]
 
 
 # ---------------------------------------------------------------------------

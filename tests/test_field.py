@@ -304,6 +304,17 @@ def test_exponent_limit_survives_json():
     assert scalar_from_json(scalar_to_json(s)) == s
 
 
+def test_json_decoding_takes_time_linear_in_the_exponent_length():
+    # one shift-or per field copies the growing packed int every time:
+    # decoding this coefficient took 1.95 s that way
+    length = 64001
+    t0 = time.perf_counter()
+    s = scalar_from_json({"num": [["1", [1] + [0] * (length - 1)]],
+                          "den": [["1", [0] * length]]})
+    assert time.perf_counter() - t0 < 0.5
+    assert s == Scalar.t(length - 1)
+
+
 # ---------------------------------------------------------------------------
 # the gcd kernel against SymPy
 

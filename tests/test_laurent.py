@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dahamac.field import Scalar
+from dahamac.field import MAX_EXP, Scalar
 from dahamac.laurent import (
     LaurentPoly,
     is_positive,
@@ -205,6 +207,21 @@ def test_json_decoding_rejects_mismatched_terms(field, value):
     d["terms"][0][field] = value
     with pytest.raises(ValueError):
         poly_from_json(d)
+
+
+def test_json_decoding_refuses_a_long_exponent_before_decoding_it():
+    # a coefficient in 64,000 parameters under a header of 1: decoding it
+    # first cost time quadratic in its exponent length.  The last entry,
+    # past MAX_EXP, is never read.
+    length = 64001
+    num = [1] + [0] * (length - 2) + [MAX_EXP + 1]
+    d = {"r": 1, "n": 1, "params": 1, "terms": [
+        {"exp": [[1]], "coeff": {"num": [["1", num]],
+                                 "den": [["1", [0] * length]]}}]}
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="in 1 q-parameters"):
+        poly_from_json(d)
+    assert time.perf_counter() - t0 < 0.2
 
 
 def test_dumps_is_deterministic():
