@@ -28,8 +28,8 @@ factors on opposite sides of pi: right of it in Y_i, left in theta_i.
 T_j has coefficients in Z[t] and pi multiplies by q-monomials, so on an
 input with polynomial coefficients every denominator that appears is a
 q-monomial.  The symmetrizer eps is the normalized sum of t^{-l(w)} T_w
-over the finite symmetric group, and
-Delta_n = eps (Y_1 + ... + Y_n - [n]_t) eps.
+over the finite symmetric group, and Delta_n = eps (Y_1 + ... + Y_n -
+[n]_t) eps acts on symmetric p as Y_1 + ... + Y_n - [n]_t.
 
 apply_operator_expr is the one interpreter of operator words: sums of
 t-, q- and integer-weighted words in the tokens T<j>, Tinv<j>, X<i>,
@@ -305,18 +305,19 @@ def t_bracket(ctx: RepContext, m=None) -> Scalar:
 
 
 def apply_Delta_n(ctx: RepContext, p: LaurentPoly) -> LaurentPoly:
-    """eps (Y_1 + ... + Y_n - [n]_t) p, for a symmetric p.
+    """Delta_n p = (Y_1 + ... + Y_n - [n]_t) p, for a symmetric p.
 
-    p must be T-invariant (T_j p = p for every j), as every caller's
-    input is: P, an eps image, or the projection of one (projection
-    commutes with T_j).  eps is the identity on such p, so Delta_n's
-    first eps is left out.
+    On T-invariant p (P, an eps image or the projection of one) both eps
+    of Delta_n = eps (e_1(Y) - [n]_t) eps are the identity, as T_i
+    commutes with e_1(Y).  From the checked relations T_i Y_i T_i =
+    t Y_{i+1}, T_i Y_j = Y_j T_i (j != i, i+1) and T_i^2 = (1-t) T_i + t,
+    T_i Y_i = Y_{i+1} T_i - (1-t) Y_{i+1} and T_i Y_{i+1} =
+    t^{-1} T_i^2 Y_i T_i = Y_i T_i + (1-t) Y_{i+1}; add them.
     """
     acc = ctx.zero()
     for i in range(1, ctx.n + 1):
         acc = acc + apply_Y(ctx, i, p)
-    acc = acc - p.smul(t_bracket(ctx))
-    return symmetrize_eps(ctx, acc)
+    return acc - p.smul(t_bracket(ctx))
 
 
 # ---------------------------------------------------------------------------

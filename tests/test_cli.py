@@ -748,6 +748,13 @@ def test_verify_stability_checks_the_families_of_its_box(capsys):
     assert families == _box_families(2, (1, 1, 1))
 
 
+def test_verify_stability_passes_at_rank_three(capsys):
+    # the Delta row alone took over 20 s here when it ran on eps images
+    assert _stability_rows(capsys, "--n", "3", "--r", "3",
+                           "--max-deg", "2,1,1") == \
+        _box_families(3, (2, 1, 1))
+
+
 def test_verify_stability_families_reach_the_box_entries(capsys):
     assert _stability_rows(capsys, "--n", "1", "--max-deg", "3") == \
         _box_families(1, (3,)) == ["stability: family " + nu

@@ -22,8 +22,8 @@ DIGESTS = {
                     "33219ed7abe2e130e401eb026a2d5908"),
     "e-box": (929, "b17411c3f0c6b58243e088aeca3e6611"
                    "82645af8cc497d25436e4590436a4e23"),
-    "verify-box": (5, "9f612d4421b2cf8c8554b2903aadeae3"
-                      "a67ce29cda061aa7ab18377176a9f0fb"),
+    "verify-box": (5, "c8db71237c46d5622e25a633a09a4d4a"
+                      "3bc190d405e46b98d2b9e928acf1799b"),
 }
 
 

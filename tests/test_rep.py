@@ -357,8 +357,8 @@ def test_delta_eigen_on_degree_one():
     assert apply_Delta_n(CTX21, e) == e.smul(value)
 
 
-# The reference: Delta_n = eps (Y_1 + ... + Y_n - [n]_t) eps, with the
-# first eps that apply_Delta_n leaves out on its symmetric inputs.
+# The reference: Delta_n = eps (Y_1 + ... + Y_n - [n]_t) eps, with both
+# eps that apply_Delta_n leaves out on its symmetric inputs.
 
 
 def two_eps_Delta(ctx, p):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from dahamac import affine
+from dahamac import affine, stability
 from dahamac.field import Scalar
 from dahamac.laurent import LaurentPoly
 from dahamac.nonsym import E
-from dahamac.rep import RepContext, apply_T
+from dahamac.rep import RepContext, apply_T, apply_Y, apply_theta, \
+    component_basis, degrees_upto, t_bracket
 from dahamac.symmetric import P
 from dahamac.stability import (
     StableIndex,
@@ -110,7 +113,7 @@ def test_quotient_relations_rank_one():
         "Pi theta_1 = theta_1 Pi",
         "Pi theta_2 = theta_2 Pi",
         "Pi (theta_3 - t^2) = 0",
-        "Pi Delta = Delta Pi on the symmetric subspace",
+        "Pi Delta_3 = Delta_2 Pi",
     }
     for row in rep["identities"].values():
         assert row["checked"] == 10 and not row["failures"]
@@ -121,6 +124,66 @@ def test_quotient_relations_rank_two():
     assert rep["ok"]
     assert all(row["checked"] == 16 and not row["failures"]
                for row in rep["identities"].values())
+
+
+def test_quotient_relations_run_delta_on_monomials_in_time():
+    # the Delta row on eps images of the monomials took ~10 s here
+    start = time.perf_counter()
+    rep = verify_quotient_relations(3, 2, (2, 2))
+    assert time.perf_counter() - start < 5
+    assert rep["ok"]
+    assert rep["identities"]["Pi Delta_4 = Delta_3 Pi"]["checked"] == 225
+
+
+@pytest.mark.parametrize("n,r,bound", [(3, 1, (3,)), (2, 2, (2, 1)),
+                                       (2, 3, (1, 1, 1))])
+def test_e1_of_Y_is_e1_of_theta_on_monomials(n, r, bound):
+    # observed, not proved here: with the theta rows of
+    # verify_quotient_relations it gives the Delta row on every monomial
+    ctx = RepContext(n, r, r)
+    for d in degrees_upto(bound):
+        for flat in component_basis(ctx, d):
+            m = LaurentPoly(r, n, r, {flat: ctx.scalar()})
+            ys = thetas = ctx.zero()
+            for i in range(1, n + 1):
+                ys = ys + apply_Y(ctx, i, m)
+                thetas = thetas + apply_theta(ctx, i, m)
+            assert ys == thetas, (n, r, flat)
+
+
+def _faulty_Delta(fault, n):
+    """Delta with one fault, for verify_quotient_relations(n, ...): its
+    small size is n and its big size n + 1."""
+    def Delta(ctx, p):
+        acc = ctx.zero()
+        for i in range(1, ctx.n + 1):
+            if fault == "Y_n left out" and ctx.n == n and i == n:
+                continue
+            y = apply_Y(ctx, i, p)
+            if fault == "t Y_1" and ctx.n == n + 1 and i == 1:
+                y = y.smul(ctx.scalar(t=1))
+            acc = acc + y
+        m = ctx.n - 1 if fault == "[n-1]_t" and ctx.n == n else ctx.n
+        return acc - p.smul(t_bracket(ctx, m))
+    return Delta
+
+
+def test_the_fault_harness_passes_without_a_fault(monkeypatch):
+    monkeypatch.setattr(stability, "apply_Delta_n", _faulty_Delta(None, 2))
+    assert verify_quotient_relations(2, 2, (1, 1))["ok"]
+
+
+@pytest.mark.parametrize("fault", ["[n-1]_t", "t Y_1", "Y_n left out"])
+@pytest.mark.parametrize("n,r,bound", [(2, 1, (2,)), (3, 1, (2,)),
+                                       (2, 2, (1, 1))])
+def test_quotient_relations_reject_a_wrong_delta(monkeypatch, fault, n, r,
+                                                 bound):
+    monkeypatch.setattr(stability, "apply_Delta_n", _faulty_Delta(fault, n))
+    rep = verify_quotient_relations(n, r, bound)
+    assert not rep["ok"]
+    rows = rep["identities"]
+    assert rows.pop(f"Pi Delta_{n + 1} = Delta_{n} Pi")["failures"]
+    assert not any(row["failures"] for row in rows.values())
 
 
 # ---------------------------------------------------------------------------
