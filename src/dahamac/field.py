@@ -38,10 +38,13 @@ process-wide table of interned irreducible factors (see "binomials and
 the table of factors" below).  den is always the expansion of the
 factorization, and the canonical form does not depend on it.  A
 denominator of one term, or of two that split, is factored when a
-Scalar is built; sums, products and clear_denominators of factored
-Scalars are factored again, with their lcms and cofactors read off the
-exponents and only trial divisions by known factors; a linear factor is
-first tested by one pass over the numerator (_linear_divides).  Any
+Scalar is built; sums, products, sums of products (sum_of_products)
+and clear_denominators of factored Scalars are factored again, with
+their lcms and cofactors read off the exponents and only trial
+divisions by known factors; a linear factor is first tested by one pass
+over the numerator (_linear_divides).  sum_of_products reduces once, at
+the end, and sum_of_products_is_zero not at all: over the lcm, the sum
+is zero exactly when its numerator is.  Any
 other denominator, of three or more terms as from a pivot of the
 linear algebra or P's monic normaliser, or a binomial that does not
 split, takes the general path through p_gcd, and the input decides
@@ -1043,20 +1046,93 @@ def clear_denominators(scalars, k):
     return Scalar(lcm, {0: 1}, k), out
 
 
+def _lcm_of(facs):
+    """The lcm (c, m, fs) of factorizations."""
+    return reduce(lambda a, b: _lcm(a, b)[:3], facs, (1, 0, _NO_FACTORS))
+
+
+def _cofactor(lcm, fac):
+    """lcm / fac, expanded, for fac a factorization that divides lcm."""
+    return _product(lcm[0] // fac[0], lcm[1] - fac[1], _lcm(lcm, fac)[5])
+
+
 def _factored_lcm(scalars, k):
     """clear_denominators when every denominator is factored."""
     keys = [(ci, mi, tuple(fi.items())) for ci, mi, fi in
             (s.fac for s in scalars)]
     facs = {key: s.fac for key, s in zip(keys, scalars)}
-    lcm = reduce(lambda a, b: _lcm(a, b)[:3], facs.values(),
-                 (1, 0, _NO_FACTORS))
-    c, m, _ = lcm
+    lcm = _lcm_of(facs.values())
     # lcm / denominator, for each distinct factorization
-    mult = {key: _product(c // fac[0], m - fac[1], _lcm(lcm, fac)[5])
-            for key, fac in facs.items()}
+    mult = {key: _cofactor(lcm, fac) for key, fac in facs.items()}
     out = [Scalar(p_mul(s.num, mult[key]), {0: 1}, k)
            for key, s in zip(keys, scalars)]
     return Scalar(_product(*lcm), {0: 1}, k), out
+
+
+# ---------------------------------------------------------------------------
+# sums of products
+
+
+def _products_over_lcm(pairs):
+    """(num, (c, m, fs)) with the sum of a * b over pairs equal to num
+    over the expansion of (c, m, fs), the lcm of the products'
+    denominators; None when an operand is unfactored, or an exponent of
+    a product's monomial denominator passes MAX_EXP.
+
+    No product is reduced: its numerator is a.num * b.num and its
+    factorization the product of the two, so num may share factors
+    with the lcm."""
+    prods = []
+    acc = 0
+    for a, b in pairs:
+        if a.fac is None or b.fac is None:
+            return None
+        if a.num and b.num:
+            (c1, m1, f1), (c2, m2, f2) = a.fac, b.fac
+            if f1 and f2:
+                fs = dict(f1)
+                for fid, e in f2.items():
+                    fs[fid] = fs.get(fid, 0) + e
+            else:
+                fs = f1 or f2
+            acc |= m1 + m2
+            prods.append((a.num, b.num, (c1 * c2, m1 + m2, fs)))
+    if acc & _guards(acc):
+        return None
+    lcm = _lcm_of(fac for _, _, fac in prods)
+    num = {}
+    for n1, n2, fac in prods:
+        num = p_add(num, p_mul(p_mul(n1, n2), _cofactor(lcm, fac)))
+    return num, lcm
+
+
+def sum_of_products(pairs, zero):
+    """The sum of a * b over the (a, b) of pairs, a sequence, with zero
+    the field's zero.
+
+    When every operand is factored, the products are summed unreduced
+    over the lcm of their denominators, and the sum is reduced once,
+    by trial division by each factor of that lcm (_cancel).  Otherwise
+    it is the sum of the reduced products."""
+    over = _products_over_lcm(pairs)
+    if over is None:
+        return sum((a * b for a, b in pairs), zero)
+    num, (c, m, fs) = over
+    if not num:
+        return zero
+    num, c, m, fs, _ = _cancel(num, c, m, fs, fs)
+    return Scalar(num, _product(c, m, fs), zero.k, (c, m, fs))
+
+
+def sum_of_products_is_zero(pairs):
+    """Whether the sum of a * b over the (a, b) of pairs, a sequence, is
+    zero.  When every operand is factored, it tests the numerator of
+    sum_of_products before its reduction: no gcd, no trial division."""
+    over = _products_over_lcm(pairs)
+    if over is None:
+        prods = [a * b for a, b in pairs]
+        return not sum(prods[1:], prods[0])
+    return not over[0]
 
 
 # ---------------------------------------------------------------------------

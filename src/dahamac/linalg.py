@@ -15,19 +15,25 @@ triangularly on monomials (Cherednik, "Nonsymmetric Macdonald
 polynomials", IMRN 1995), so the Y matrices of one component share a
 triangular order of their positions, and their common left
 eigenvector follows by forward substitution along it.  It solves only
-for one free position (every shifted diagonal entry zero) and refuses
-two.  The Y families have one: their joint diagonals are the weights
-of the component's indices, which are pairwise distinct because
+for one free position (every diagonal entry equal to its shift) and
+refuses two.  The Y families have one: their joint diagonals are the
+weights of the component's indices, which are pairwise distinct because
 `nonsym.weight_of` is injective (its t- and q-exponents give back σ and
-γ, and `gamma_inverse(γ)` is the index).
+γ, and `gamma_inverse(γ)` is the index).  Each solved position costs
+one subtraction, its diagonal entry from its shift, and one reduced
+sum of products (`field.sum_of_products`); the equations it is not
+solved with are checked by `field.sum_of_products_is_zero`, a zero test
+of the unreduced numerator, with no gcd and no trial division.
 
-The field is whatever the inputs' scalars belong to: zero and one are
-taken from the inputs, never built here."""
+The scalars are `field.Scalar`s: zero and one are taken from the
+inputs, never built here."""
 
 from __future__ import annotations
 
 from collections import Counter
 from graphlib import TopologicalSorter
+
+from .field import sum_of_products, sum_of_products_is_zero
 
 
 def rref(rows):
@@ -82,22 +88,23 @@ def joint_left_kernel(mats, shifts):
     there is none (the edges have a cycle), ValueError is raised.
 
     Column j of M_i - shift_i I is the equation
-    v_j d_ij + sum_l v_l M_i[l][j] = 0, where d_ij = M_i[j][j] - shift_i
-    (each distinct diagonal value of M_i is shifted once) and every l of
-    the sum comes before j.  A position where every d_ij is zero is
-    free.  Two free positions raise ValueError, and none gives [].  With
-    one, v is zero before it and one there; past it, the first equation
-    with d_ij != 0 gives v_j, and the column's other equations must hold
-    exactly, or [] is returned.  No entry of v is zero: a column whose
-    sums are all zero is skipped, and in any other a zero v_j fails a
-    check.
+    v_j (M_i[j][j] - shift_i) + sum_l v_l M_i[l][j] = 0, where every l
+    of the sum comes before j.  A position where M_i[j][j] == shift_i
+    for every i is free.  Two free positions raise ValueError, and none
+    gives [].  With one, v is zero before it and one there; past it, the
+    first i with M_i[j][j] != shift_i solves its equation,
+    v_j = sum_l v_l M_i[l][j] / (shift_i - M_i[j][j]), the one
+    subtraction of the position.  Every other equation of the column,
+    sum_l v_l M_i[l][j] + v_j M_i[j][j] + v_j (-shift_i), must be zero
+    exactly, tested without reducing it, or [] is returned.  No entry of
+    v is zero: a column whose solved sum is zero is skipped when every
+    other sum is zero too, and gives [] otherwise.
     """
     dim = len(mats[0])
     zero, one = shifts[0] - shifts[0], shifts[0] / shifts[0]
     diags, cols = [], []
-    for M, a in zip(mats, shifts):
-        shifted = {m: m - a for m in {M[j].get(j, zero) for j in range(dim)}}
-        diags.append([shifted[M[j].get(j, zero)] for j in range(dim)])
+    for M in mats:
+        diags.append([M[j].get(j, zero) for j in range(dim)])
         col = [[] for _ in range(dim)]
         for l, row in enumerate(M):
             for j, c in row.items():
@@ -106,20 +113,24 @@ def joint_left_kernel(mats, shifts):
         cols.append(col)
     preds = {j: {l for col in cols for l, _ in col[j]} for j in range(dim)}
     order = list(TopologicalSorter(preds).static_order())
-    free = [j for j in order if all(d[j].is_zero() for d in diags)]
+    free = [j for j in order
+            if all(d[j] == a for d, a in zip(diags, shifts))]
     if len(free) > 1:
         raise ValueError(f"{len(free)} free positions, not one")
     if not free:
         return []
+    negated = [-a for a in shifts]
     v = {free[0]: one}
     for j in order[order.index(free[0]) + 1:]:
-        sums = [sum((v[l] * c for l, c in col[j] if l in v), zero)
-                for col in cols]
-        if all(s.is_zero() for s in sums):
-            continue
-        solver = next(i for i, d in enumerate(diags) if not d[j].is_zero())
-        v[j] = sums[solver] * -diags[solver][j].inv()
-        if any(not (s + v[j] * d[j]).is_zero()
-               for i, (s, d) in enumerate(zip(sums, diags)) if i != solver):
+        terms = [[(v[l], c) for l, c in col[j] if l in v] for col in cols]
+        solver = next(i for i, (d, a) in enumerate(zip(diags, shifts))
+                      if d[j] != a)
+        s = sum_of_products(terms[solver], zero)
+        vj = s / (shifts[solver] - diags[solver][j]) if s else zero
+        if not all(sum_of_products_is_zero([*t, (vj, d[j]), (vj, n)])
+                   for i, (t, d, n) in enumerate(zip(terms, diags, negated))
+                   if i != solver):
             return []
+        if vj:
+            v[j] = vj
     return [v]

@@ -252,7 +252,8 @@ def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
     basis = component_basis(ctx, d)
     poly = LaurentPoly(ctx.r, ctx.n, ctx.k,
                        {basis[j]: c for j, c in kernel[0].items()})
-    return poly.smul(poly.terms[min(poly.terms)].inv())
+    lead = poly.terms[min(poly.terms)]
+    return poly if lead.is_one() else poly.smul(lead.inv())
 
 
 # ---------------------------------------------------------------------------

@@ -771,3 +771,103 @@ def test_gcd_with_a_cyclotomic_binomial_matches_sympy(sympy, case, other):
         mp.setattr(field, "_heu", _unreachable)
         _check_gcd_triple(sympy, b, f)
         _check_gcd_triple(sympy, f, b)
+
+
+# ---------------------------------------------------------------------------
+# sums of products, with the sum of the reduced products as the reference
+
+
+def _check_sum_of_products(pairs):
+    want = sum((a * b for a, b in pairs), ZERO)
+    got = field.sum_of_products(pairs, ZERO)
+    assert got == want
+    assert_canonical(got)
+    _check_factorization(got)
+    assert field.sum_of_products_is_zero(pairs) == want.is_zero()
+
+
+pairs_of = st.lists(st.tuples(scalars(), scalars()), max_size=4)
+factored_pairs = st.lists(st.tuples(factored_scalars(), factored_scalars()),
+                          max_size=4)
+
+
+@given(st.one_of(pairs_of, factored_pairs))
+def test_sum_of_products_is_the_sum_of_the_products(pairs):
+    _check_sum_of_products(pairs)
+
+
+@given(st.one_of(pairs_of, factored_pairs), st.integers(0, 4))
+def test_sum_of_products_cancelling_exactly_is_zero(pairs, at):
+    # x y beside -x y for every pair, the negated ones spliced in at
+    # a drawn place
+    negated = [(-a, b) for a, b in pairs]
+    pairs = pairs[:at] + negated + pairs[at:]
+    assert field.sum_of_products(pairs, ZERO) == ZERO
+    assert field.sum_of_products_is_zero(pairs)
+
+
+def test_sum_of_products_cancels_across_products():
+    # a product's numerator meets the other side's denominator: the
+    # unreduced product (1 - t) q1 / (1 - t) shares 1 - t with the lcm
+    x = Q1 / (ONE - T)
+    _check_sum_of_products([(ONE - T, x), (T, ONE)])
+    assert field.sum_of_products([(ONE - T, x), (T, ONE)], ZERO) == Q1 + T
+    # t^2 q1 / (q2 (1 - t^2)) times (1 - t) / t, and 3 / q2
+    _check_sum_of_products([(T * T * Q1 / (Q2 * (ONE - T * T)), (ONE - T) / T),
+                            (Scalar.integer(3, K), Q2.inv())])
+
+
+def test_sum_of_products_cancels_against_the_lcm():
+    # each product is reduced, but their sum (1 - t) / (1 - t) is 1
+    a = (ONE - T).inv()
+    pairs = [(a, ONE), (-T * a, ONE)]
+    _check_sum_of_products(pairs)
+    assert field.sum_of_products(pairs, ZERO) == ONE
+    # and a content: 2 / (2 q1) over the lcm of q1 and 2 q1
+    pairs = [(ONE, Q1.inv()), (ONE, -(Q1 + Q1).inv())]
+    _check_sum_of_products(pairs)
+    assert field.sum_of_products(pairs, ZERO) == (Q1 + Q1).inv()
+
+
+def test_sum_of_products_zero_test_reads_the_cofactors():
+    # the products' numerators cancel or not only once each is scaled
+    # to the lcm: 1 / (1 - t) - 1 is not zero, and
+    # (1 - t) / (1 - t) - 1 is
+    a = (ONE - T).inv()
+    assert not field.sum_of_products_is_zero([(a, ONE), (-ONE, ONE)])
+    assert field.sum_of_products_is_zero([(a, ONE - T), (-ONE, ONE)])
+    b = Q1 / (ONE + T * Q2)
+    assert not field.sum_of_products_is_zero([(b, T), (-Q1, T)])
+    assert field.sum_of_products_is_zero([(b, ONE + T * Q2), (-T, Q1 / T)])
+
+
+def test_sum_of_products_of_nothing_is_zero():
+    assert field.sum_of_products([], ZERO) == ZERO
+    assert field.sum_of_products_is_zero([])
+    assert field.sum_of_products([(ZERO, T), (Q1, ZERO)], ZERO) == ZERO
+    assert field.sum_of_products_is_zero([(ZERO, T), (Q1, ZERO)])
+
+
+def test_sum_of_products_with_an_unfactored_operand():
+    # 1 + t + q1 is no product of known factors, so the sum takes the
+    # general path, the sum of the reduced products
+    a = (ONE + T + Q1).inv()
+    assert a.fac is None
+    for pairs in ([(a, ONE + T + Q1), (-ONE, ONE)],
+                  [(a, T), (Q1 / (ONE - T), a), (ONE, ONE)],
+                  [(ONE, T), (a, ZERO)]):
+        _check_sum_of_products(pairs)
+    assert field.sum_of_products_is_zero([(a, ONE + T + Q1), (-ONE, ONE)])
+
+
+def test_sum_of_products_past_the_exponent_limit_raises():
+    # the products' monomial denominator t^(MAX_EXP + 1) does not fit,
+    # and nothing in the numerators can cancel it
+    a = Scalar.t(K, MAX_EXP).inv()
+    for pairs in ([(a, T.inv())], [(a, T.inv() / (ONE - Q1)), (ONE, ONE)]):
+        with pytest.raises(ValueError):
+            sum((x * y for x, y in pairs), ZERO)
+        with pytest.raises(ValueError):
+            field.sum_of_products(pairs, ZERO)
+        with pytest.raises(ValueError):
+            field.sum_of_products_is_zero(pairs)

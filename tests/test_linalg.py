@@ -360,6 +360,29 @@ def test_joint_left_kernel_checks_the_matrices_it_does_not_solve_with():
         assert_same_span(kernel, stacked_kernel([m1, m2], [T, ONE]))
 
 
+def test_joint_left_kernel_checks_a_column_whose_solved_sum_is_zero():
+    # position 0 is free in both matrices, and each column is solved
+    # with m1.  Column 1 of m1 gives v_1 = x v_0, with x = q1 / (t - q1);
+    # column 2 of m1 then sums v_0 + v_1 (-1 / x) = 0, so v_2 = 0 and
+    # m2's column 2 holds only when its sum c v_0 is zero too
+    x = Q1 / (T - Q1)
+    m1 = sparse([[T, Q1, ONE], [ZERO, Q1, -x.inv()], [ZERO, ZERO, T * Q1]])
+    for c, dim in ((ZERO, 1), (ONE, 0), (T, 0)):
+        m2 = sparse([[ONE, x * (ONE - T), c], [ZERO, T, ZERO],
+                     [ZERO, ZERO, Q1]])
+        kernel = joint_left_kernel([m1, m2], [T, ONE])
+        assert len(kernel) == dim
+        assert_same_span(kernel, stacked_kernel([m1, m2], [T, ONE]))
+    # the same with no term in m1's column: its sum is zero with no
+    # product at all
+    m1 = sparse([[T, ZERO], [ZERO, Q1]])
+    for c, dim in ((ZERO, 1), (Q1, 0)):
+        m2 = sparse([[ONE, c], [ZERO, T]])
+        kernel = joint_left_kernel([m1, m2], [T, ONE])
+        assert len(kernel) == dim
+        assert_same_span(kernel, stacked_kernel([m1, m2], [T, ONE]))
+
+
 def test_joint_left_kernel_refuses_two_free_positions():
     # both positions are free, and column 1 forces v_0 = 0: the kernel
     # is a line, but finding it takes a condition on two free unknowns
