@@ -1,11 +1,14 @@
 """Alternating benchmark pairs of two checkouts of this repository.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload oracle \
-        --seeds 2901-2910 --seconds 20 [--trace 0] [--raw-passes 3] \
-        [--out BENCH_x.json]
+    python3 scripts/bench_pairs.py PARENT CHANGE \
+        --workload eigen,stability,oracle --seeds 2901-2910 --seconds 20 \
+        [--trace 0] [--raw-passes 3] [--out BENCH_x.json]
 
 Pair k runs `perfbench/run.py` of both checkouts on the k-th seed, the
-parent first on odd k and the change first on even k.  Every run starts
+parent first on odd k and the change first on even k.  With several
+workloads, pair k runs each of them in turn, both sides before the
+next workload, so that a drift of the host's speed falls on all of
+them alike.  Every run starts
 from a fresh copy of the checkout's `src/` and `perfbench/` in a
 temporary directory, without `__pycache__`, so neither side imports
 bytecode that an earlier run or a test left behind.
@@ -18,11 +21,11 @@ each the median over the N passes.  The raw time does not depend on
 the reference loops, whose own time can move with the heap the program
 leaves behind.
 
-For every metric it prints each side's median and quartiles, the
-change in the medians, the parent's interquartile range, and the count
-of pairs the change wins (lower wins, or higher for a metric that
-BENCHMARK.json marks "higher").  --out writes the runs and that summary
-as one JSON object.
+For every workload and metric it prints each side's median and
+quartiles, the change in the medians, the parent's interquartile range,
+and the count of pairs the change wins (lower wins, or higher for a
+metric that BENCHMARK.json marks "higher").  --out writes the runs and
+those summaries, one per workload, as one JSON object.
 """
 
 from __future__ import annotations
@@ -135,34 +138,38 @@ def _directions(checkout):
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
-def run_pairs(checkouts, workload, seeds, seconds, trace, raw_passes, tmp):
+def run_pairs(checkouts, workloads, seeds, seconds, trace, raw_passes, tmp):
     runs = []
     for k, seed in enumerate(seeds, start=1):
         order = SIDES if k % 2 else SIDES[::-1]
-        for side in order:
-            copy = _fresh_copy(checkouts[side], tmp, side)
-            record, result = run_bench(copy, workload, seed, seconds, trace)
-            run = {"workload": workload, "seed": seed, "pair": k,
-                   "tree": side, "failed": result["failed"],
-                   "attempted": result["attempted"],
-                   "correct": result["correct"],
-                   "host_slowdown": statistics.median(
-                       record["host_slowdown"]),
-                   **{name: m["value"]
-                      for name, m in result["metrics"].items()}}
-            runs.append(run)
-            print(json.dumps(run), file=sys.stderr)
-        if raw_passes:
-            raw = {side: [] for side in SIDES}
-            for i in range(raw_passes):
-                for side in (order if i % 2 == 0 else order[::-1]):
-                    copy = _fresh_copy(checkouts[side], tmp, side)
-                    raw[side].append(run_raw_pass(copy, workload,
-                                                  f"{seed}/{i}"))
-            for run in runs[-2:]:
-                times = raw[run["tree"]]
-                run["raw_wall_s"] = statistics.median(t for t, _ in times)
-                run["reference_s"] = statistics.median(r for _, r in times)
+        for workload in workloads:
+            pair = []
+            for side in order:
+                copy = _fresh_copy(checkouts[side], tmp, side)
+                record, result = run_bench(copy, workload, seed, seconds,
+                                           trace)
+                run = {"workload": workload, "seed": seed, "pair": k,
+                       "tree": side, "failed": result["failed"],
+                       "attempted": result["attempted"],
+                       "correct": result["correct"],
+                       "host_slowdown": statistics.median(
+                           record["host_slowdown"]),
+                       **{name: m["value"]
+                          for name, m in result["metrics"].items()}}
+                pair.append(run)
+                print(json.dumps(run), file=sys.stderr)
+            if raw_passes:
+                raw = {side: [] for side in SIDES}
+                for i in range(raw_passes):
+                    for side in (order if i % 2 == 0 else order[::-1]):
+                        copy = _fresh_copy(checkouts[side], tmp, side)
+                        raw[side].append(run_raw_pass(copy, workload,
+                                                      f"{seed}/{i}"))
+                for run in pair:
+                    times = raw[run["tree"]]
+                    run["raw_wall_s"] = statistics.median(t for t, _ in times)
+                    run["reference_s"] = statistics.median(r for _, r in times)
+            runs.extend(pair)
     return runs
 
 
@@ -183,11 +190,23 @@ def summarize(runs, directions):
     return summary, failed
 
 
+def summarize_workloads(runs, directions):
+    """{workload: {"summary": ..., "failed": ...}} of summarize over each
+    workload's runs, in the order the workloads first occur."""
+    out = {}
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        summary, failed = summarize(
+            [run for run in runs if run["workload"] == workload], directions)
+        out[workload] = {"summary": summary, "failed": failed}
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="one workload, or several separated by commas")
     parser.add_argument("--seeds", required=True)
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -195,21 +214,26 @@ def main(argv=None):
     parser.add_argument("--out")
     args = parser.parse_args(argv)
     seed_spec, seeds = args.seeds, seed_list(args.seeds)
+    workloads = args.workload.split(",")
     checkouts = {"parent": Path(args.parent).resolve(),
                  "change": Path(args.change).resolve()}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        runs = run_pairs(checkouts, args.workload, seeds, args.seconds,
+        runs = run_pairs(checkouts, workloads, seeds, args.seconds,
                          args.trace, args.raw_passes, tmp)
-    summary, failed = summarize(runs, _directions(checkouts["change"]))
-    for name, s in summary.items():
-        p, c, pct = s["parent"], s["change"], s["median_change_pct"]
-        print(f"{name:32} parent {p['median']:.6g} [{p['q1']:.6g}, "
-              f"{p['q3']:.6g}]  change {c['median']:.6g} [{c['q1']:.6g}, "
-              f"{c['q3']:.6g}]  {'n/a' if pct is None else f'{pct:+}%'}  "
-              f"wins {s['change_wins']}  beyond parent IQR: "
-              f"{s['beyond_parent_iqr']}")
-    print(f"failed operations: parent {failed['parent']}, "
-          f"change {failed['change']}")
+    results = summarize_workloads(runs, _directions(checkouts["change"]))
+    for workload, result in results.items():
+        print(f"== {workload}")
+        for name, s in result["summary"].items():
+            p, c, pct = s["parent"], s["change"], s["median_change_pct"]
+            print(f"{name:32} parent {p['median']:.6g} [{p['q1']:.6g}, "
+                  f"{p['q3']:.6g}]  change {c['median']:.6g} "
+                  f"[{c['q1']:.6g}, {c['q3']:.6g}]  "
+                  f"{'n/a' if pct is None else f'{pct:+}%'}  "
+                  f"wins {s['change_wins']}  beyond parent IQR: "
+                  f"{s['beyond_parent_iqr']}")
+        failed = result["failed"]
+        print(f"failed operations: parent {failed['parent']}, "
+              f"change {failed['change']}")
     if args.out:
         Path(args.out).write_text(json.dumps({
             "command": (f"python3 scripts/bench_pairs.py <parent> <change> "
@@ -218,8 +242,7 @@ def main(argv=None):
                         f"--raw-passes {args.raw_passes}"),
             "python": sys.version.split()[0],
             "git_sha": {side: _git_sha(checkouts[side]) for side in SIDES},
-            "summary": summary, "failed": failed, "runs": runs},
-            indent=1) + "\n")
+            "workloads": results, "runs": runs}, indent=1) + "\n")
     return 0
 
 

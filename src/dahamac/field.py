@@ -38,18 +38,19 @@ process-wide table of interned irreducible factors (see "binomials and
 the table of factors" below).  den is always the expansion of the
 factorization, and the canonical form does not depend on it.  A
 denominator of one term, or of two that split, is factored when a
-Scalar is built; sums, products, sums of products (sum_of_products)
-and clear_denominators of factored Scalars are factored again, with
+Scalar is built; sums, products, clear_denominators and the solved
+entries of solve_column over factored Scalars are factored again, with
 their lcms and cofactors read off the exponents and only trial
 divisions by known factors; a linear factor is first tested by one pass
-over the numerator (_linear_divides).  sum_of_products reduces once, at
-the end, and sum_of_products_is_zero not at all: over the lcm, the sum
-is zero exactly when its numerator is.  Any
-other denominator, of three or more terms as from a pivot of the
-linear algebra or P's monic normaliser, or a binomial that does not
-split, takes the general path through p_gcd, and the input decides
-which path an operation takes.  scalar_from_json reduces its input by
-p_gcd, and the Scalar it returns is factored when its denominator is.
+over the numerator (_linear_divides).  solve_column, one column of a
+triangular system, puts the column over one common denominator,
+checks its equations by cross-multiplying, with no reduction, and
+reduces once, the solved entry.  Any other denominator, of three or
+more terms as from a pivot of the linear algebra or P's monic
+normaliser, or a binomial that does not split, takes the general path
+through p_gcd, and the input decides which path an operation takes.
+scalar_from_json reduces its input by p_gcd, and the Scalar it returns
+is factored when its denominator is.
 
 p_gcd(f, g) returns (h, f/h, g/h).  An operand of one term, or of two
 that split into known factors, settles it (_split_gcd): _cancel reduces
@@ -1070,69 +1071,94 @@ def _factored_lcm(scalars, k):
 
 
 # ---------------------------------------------------------------------------
-# sums of products
+# one column of a triangular system
 
 
-def _products_over_lcm(pairs):
-    """(num, (c, m, fs)) with the sum of a * b over pairs equal to num
-    over the expansion of (c, m, fs), the lcm of the products'
-    denominators; None when an operand is unfactored, or an exponent of
-    a product's monomial denominator passes MAX_EXP.
+def _column_over_lcm(values, column, shifts, diagonal, s):
+    """(us, gaps, negative, fac), or None for solve_column's Scalar
+    path: us[i] is equation i's sum as a numerator over L * E, L the lcm
+    of the values' denominators and E that of the entries'; gaps[i] is
+    (g, h) with shifts[i] - diagonal[i] = g / h, unreduced; and fac
+    factors L * E * g for the g of gaps[s], negated when negative.
 
-    No product is reduced: its numerator is a.num * b.num and its
-    factorization the product of the two, so num may share factors
-    with the lcm."""
-    prods = []
-    acc = 0
-    for a, b in pairs:
-        if a.fac is None or b.fac is None:
-            return None
-        if a.num and b.num:
-            (c1, m1, f1), (c2, m2, f2) = a.fac, b.fac
-            if f1 and f2:
-                fs = dict(f1)
-                for fid, e in f2.items():
-                    fs[fid] = fs.get(fid, 0) + e
-            else:
-                fs = f1 or f2
-            acc |= m1 + m2
-            prods.append((a.num, b.num, (c1 * c2, m1 + m2, fs)))
-    if acc & _guards(acc):
+    None when an operand is unfactored, that g does not split, the
+    monomial of fac passes MAX_EXP, or L and E share a factor: L * E
+    would hold it past its exponent in the products' lcm, and on such
+    columns (values and entries over the same binomials) the one
+    reduction is 50 to 120 times slower than Scalar arithmetic."""
+    entries = [e for eq in column for l, e in eq if l in values]
+    if any(x.fac is None
+           for x in (*values.values(), *entries, *shifts, *diagonal)):
         return None
-    lcm = _lcm_of(fac for _, _, fac in prods)
-    num = {}
-    for n1, n2, fac in prods:
-        num = p_add(num, p_mul(p_mul(n1, n2), _cofactor(lcm, fac)))
-    return num, lcm
+    gaps = []
+    for a, d in zip(shifts, diagonal):
+        c, m, fs, _, up1, up2 = _lcm(a.fac, d.fac)
+        (c1, m1, _), (c2, m2, _) = a.fac, d.fac
+        gaps.append((p_add(p_mul(a.num, _product(c // c1, m - m1, up1)),
+                           p_mul(d.num, _product(-c // c2, m - m2, up2))),
+                     _product(c, m, fs)))
+    split = _factorization(gaps[s][0])
+    L, E = (_lcm_of(x.fac for x in xs) for xs in (values.values(), entries))
+    if split is None or L[2].keys() & E[2].keys():
+        return None
+    m = L[1] + E[1] + split[1]
+    if m & _guards(m):
+        return None
+    fs = {**L[2], **E[2]}
+    for fid, e in split[2].items():
+        fs[fid] = fs.get(fid, 0) + e
+    # each value cleared once, for all the equations it enters
+    cleared = {l: p_mul(v.num, _cofactor(L, v.fac))
+               for l, v in values.items()}
+    us = [reduce(p_add, (p_mul(cleared[l],
+                               p_mul(e.num, _cofactor(E, e.fac)))
+                         for l, e in eq if l in cleared), {})
+          for eq in column]
+    return us, gaps, split[0] < 0, (L[0] * E[0] * abs(split[0]), m, fs)
 
 
-def sum_of_products(pairs, zero):
-    """The sum of a * b over the (a, b) of pairs, a sequence, with zero
-    the field's zero.
+def solve_column(values, column, shifts, diagonal, zero):
+    """The x with
 
-    When every operand is factored, the products are summed unreduced
-    over the lcm of their denominators, and the sum is reduced once,
-    by trial division by each factor of that lcm (_cancel).  Otherwise
-    it is the sum of the reduced products."""
-    over = _products_over_lcm(pairs)
-    if over is None:
-        return sum((a * b for a, b in pairs), zero)
-    num, (c, m, fs) = over
-    if not num:
+        sum over (l, c) of column[i] of values[l] * c
+            + x * (diagonal[i] - shifts[i]) = 0
+
+    for every i, or None when there is none.  x is solved from the first
+    i with diagonal[i] != shifts[i] (ValueError when there is none), and
+    the other equations are checked.  A key l not in values stands for
+    zero, and zero is the field's zero.
+
+    Over factored operands, each equation's sum is a numerator U_i over
+    one common denominator, and each gap shifts[i] - diagonal[i] is g_i
+    over h_i (_column_over_lcm).  Equation i holds exactly when
+    U_i g_s h_i = U_s g_i h_s, tested with no reduction, and
+    x = U_s h_s / g_s over that denominator is reduced once, by
+    _cancel.  Otherwise it is Scalar arithmetic."""
+    s = next((i for i, (a, d) in enumerate(zip(shifts, diagonal))
+              if a != d), None)
+    if s is None:
+        raise ValueError("no equation of the column has a nonzero gap")
+    used = {l: values[l] for eq in column for l, _ in eq if l in values}
+    if not used:
         return zero
-    num, c, m, fs, _ = _cancel(num, c, m, fs, fs)
-    return Scalar(num, _product(c, m, fs), zero.k, (c, m, fs))
-
-
-def sum_of_products_is_zero(pairs):
-    """Whether the sum of a * b over the (a, b) of pairs, a sequence, is
-    zero.  When every operand is factored, it tests the numerator of
-    sum_of_products before its reduction: no gcd, no trial division."""
-    over = _products_over_lcm(pairs)
+    over = _column_over_lcm(used, column, shifts, diagonal, s)
     if over is None:
-        prods = [a * b for a, b in pairs]
-        return not sum(prods[1:], prods[0])
-    return not over[0]
+        sums = [sum((used[l] * e for l, e in eq if l in used), zero)
+                for eq in column]
+        x = sums[s] / (shifts[s] - diagonal[s]) if sums[s] else zero
+        return x if all((y + x * (d - a)).is_zero() for i, (y, a, d)
+                        in enumerate(zip(sums, shifts, diagonal))
+                        if i != s) else None
+    us, gaps, negative, (c, m, fs) = over
+    (gs, hs), us_s = gaps[s], us[s]
+    if any(p_mul(u, p_mul(gs, h)) != p_mul(us_s, p_mul(g, hs))
+           for i, (u, (g, h)) in enumerate(zip(us, gaps)) if i != s):
+        return None
+    if not us_s:
+        return zero
+    num, c, m, fs, _ = _cancel(p_mul(us_s, p_neg(hs) if negative else hs),
+                               c, m, fs, fs)
+    return Scalar(num, _product(c, m, fs), zero.k, (c, m, fs))
 
 
 # ---------------------------------------------------------------------------

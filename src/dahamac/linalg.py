@@ -14,16 +14,20 @@ and columns eliminates with no fill in the rows still to be pivoted.
 triangularly on monomials (Cherednik, "Nonsymmetric Macdonald
 polynomials", IMRN 1995), so the Y matrices of one component share a
 triangular order of their positions, and their common left
-eigenvector follows by forward substitution along it.  It solves only
-for one free position (every diagonal entry equal to its shift) and
-refuses two.  The Y families have one: their joint diagonals are the
-weights of the component's indices, which are pairwise distinct because
-`nonsym.weight_of` is injective (its t- and q-exponents give back σ and
-γ, and `gamma_inverse(γ)` is the index).  Each solved position costs
-one subtraction, its diagonal entry from its shift, and one reduced
-sum of products (`field.sum_of_products`); the equations it is not
-solved with are checked by `field.sum_of_products_is_zero`, a zero test
-of the unreduced numerator, with no gcd and no trial division.
+eigenvector follows by forward substitution along it.  The family is
+prepared once (`triangular_family`): its diagonals, its columns, that
+order, and a dict from each tuple of diagonals to its positions.  It
+is then solved for any shifts, and it solves only for one free
+position (every diagonal entry equal to its shift), found by one
+lookup in that dict, and refuses two.  The Y families have one: their
+joint diagonals are the weights of the component's indices, which are
+pairwise distinct because `nonsym.weight_of` is injective (its t- and
+q-exponents give back σ and γ, and `gamma_inverse(γ)` is the index).
+Each later position is one `field.solve_column`: its column's values
+are cleared over one lcm, each equation's sum is a numerator over one
+common denominator, the equations it is not solved with are checked
+by cross-multiplying with the gaps (shift minus diagonal), with no
+reduction, and the solved entry, gap included, is reduced once.
 
 The scalars are `field.Scalar`s: zero and one are taken from the
 inputs, never built here."""
@@ -32,8 +36,9 @@ from __future__ import annotations
 
 from collections import Counter
 from graphlib import TopologicalSorter
+from typing import NamedTuple
 
-from .field import sum_of_products, sum_of_products_is_zero
+from .field import solve_column
 
 
 def rref(rows):
@@ -77,59 +82,82 @@ def rref(rows):
     return reduced, pivots
 
 
-def joint_left_kernel(mats, shifts):
-    """The vectors v with v (M_i - shift_i I) = 0 for every i: [v] or [].
+class TriangularFamily(NamedTuple):
+    """Matrices with one shared triangular order, prepared once for
+    joint_left_kernel at any shifts (see triangular_family).
 
-    mats is a list of square matrices, each a list of sparse rows, whose
-    off-diagonal entries admit one shared triangular order, shifts a
-    list of nonzero scalars, from the first of which the field's zero
-    and one are taken.  The order is a topological order of the
-    positions under the edges l -> j for M_i[l][j] != 0, l != j; when
-    there is none (the edges have a cycle), ValueError is raised.
+    Position j has the diagonal entries diagonals[j] (one per matrix)
+    and the off-diagonal column columns[j]: per matrix, the (l, entry)
+    of its nonzero entries in column j.  order lists the positions so
+    that every l of a column comes before its j, and positions maps
+    each tuple of diagonals to the positions that have it."""
 
-    Column j of M_i - shift_i I is the equation
-    v_j (M_i[j][j] - shift_i) + sum_l v_l M_i[l][j] = 0, where every l
-    of the sum comes before j.  A position where M_i[j][j] == shift_i
-    for every i is free.  Two free positions raise ValueError, and none
-    gives [].  With one, v is zero before it and one there; past it, the
-    first i with M_i[j][j] != shift_i solves its equation,
-    v_j = sum_l v_l M_i[l][j] / (shift_i - M_i[j][j]), the one
-    subtraction of the position.  Every other equation of the column,
-    sum_l v_l M_i[l][j] + v_j M_i[j][j] + v_j (-shift_i), must be zero
-    exactly, tested without reducing it, or [] is returned.  No entry of
-    v is zero: a column whose solved sum is zero is skipped when every
-    other sum is zero too, and gives [] otherwise.
-    """
+    order: tuple
+    diagonals: tuple
+    columns: tuple
+    positions: dict
+
+
+def triangular_family(mats):
+    """The TriangularFamily of mats, a list of square matrices of one
+    size, each a list of sparse rows.
+
+    The order is a topological order of the positions under the edges
+    l -> j for M_i[l][j] != 0, l != j; ValueError when there is none
+    (the edges have a cycle).  A zero diagonal entry is the zero of an
+    entry of the matrices."""
     dim = len(mats[0])
-    zero, one = shifts[0] - shifts[0], shifts[0] / shifts[0]
-    diags, cols = [], []
-    for M in mats:
-        diags.append([M[j].get(j, zero) for j in range(dim)])
-        col = [[] for _ in range(dim)]
+    zero = None
+    if any(j not in M[j] for M in mats for j in range(dim)):
+        zero = next((c - c for M in mats for row in M for c in row.values()),
+                    None)
+    columns = [[[] for _ in mats] for _ in range(dim)]
+    for i, M in enumerate(mats):
         for l, row in enumerate(M):
             for j, c in row.items():
                 if j != l:
-                    col[j].append((l, c))
-        cols.append(col)
-    preds = {j: {l for col in cols for l, _ in col[j]} for j in range(dim)}
-    order = list(TopologicalSorter(preds).static_order())
-    free = [j for j in order
-            if all(d[j] == a for d, a in zip(diags, shifts))]
+                    columns[j][i].append((l, c))
+    columns = tuple(tuple(map(tuple, col)) for col in columns)
+    diagonals = tuple(tuple(M[j].get(j, zero) for M in mats)
+                      for j in range(dim))
+    positions = {}
+    for j, diag in enumerate(diagonals):
+        positions.setdefault(diag, []).append(j)
+    preds = {j: {l for eq in columns[j] for l, _ in eq} for j in range(dim)}
+    order = tuple(TopologicalSorter(preds).static_order())
+    return TriangularFamily(order, diagonals, columns, positions)
+
+
+def joint_left_kernel(family, shifts):
+    """The vectors v with v (M_i - shift_i I) = 0 for every matrix M_i of
+    family, a TriangularFamily: [v] or [].  shifts is a list of nonzero
+    scalars, one per matrix, from the first of which the field's zero
+    and one are taken.
+
+    Column j of M_i - shift_i I is the equation
+    sum_l v_l M_i[l][j] + v_j (M_i[j][j] - shift_i) = 0, where every l
+    of the sum comes before j in the family's order.  A position whose
+    diagonals are the shifts is free, found by one lookup in
+    family.positions.  Two free positions raise ValueError, and none
+    gives [].  With one, v is zero before it and one there; past it,
+    each v_j is field.solve_column of its column: solved from the first
+    i with M_i[j][j] != shift_i, every other equation checked by
+    cross-multiplying over one common denominator, and one reduction
+    of the solved entry.  A failed check gives [].  No entry of v is
+    zero: a position whose solution is zero is left out.
+    """
+    zero, one = shifts[0] - shifts[0], shifts[0] / shifts[0]
+    free = family.positions.get(tuple(shifts), ())
     if len(free) > 1:
         raise ValueError(f"{len(free)} free positions, not one")
     if not free:
         return []
-    negated = [-a for a in shifts]
+    order = family.order
     v = {free[0]: one}
     for j in order[order.index(free[0]) + 1:]:
-        terms = [[(v[l], c) for l, c in col[j] if l in v] for col in cols]
-        solver = next(i for i, (d, a) in enumerate(zip(diags, shifts))
-                      if d[j] != a)
-        s = sum_of_products(terms[solver], zero)
-        vj = s / (shifts[solver] - diags[solver][j]) if s else zero
-        if not all(sum_of_products_is_zero([*t, (vj, d[j]), (vj, n)])
-                   for i, (t, d, n) in enumerate(zip(terms, diags, negated))
-                   if i != solver):
+        vj = solve_column(v, family.columns[j], shifts, family.diagonals[j],
+                          zero)
+        if vj is None:
             return []
         if vj:
             v[j] = vj

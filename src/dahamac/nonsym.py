@@ -35,7 +35,7 @@ from .field import MAX_EXP, KroneckerRing, Scalar, integer
 from .laurent import LaurentPoly, clear_poly_denominators, multidegree
 from .rep import RepContext, apply_T, apply_pi, apply_Y, matrix_of, \
     component_basis, apply_operator_expr
-from .linalg import joint_left_kernel
+from .linalg import joint_left_kernel, triangular_family
 
 
 @dataclass(frozen=True)
@@ -222,12 +222,17 @@ _YMAT_CACHE = {}
 
 
 def _y_matrices(ctx: RepContext, d):
+    """(basis, family) of the component of multidegree d: its
+    component_basis, and the TriangularFamily of the matrices of
+    Y_1, ..., Y_n on it, prepared once per (ctx, d) and kept in
+    _YMAT_CACHE."""
     key = (ctx, d)
     hit = _YMAT_CACHE.get(key)
     if hit is None:
-        hit = [matrix_of(ctx, lambda p, i=i: apply_Y(ctx, i, p), d)
-               for i in range(1, ctx.n + 1)]
-        _YMAT_CACHE[key] = hit
+        mats = [matrix_of(ctx, lambda p, i=i: apply_Y(ctx, i, p), d)
+                for i in range(1, ctx.n + 1)]
+        hit = _YMAT_CACHE[key] = (component_basis(ctx, d),
+                                  triangular_family(mats))
     return hit
 
 
@@ -236,7 +241,8 @@ def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
     basis-ordered coefficient normalized to 1.
 
     It is the vector v with v M_i = weight_i v for every Y-matrix M_i
-    on the component of mu's multidegree, unique up to scale.
+    on the component of mu's multidegree, unique up to scale, found by
+    joint_left_kernel on the component's family from _y_matrices.
     ValueError for two free positions (see joint_left_kernel), which
     distinct weights rule out; ArithmeticError for a zero eigenspace.
     """
@@ -244,12 +250,11 @@ def eigen_oracle_Y(ctx: RepContext, mu_tuple) -> LaurentPoly:
     if any(e < 0 for comp in mu_tuple for e in comp):
         raise ValueError("oracle needs a nonnegative index")
     d = index_multidegree(mu_tuple)
-    kernel = joint_left_kernel(_y_matrices(ctx, d),
-                               list(weight_of(ctx, mu_tuple)))
+    basis, family = _y_matrices(ctx, d)
+    kernel = joint_left_kernel(family, list(weight_of(ctx, mu_tuple)))
     if len(kernel) != 1:
         raise ArithmeticError(f"joint eigenspace on component {d} has "
                               f"dimension {len(kernel)}")
-    basis = component_basis(ctx, d)
     poly = LaurentPoly(ctx.r, ctx.n, ctx.k,
                        {basis[j]: c for j, c in kernel[0].items()})
     lead = poly.terms[min(poly.terms)]

@@ -774,16 +774,57 @@ def test_gcd_with_a_cyclotomic_binomial_matches_sympy(sympy, case, other):
 
 
 # ---------------------------------------------------------------------------
-# sums of products, with the sum of the reduced products as the reference
+# one column of a triangular system (solve_column), with Scalar arithmetic
+# as the reference
+
+
+def column_reference(values, column, shifts, diagonal):
+    """solve_column by Scalar arithmetic: each equation's sum of
+    values[l] * c, the division by the first nonzero gap, and the test
+    of every equation."""
+    sums = [sum((values[l] * c for l, c in eq if l in values), ZERO)
+            for eq in column]
+    s = next(i for i, (a, d) in enumerate(zip(shifts, diagonal)) if a != d)
+    x = sums[s] / (shifts[s] - diagonal[s])
+    ok = all((y + x * (d - a)).is_zero()
+             for y, a, d in zip(sums, shifts, diagonal))
+    return x if ok else None
+
+
+def _check_column(values, column, shifts, diagonal):
+    want = column_reference(values, column, shifts, diagonal)
+    got = field.solve_column(values, column, shifts, diagonal, ZERO)
+    assert got == want
+    if got is not None:
+        assert_canonical(got)
+        _check_factorization(got)
+    return got
+
+
+def column_sum(pairs):
+    """The sum of a * b over pairs, as the solution of the one equation
+    sum + x (0 - 1) = 0."""
+    values = dict(enumerate(a for a, _ in pairs))
+    return field.solve_column(values, [list(enumerate(b for _, b in pairs))],
+                              [ONE], [ZERO], ZERO)
+
+
+def column_sum_is_zero(pairs):
+    """Whether the sum of a * b over pairs is zero, as the check of an
+    equation whose gap is zero beside one solved to zero."""
+    values = dict(enumerate(a for a, _ in pairs))
+    column = [[], list(enumerate(b for _, b in pairs))]
+    return field.solve_column(values, column, [ONE, ONE], [ZERO, ONE],
+                              ZERO) is not None
 
 
 def _check_sum_of_products(pairs):
     want = sum((a * b for a, b in pairs), ZERO)
-    got = field.sum_of_products(pairs, ZERO)
+    got = column_sum(pairs)
     assert got == want
     assert_canonical(got)
     _check_factorization(got)
-    assert field.sum_of_products_is_zero(pairs) == want.is_zero()
+    assert column_sum_is_zero(pairs) == want.is_zero()
 
 
 pairs_of = st.lists(st.tuples(scalars(), scalars()), max_size=4)
@@ -802,8 +843,8 @@ def test_sum_of_products_cancelling_exactly_is_zero(pairs, at):
     # a drawn place
     negated = [(-a, b) for a, b in pairs]
     pairs = pairs[:at] + negated + pairs[at:]
-    assert field.sum_of_products(pairs, ZERO) == ZERO
-    assert field.sum_of_products_is_zero(pairs)
+    assert column_sum(pairs) == ZERO
+    assert column_sum_is_zero(pairs)
 
 
 def test_sum_of_products_cancels_across_products():
@@ -811,7 +852,7 @@ def test_sum_of_products_cancels_across_products():
     # unreduced product (1 - t) q1 / (1 - t) shares 1 - t with the lcm
     x = Q1 / (ONE - T)
     _check_sum_of_products([(ONE - T, x), (T, ONE)])
-    assert field.sum_of_products([(ONE - T, x), (T, ONE)], ZERO) == Q1 + T
+    assert column_sum([(ONE - T, x), (T, ONE)]) == Q1 + T
     # t^2 q1 / (q2 (1 - t^2)) times (1 - t) / t, and 3 / q2
     _check_sum_of_products([(T * T * Q1 / (Q2 * (ONE - T * T)), (ONE - T) / T),
                             (Scalar.integer(3, K), Q2.inv())])
@@ -822,11 +863,11 @@ def test_sum_of_products_cancels_against_the_lcm():
     a = (ONE - T).inv()
     pairs = [(a, ONE), (-T * a, ONE)]
     _check_sum_of_products(pairs)
-    assert field.sum_of_products(pairs, ZERO) == ONE
+    assert column_sum(pairs) == ONE
     # and a content: 2 / (2 q1) over the lcm of q1 and 2 q1
     pairs = [(ONE, Q1.inv()), (ONE, -(Q1 + Q1).inv())]
     _check_sum_of_products(pairs)
-    assert field.sum_of_products(pairs, ZERO) == (Q1 + Q1).inv()
+    assert column_sum(pairs) == (Q1 + Q1).inv()
 
 
 def test_sum_of_products_zero_test_reads_the_cofactors():
@@ -834,18 +875,18 @@ def test_sum_of_products_zero_test_reads_the_cofactors():
     # to the lcm: 1 / (1 - t) - 1 is not zero, and
     # (1 - t) / (1 - t) - 1 is
     a = (ONE - T).inv()
-    assert not field.sum_of_products_is_zero([(a, ONE), (-ONE, ONE)])
-    assert field.sum_of_products_is_zero([(a, ONE - T), (-ONE, ONE)])
+    assert not column_sum_is_zero([(a, ONE), (-ONE, ONE)])
+    assert column_sum_is_zero([(a, ONE - T), (-ONE, ONE)])
     b = Q1 / (ONE + T * Q2)
-    assert not field.sum_of_products_is_zero([(b, T), (-Q1, T)])
-    assert field.sum_of_products_is_zero([(b, ONE + T * Q2), (-T, Q1 / T)])
+    assert not column_sum_is_zero([(b, T), (-Q1, T)])
+    assert column_sum_is_zero([(b, ONE + T * Q2), (-T, Q1 / T)])
 
 
 def test_sum_of_products_of_nothing_is_zero():
-    assert field.sum_of_products([], ZERO) == ZERO
-    assert field.sum_of_products_is_zero([])
-    assert field.sum_of_products([(ZERO, T), (Q1, ZERO)], ZERO) == ZERO
-    assert field.sum_of_products_is_zero([(ZERO, T), (Q1, ZERO)])
+    assert column_sum([]) == ZERO
+    assert column_sum_is_zero([])
+    assert column_sum([(ZERO, T), (Q1, ZERO)]) == ZERO
+    assert column_sum_is_zero([(ZERO, T), (Q1, ZERO)])
 
 
 def test_sum_of_products_with_an_unfactored_operand():
@@ -857,7 +898,7 @@ def test_sum_of_products_with_an_unfactored_operand():
                   [(a, T), (Q1 / (ONE - T), a), (ONE, ONE)],
                   [(ONE, T), (a, ZERO)]):
         _check_sum_of_products(pairs)
-    assert field.sum_of_products_is_zero([(a, ONE + T + Q1), (-ONE, ONE)])
+    assert column_sum_is_zero([(a, ONE + T + Q1), (-ONE, ONE)])
 
 
 def test_sum_of_products_past_the_exponent_limit_raises():
@@ -868,6 +909,119 @@ def test_sum_of_products_past_the_exponent_limit_raises():
         with pytest.raises(ValueError):
             sum((x * y for x, y in pairs), ZERO)
         with pytest.raises(ValueError):
-            field.sum_of_products(pairs, ZERO)
+            column_sum(pairs)
         with pytest.raises(ValueError):
-            field.sum_of_products_is_zero(pairs)
+            column_sum_is_zero(pairs)
+
+
+# shifts and diagonal entries: c t^a q1^b q2^e with c in {1, -1, 4} and
+# exponents -2..2, so a gap is a binomial over a monomial that mostly
+# splits, sometimes not (4t^2 - 1), and gaps differ in their monomial
+# denominators
+monomial_scalars = st.builds(
+    lambda c, a, b, e: Scalar.param_monomial(K, a, {1: b, 2: e}, c),
+    st.sampled_from([1, 1, -1, -1, 4]), *[st.integers(-2, 2)] * 3)
+# entries of the Y matrices' shape: a polynomial over a monomial
+polynomials_over_monomials = st.builds(
+    lambda p, m: Scalar(_packed(p), {0: 1}, K) / m, _PARAM_POLYS,
+    monomial_scalars)
+
+
+@st.composite
+def columns(draw):
+    """(values, column, shifts, diagonal) for solve_column: one to three
+    values under keys 0, 1, ..., and one to three equations whose pairs
+    use those keys, the next key (which has no value) and one key of
+    their own.  The values have binomial denominators, and the entries
+    monomial ones as in the Y matrices, or binomial ones, or both are
+    mixed with general and unfactored scalars.  Some diagonal
+    entries equal their shift, so a gap is zero; the solving equation's
+    pairs are sometimes doubled with their negatives, so its sum is zero
+    beside others that are not; and some later equations are made to
+    hold, by one more pair whose value is what their sum lacks."""
+    pool = entries = factored_scalars(allow_zero=False)
+    mode = draw(st.integers(0, 2))
+    if mode == 0:
+        entries = polynomials_over_monomials
+    elif mode == 2:
+        pool = entries = st.one_of(pool, scalars(allow_zero=False),
+                                   pool.map(_plain))
+    values = dict(enumerate(draw(st.lists(pool, min_size=1, max_size=3))))
+    n = draw(st.integers(1, 3))
+    column = [draw(st.lists(st.tuples(st.integers(0, len(values)), entries),
+                            min_size=1, max_size=2)) for _ in range(n)]
+    shifts = [draw(monomial_scalars) for _ in range(n)]
+    diagonal = [a if draw(st.integers(0, 3)) == 0 else draw(monomial_scalars)
+                for a in shifts]
+    s = next((i for i, (a, d) in enumerate(zip(shifts, diagonal))
+              if a != d), None)
+    assume(s is not None)
+    if draw(st.integers(0, 3)) == 0:
+        column[s] = column[s] + [(l, -c) for l, c in column[s]]
+    sums = [sum((values[l] * c for l, c in eq if l in values), ZERO)
+            for eq in column]
+    x = sums[s] / (shifts[s] - diagonal[s])
+    for i in range(s + 1, n):
+        # w under a key of its own makes equation i hold
+        w = x * (shifts[i] - diagonal[i]) - sums[i]
+        if w and draw(st.integers(0, 3)):
+            values[5 + i] = w
+            column[i] = column[i] + [(5 + i, ONE)]
+    return values, column, shifts, diagonal
+
+
+@given(columns())
+def test_solve_column_matches_scalar_arithmetic(case):
+    _check_column(*case)
+
+
+def test_solve_column_solves_from_the_first_nonzero_gap():
+    # x = q1 / (1 - t) from the first equation, whose gap is 1 - t;
+    # the second, with gap (q2 - t) / t and an entry over a binomial
+    # denominator, holds for one entry and fails for another
+    values = {0: Q1 / (ONE - T * Q2), 1: ONE}
+    x = Q1 / (ONE - T)
+    c = x * (Q2 - T) / T
+    for entry, holds in ((c, True), (c + ONE, False), (_plain(c), True)):
+        column = [[(1, Q1)], [(1, entry)]]
+        got = _check_column(values, column, [ONE, Q2 / T], [T, ONE])
+        assert (got == x) if holds else got is None
+    # an equation whose gap is zero holds exactly when its sum is zero
+    for eq, holds in (([(0, ONE - T * Q2), (1, -Q1)], True),
+                      ([(0, ONE)], False)):
+        got = _check_column(values, [[(1, T)], eq, []], [ONE, T, Q1],
+                            [Q2, T, Q1])
+        assert (got == T / (ONE - Q2)) if holds else got is None
+
+
+def test_solve_column_with_a_zero_solving_sum():
+    # the first equation's sum cancels, so x is zero, and the second
+    # holds only when its own sum is zero
+    values = {0: T / (ONE - Q1), 1: (ONE - Q1).inv()}
+    solving = [(0, ONE), (1, -T)]
+    for eq, holds in (([(0, Q2), (1, -T * Q2)], True), ([(1, Q2)], False)):
+        got = _check_column(values, [solving, eq], [T, Q1], [Q1, T])
+        assert (got == ZERO) if holds else got is None
+
+
+def test_solve_column_with_a_gap_that_does_not_split():
+    # 4t^2 - 1 is no product of known factors: Scalar arithmetic
+    four_t2 = Scalar.param_monomial(K, 2, {}, 4)
+    x = _check_column({0: Q1}, [[(0, ONE - T)]], [four_t2], [ONE])
+    assert x == Q1 * (ONE - T) / (four_t2 - ONE) and x.fac is None
+    assert _check_column({0: Q1}, [[(0, ONE - T)], [(0, ONE)]],
+                         [four_t2, T], [ONE, Q2]) is None
+
+
+def test_solve_column_on_factored_operands_calls_no_gcd(monkeypatch):
+    values = {0: Q1 / (ONE - T), 1: T / (Q2 * (ONE + T))}
+    column = [[(0, T), (1, ONE - T)], [(0, Q2 / T), (1, -ONE)]]
+    shifts, diagonal = [Q1, T / Q2], [T * T, ONE]
+    want = column_reference(values, column, shifts, diagonal)
+    monkeypatch.setattr(field, "p_gcd", _unreachable)
+    assert field.solve_column(values, column, shifts, diagonal, ZERO) == want
+
+
+def test_solve_column_needs_a_nonzero_gap():
+    with pytest.raises(ValueError):
+        field.solve_column({0: ONE}, [[(0, T)]], [T], [T], ZERO)

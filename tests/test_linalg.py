@@ -17,6 +17,7 @@ property tests of its own.
 from __future__ import annotations
 
 import operator
+import random
 
 import sympy
 import pytest
@@ -24,8 +25,8 @@ from hypothesis import Phase, find, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from dahamac import nonsym
-from dahamac.linalg import joint_left_kernel, rref
-from dahamac.rep import RepContext
+from dahamac.linalg import joint_left_kernel, rref, triangular_family
+from dahamac.rep import RepContext, apply_Y, matrix_of
 
 CTX = RepContext(1, 1, 1)
 ZERO, ONE, T, Q1 = CTX.scalar(0), CTX.scalar(), CTX.scalar(t=1), \
@@ -186,20 +187,21 @@ def test_joint_left_kernel_of_a_commuting_pair():
     m1, m2 = sparse(m1), sparse(m2)
     # two free positions: a plane, which joint_left_kernel refuses
     with pytest.raises(ValueError):
-        joint_left_kernel([m1], [T])
-    (v,) = joint_left_kernel([m1, m2], [T, ONE])
+        joint_left_kernel(triangular_family([m1]), [T])
+    (v,) = joint_left_kernel(triangular_family([m1, m2]), [T, ONE])
     assert v and not any(c.is_zero() for c in v.values())
     assert all(v.get(i, ZERO) * p[0][j] == v.get(j, ZERO) * p[0][i]
                for i in range(3) for j in range(3))
-    (w,) = joint_left_kernel([m1, m2], [Q1, ONE])
+    (w,) = joint_left_kernel(triangular_family([m1, m2]), [Q1, ONE])
     assert all(w.get(i, ZERO) * p[2][j] == w.get(j, ZERO) * p[2][i]
                for i in range(3) for j in range(3))
-    assert joint_left_kernel([m1, m2], [T, Q1]) == []
+    assert joint_left_kernel(triangular_family([m1, m2]), [T, Q1]) == []
     for shifts in ([Q1], [ONE]):
-        assert_same_span(joint_left_kernel([m1], shifts),
+        assert_same_span(joint_left_kernel(triangular_family([m1]), shifts),
                          stacked_kernel([m1], shifts))
     for shifts in ([T, ONE], [Q1, ONE], [T, Q1], [T, Q1 * Q1]):
-        assert_same_span(joint_left_kernel([m1, m2], shifts),
+        assert_same_span(joint_left_kernel(triangular_family([m1, m2]),
+                                           shifts),
                          stacked_kernel([m1, m2], shifts))
 
 
@@ -282,11 +284,13 @@ def free_positions(mats, shifts):
 
 @given(triangular_families())
 def test_joint_left_kernel_with_repeated_diagonals(family):
+    mats, shifts = family
     if len(free_positions(*family)) > 1:
         with pytest.raises(ValueError):
-            joint_left_kernel(*family)
+            joint_left_kernel(triangular_family(mats), shifts)
     else:
-        assert_same_span(joint_left_kernel(*family), stacked_kernel(*family))
+        assert_same_span(joint_left_kernel(triangular_family(mats), shifts),
+                         stacked_kernel(*family))
 
 
 @pytest.mark.parametrize("dim", [0, 1, 2])
@@ -312,12 +316,18 @@ def test_joint_left_kernel_of_triangular_pairs_with_repeated_diagonals():
     m2 = sparse([[Q1, ZERO, T], [ZERO, Q1, ONE], [ZERO, ZERO, T]])
     for mats, shifts in (([m1], [T]), ([m2], [Q1]), ([m1, m2], [T, Q1])):
         with pytest.raises(ValueError):
-            joint_left_kernel(mats, shifts)
+            joint_left_kernel(triangular_family(mats), shifts)
     assert len(stacked_kernel([m1, m2], [T, Q1])) == 1
     for shifts, dim in (([Q1, T], 1), ([T, T], 0), ([Q1, Q1], 0)):
-        kernel = joint_left_kernel([m1, m2], shifts)
+        kernel = joint_left_kernel(triangular_family([m1, m2]), shifts)
         assert_same_span(kernel, stacked_kernel([m1, m2], shifts))
         assert len(kernel) == dim
+
+
+def y_matrices(ctx, d):
+    """The matrices of Y_1, ..., Y_n on the component of multidegree d."""
+    return [matrix_of(ctx, lambda p, i=i: apply_Y(ctx, i, p), d)
+            for i in range(1, ctx.n + 1)]
 
 
 def test_joint_left_kernel_spans_the_stacked_kernel_on_oracle_families(
@@ -326,23 +336,80 @@ def test_joint_left_kernel_spans_the_stacked_kernel_on_oracle_families(
     # each index's weight (a one-dimensional kernel) and by that weight
     # rotated (no kernel where the rotated weight is no joint eigenvalue)
     for ctx, mu in oracle_cases:
-        mats = nonsym._y_matrices(ctx, nonsym.index_multidegree(mu))
+        mats = y_matrices(ctx, nonsym.index_multidegree(mu))
         weight = list(nonsym.weight_of(ctx, mu))
         for shifts in (weight, weight[1:] + weight[:1]):
-            kernel = joint_left_kernel(mats, shifts)
+            kernel = joint_left_kernel(triangular_family(mats), shifts)
             assert_same_span(kernel, stacked_kernel(mats, shifts))
-        assert len(joint_left_kernel(mats, weight)) == 1
+        assert len(joint_left_kernel(triangular_family(mats), weight)) == 1
 
 
 def test_joint_left_kernel_refuses_a_cycle():
-    # each matrix is triangular, but under opposite orders
+    # each matrix is triangular, but under opposite orders; the family
+    # is refused when it is prepared, before any shifts
     m1 = sparse([[T, ONE], [ZERO, Q1]])
     m2 = sparse([[T, ZERO], [ONE, Q1]])
-    assert len(joint_left_kernel([m1], [T])) == 1
+    assert len(joint_left_kernel(triangular_family([m1]), [T])) == 1
     with pytest.raises(ValueError):
-        joint_left_kernel([m1, m2], [T, T])
+        triangular_family([m1, m2])
     with pytest.raises(ValueError):
-        joint_left_kernel([sparse([[T, ONE], [ONE, T]])], [T])
+        triangular_family([sparse([[T, ONE], [ONE, T]])])
+
+
+def test_a_family_is_prepared_once_for_every_weight_of_its_component(
+        oracle_cases):
+    # the 18 indices of one component, solved in shuffled order with the
+    # family prepared once
+    d = (2, 1)
+    cases = [(ctx, mu) for ctx, mu in oracle_cases
+             if ctx.n == 3 and nonsym.index_multidegree(mu) == d]
+    assert len(cases) == 18
+    random.Random(31).shuffle(cases)
+    mats = y_matrices(cases[0][0], d)
+    family = triangular_family(mats)
+    for ctx, mu in cases:
+        weight = list(nonsym.weight_of(ctx, mu))
+        kernel = joint_left_kernel(family, weight)
+        assert len(kernel) == 1
+        assert_same_span(kernel, stacked_kernel(mats, weight))
+
+
+def test_a_shared_diagonal_refuses_only_its_own_shifts():
+    # positions 0 and 1 share the diagonals (t, q1), position 2 has
+    # (q1, t): only the shifts (t, q1) free two positions
+    m1 = sparse([[T, ZERO, ONE], [ZERO, T, Q1], [ZERO, ZERO, Q1]])
+    m2 = sparse([[Q1, ZERO, T], [ZERO, Q1, ONE], [ZERO, ZERO, T]])
+    family = triangular_family([m1, m2])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            joint_left_kernel(family, [T, Q1])
+        kernel = joint_left_kernel(family, [Q1, T])
+        assert kernel == [{2: ONE}]
+        assert_same_span(kernel, stacked_kernel([m1, m2], [Q1, T]))
+        assert joint_left_kernel(family, [T, T]) == []
+
+
+def test_a_zero_diagonal_entry_is_the_fields_zero():
+    # position 1 has no diagonal entry: v_1 (0 - t) + v_0 = 0
+    m = sparse([[T, ONE], [ZERO, ZERO]])
+    family = triangular_family([m])
+    assert joint_left_kernel(family, [T]) == [{0: ONE, 1: T.inv()}]
+    assert_same_span(joint_left_kernel(family, [T]), stacked_kernel([m], [T]))
+    assert joint_left_kernel(family, [Q1]) == []
+
+
+def test_clear_cache_drops_the_prepared_families():
+    ctx, mu = RepContext(2, 2, 2), ((1, 0), (0, 1))
+    key = (ctx, nonsym.index_multidegree(mu))
+    nonsym.clear_cache()
+    first = nonsym.eigen_oracle_Y(ctx, mu)
+    entry = nonsym._YMAT_CACHE[key]
+    assert nonsym.eigen_oracle_Y(ctx, mu) == first
+    assert nonsym._YMAT_CACHE[key] is entry
+    nonsym.clear_cache()
+    assert key not in nonsym._YMAT_CACHE
+    assert nonsym.eigen_oracle_Y(ctx, mu) == first
+    assert nonsym._YMAT_CACHE[key] is not entry
 
 
 def test_joint_left_kernel_checks_the_matrices_it_does_not_solve_with():
@@ -354,8 +421,8 @@ def test_joint_left_kernel_checks_the_matrices_it_does_not_solve_with():
     x = Q1 / (T - Q1)
     for c, dim in ((x * (ONE - T), 1), (x * T, 0), (ONE, 0)):
         m2 = sparse([[ONE, c], [ZERO, T]])
-        assert len(joint_left_kernel([m2], [ONE])) == 1
-        kernel = joint_left_kernel([m1, m2], [T, ONE])
+        assert len(joint_left_kernel(triangular_family([m2]), [ONE])) == 1
+        kernel = joint_left_kernel(triangular_family([m1, m2]), [T, ONE])
         assert len(kernel) == dim
         assert_same_span(kernel, stacked_kernel([m1, m2], [T, ONE]))
 
@@ -370,7 +437,7 @@ def test_joint_left_kernel_checks_a_column_whose_solved_sum_is_zero():
     for c, dim in ((ZERO, 1), (ONE, 0), (T, 0)):
         m2 = sparse([[ONE, x * (ONE - T), c], [ZERO, T, ZERO],
                      [ZERO, ZERO, Q1]])
-        kernel = joint_left_kernel([m1, m2], [T, ONE])
+        kernel = joint_left_kernel(triangular_family([m1, m2]), [T, ONE])
         assert len(kernel) == dim
         assert_same_span(kernel, stacked_kernel([m1, m2], [T, ONE]))
     # the same with no term in m1's column: its sum is zero with no
@@ -378,7 +445,7 @@ def test_joint_left_kernel_checks_a_column_whose_solved_sum_is_zero():
     m1 = sparse([[T, ZERO], [ZERO, Q1]])
     for c, dim in ((ZERO, 1), (Q1, 0)):
         m2 = sparse([[ONE, c], [ZERO, T]])
-        kernel = joint_left_kernel([m1, m2], [T, ONE])
+        kernel = joint_left_kernel(triangular_family([m1, m2]), [T, ONE])
         assert len(kernel) == dim
         assert_same_span(kernel, stacked_kernel([m1, m2], [T, ONE]))
 
@@ -390,4 +457,4 @@ def test_joint_left_kernel_refuses_two_free_positions():
     for mats, shifts in (([m], [T]), ([m, m], [T, T])):
         assert stacked_kernel(mats, shifts) == [{1: ONE}]
         with pytest.raises(ValueError):
-            joint_left_kernel(mats, shifts)
+            joint_left_kernel(triangular_family(mats), shifts)
