@@ -1,18 +1,17 @@
 """Where one benchmark pass spends its time, by `dahamac` function.
 
-    python3 scripts/profile_split.py --workload oracle [--order 1/0] \
-        [--limit N] [NAME ...]
+    python3 scripts/profile_split.py --workload oracle [NAME ...]
 
 Runs one pass of a workload of `perfbench/workloads.py` in this
 process, its operations in the order the benchmark's worker uses for
-the same --order, under cProfile, and prints the cumulative seconds of
-each named function and its share of the pass.  A NAME is
-`module.function` within `dahamac`, such as `linalg.joint_left_kernel`
-or `field.__add__` (methods go by their bare name); with none, the
-fifteen `dahamac` functions of largest cumulative time are printed.
---limit runs only the first N operations.  The E, P and Y caches are
-emptied first, as a worker starts with them empty, and the outputs are
-not checked: the benchmark does that.
+the seed 1/0 (`output_digest.outputs`), under cProfile, and prints the
+cumulative seconds of each named function and its share of the pass.
+A NAME is `module.function` within `dahamac`, such as
+`linalg.joint_left_kernel` or `field.__add__` (methods go by their bare
+name); with none, the fifteen `dahamac` functions of largest
+cumulative time are printed.  The E, P and Y caches are emptied first,
+as a worker starts with them empty, and the outputs are not checked:
+the benchmark does that.
 """
 
 from __future__ import annotations
@@ -24,32 +23,21 @@ import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import workloads  # noqa: E402
+import output_digest
+import workloads
 
 TOP = 15
 
 
-def run_ops(ops, ctxs):
-    for op in ops:
-        workloads.run_op(op, ctxs)
-
-
-def profile_pass(workload, order, limit=None):
+def profile_pass(workload):
     """(pass seconds under the profiler, {module.function: cumulative
     seconds}) over every `dahamac` function the pass called."""
     from dahamac import nonsym
 
     nonsym.clear_cache()
-    ops, ctxs = workloads.make_ops(workload, order)
-    if limit is not None:
-        ops = ops[:limit]
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
-    profiler.runcall(run_ops, ops, ctxs)
+    profiler.runcall(list, output_digest.outputs(workload, "1/0"))
     total = time.perf_counter() - t0
     cumulative = {}
     for (filename, _, func), (_, _, _, ct, _) in \
@@ -65,11 +53,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
                         choices=workloads.WORKLOADS)
-    parser.add_argument("--order", default="1/0")
-    parser.add_argument("--limit", type=int)
     parser.add_argument("names", nargs="*")
     args = parser.parse_args(argv)
-    total, cumulative = profile_pass(args.workload, args.order, args.limit)
+    total, cumulative = profile_pass(args.workload)
     names = args.names or sorted(cumulative, key=cumulative.get,
                                  reverse=True)[:TOP]
     print(f"{'pass':40} {total:8.3f} s  100.0%")

@@ -1075,17 +1075,13 @@ def _factored_lcm(scalars, k):
 
 
 def _column_over_lcm(values, column, shifts, diagonal, s):
-    """(us, gaps, negative, fac), or None for solve_column's Scalar
-    path: us[i] is equation i's sum as a numerator over L * E, L the lcm
-    of the values' denominators and E that of the entries'; gaps[i] is
-    (g, h) with shifts[i] - diagonal[i] = g / h, unreduced; and fac
-    factors L * E * g for the g of gaps[s], negated when negative.
-
-    None when an operand is unfactored, that g does not split, the
-    monomial of fac passes MAX_EXP, or L and E share a factor: L * E
-    would hold it past its exponent in the products' lcm, and on such
-    columns (values and entries over the same binomials) the one
-    reduction is 50 to 120 times slower than Scalar arithmetic."""
+    """(us, gaps, fac), or None for solve_column's Scalar path: us[i]
+    is equation i's sum as a numerator over L * E, L the lcm of the
+    values' denominators and E that of the entries'; gaps[i] is (g, h)
+    with shifts[i] - diagonal[i] = g / h, unreduced, and signed at s so
+    that fac, the factorization of L * E * g, is positive for that g.
+    None when an operand is unfactored, that g does not split, or the
+    monomial of fac passes MAX_EXP."""
     entries = [e for eq in column for l, e in eq if l in values]
     if any(x.fac is None
            for x in (*values.values(), *entries, *shifts, *diagonal)):
@@ -1098,14 +1094,16 @@ def _column_over_lcm(values, column, shifts, diagonal, s):
                            p_mul(d.num, _product(-c // c2, m - m2, up2))),
                      _product(c, m, fs)))
     split = _factorization(gaps[s][0])
-    L, E = (_lcm_of(x.fac for x in xs) for xs in (values.values(), entries))
-    if split is None or L[2].keys() & E[2].keys():
+    if split is None:
         return None
+    if split[0] < 0:
+        gaps[s] = tuple(map(p_neg, gaps[s]))
+    L, E = (_lcm_of(x.fac for x in xs) for xs in (values.values(), entries))
     m = L[1] + E[1] + split[1]
     if m & _guards(m):
         return None
-    fs = {**L[2], **E[2]}
-    for fid, e in split[2].items():
+    fs = dict(L[2])
+    for fid, e in (*E[2].items(), *split[2].items()):
         fs[fid] = fs.get(fid, 0) + e
     # each value cleared once, for all the equations it enters
     cleared = {l: p_mul(v.num, _cofactor(L, v.fac))
@@ -1114,7 +1112,7 @@ def _column_over_lcm(values, column, shifts, diagonal, s):
                                p_mul(e.num, _cofactor(E, e.fac)))
                          for l, e in eq if l in cleared), {})
           for eq in column]
-    return us, gaps, split[0] < 0, (L[0] * E[0] * abs(split[0]), m, fs)
+    return us, gaps, (L[0] * E[0] * abs(split[0]), m, fs)
 
 
 def solve_column(values, column, shifts, diagonal, zero):
@@ -1146,18 +1144,16 @@ def solve_column(values, column, shifts, diagonal, zero):
         sums = [sum((used[l] * e for l, e in eq if l in used), zero)
                 for eq in column]
         x = sums[s] / (shifts[s] - diagonal[s]) if sums[s] else zero
-        return x if all((y + x * (d - a)).is_zero() for i, (y, a, d)
-                        in enumerate(zip(sums, shifts, diagonal))
-                        if i != s) else None
-    us, gaps, negative, (c, m, fs) = over
+        return x if all((y + x * (d - a)).is_zero() for y, a, d
+                        in zip(sums, shifts, diagonal)) else None
+    us, gaps, (c, m, fs) = over
     (gs, hs), us_s = gaps[s], us[s]
     if any(p_mul(u, p_mul(gs, h)) != p_mul(us_s, p_mul(g, hs))
            for i, (u, (g, h)) in enumerate(zip(us, gaps)) if i != s):
         return None
     if not us_s:
         return zero
-    num, c, m, fs, _ = _cancel(p_mul(us_s, p_neg(hs) if negative else hs),
-                               c, m, fs, fs)
+    num, c, m, fs, _ = _cancel(p_mul(us_s, hs), c, m, fs, fs)
     return Scalar(num, _product(c, m, fs), zero.k, (c, m, fs))
 
 

@@ -1013,6 +1013,28 @@ def test_solve_column_with_a_gap_that_does_not_split():
                          [four_t2, T], [ONE, Q2]) is None
 
 
+def test_solve_column_where_values_and_entries_share_a_factor():
+    # the lcm of the values and that of the entries both hold 1 - t, so
+    # the common denominator holds it squared, past its exponent in the
+    # lcm of the products, and the one reduction takes it out
+    a = (ONE - T).inv()
+    column = [[(0, T * a), (0, -a)]]
+    x = _check_column({0: a}, column, [Q1], [ONE])
+    assert x == a / (ONE - Q1) and set(x.fac[2].values()) == {1}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "p_gcd", _unreachable)
+        assert field.solve_column({0: a}, column, [Q1], [ONE], ZERO) == x
+    # the second equation, checked by cross-multiplying, is the first
+    # times r = (q2 - 1) / (q1 - 1), the ratio of the gaps
+    r = (Q2 - ONE) / (Q1 - ONE)
+    values = {0: a, 1: a * a}
+    for eq, holds in (([(0, a * r), (1, Q1 * a * r)], True),
+                      ([(0, a * r), (1, a)], False)):
+        got = _check_column(values, [[(0, a), (1, Q1 * a)], eq],
+                            [Q1, Q2], [ONE, ONE])
+        assert (got is not None) == holds
+
+
 def test_solve_column_on_factored_operands_calls_no_gcd(monkeypatch):
     values = {0: Q1 / (ONE - T), 1: T / (Q2 * (ONE + T))}
     column = [[(0, T), (1, ONE - T)], [(0, Q2 / T), (1, -ONE)]]

@@ -1,4 +1,4 @@
-"""scripts/profile_split.py: one short profiled pass, read back."""
+"""scripts/profile_split.py: one profiled oracle pass, read back."""
 
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ import profile_split  # noqa: E402
 
 def test_profile_split_prints_the_named_shares(capsys):
     names = ["linalg.joint_left_kernel", "rep.matrix_of", "nonsym.nothing"]
-    assert profile_split.main(["--workload", "oracle", "--limit", "12",
-                               *names]) == 0
+    assert profile_split.main(["--workload", "oracle", *names]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["pass", *names]
     rows = {line.split()[0]: (float(line.split()[1]),
@@ -27,7 +26,7 @@ def test_profile_split_prints_the_named_shares(capsys):
 
 
 def test_profile_split_lists_the_largest_without_names(capsys):
-    profile_split.main(["--workload", "oracle", "--limit", "3"])
+    profile_split.main(["--workload", "oracle"])
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert len(rows) == 1 + profile_split.TOP
     seconds = [float(row[1]) for row in rows[1:]]
