@@ -31,7 +31,8 @@ TOP = 15
 
 def profile_pass(workload):
     """(pass seconds under the profiler, {module.function: cumulative
-    seconds}) over every `dahamac` function the pass called."""
+    seconds}, {module.function: calls}) over every `dahamac` function
+    the pass called."""
     from dahamac import nonsym
 
     nonsym.clear_cache()
@@ -39,14 +40,15 @@ def profile_pass(workload):
     t0 = time.perf_counter()
     profiler.runcall(list, output_digest.outputs(workload, "1/0"))
     total = time.perf_counter() - t0
-    cumulative = {}
-    for (filename, _, func), (_, _, _, ct, _) in \
+    cumulative, calls = {}, {}
+    for (filename, _, func), (_, nc, _, ct, _) in \
             pstats.Stats(profiler).stats.items():
         path = Path(filename)
         if path.parent.name == "dahamac":
             name = f"{path.stem}.{func}"
             cumulative[name] = cumulative.get(name, 0.0) + ct
-    return total, cumulative
+            calls[name] = calls.get(name, 0) + nc
+    return total, cumulative, calls
 
 
 def main(argv=None):
@@ -55,13 +57,14 @@ def main(argv=None):
                         choices=workloads.WORKLOADS)
     parser.add_argument("names", nargs="*")
     args = parser.parse_args(argv)
-    total, cumulative = profile_pass(args.workload)
+    total, cumulative, calls = profile_pass(args.workload)
     names = args.names or sorted(cumulative, key=cumulative.get,
                                  reverse=True)[:TOP]
-    print(f"{'pass':40} {total:8.3f} s  100.0%")
+    print(f"{'pass':40} {total:8.3f} s  100.0% {1:9}")
     for name in names:
         s = cumulative.get(name, 0.0)
-        print(f"{name:40} {s:8.3f} s  {100 * s / total:5.1f}%")
+        print(f"{name:40} {s:8.3f} s  {100 * s / total:5.1f}% "
+              f"{calls.get(name, 0):9}")
     return 0
 
 

@@ -45,12 +45,15 @@ divisions by known factors; a linear factor is first tested by one pass
 over the numerator (_linear_divides).  solve_column, one column of a
 triangular system, puts the column over one common denominator,
 checks its equations by cross-multiplying, with no reduction, and
-reduces once, the solved entry.  Any other denominator, of three or
-more terms as from a pivot of the linear algebra or P's monic
-normaliser, or a binomial that does not split, takes the general path
-through p_gcd, and the input decides which path an operation takes.
-scalar_from_json reduces its input by p_gcd, and the Scalar it returns
-is factored when its denominator is.
+reduces once, the solved entry.  The symmetrizer's normaliser is
+inverted factored when trial division by the factors of its input's
+denominators and the Phi_d(t) leaves a monomial
+(inverse_over_known_factors).  Any other denominator, of three or more
+terms as from a pivot of the linear algebra or a normaliser that the
+trial leaves more than a monomial, or a binomial that does not split,
+takes the general path through p_gcd, and the input decides which path
+an operation takes.  scalar_from_json reduces its input by p_gcd, and
+the Scalar it returns is factored when its denominator is.
 
 p_gcd(f, g) returns (h, f/h, g/h).  An operand of one term, or of two
 that split into known factors, settles it (_split_gcd): _cancel reduces
@@ -838,8 +841,9 @@ class Scalar:
     a product trial-divides each numerator by the other side's factors;
     a sum takes the lcm and trial-divides by the factors of equal
     exponent on both sides alone, since a numerator is coprime to its
-    own denominator (see _factored_add).  Every other operation takes
-    the gcd path.
+    own denominator (see _factored_add).  inverse_over_known_factors
+    gives a many-term polynomial's inverse a factorization when trial
+    division finds one.  Every other operation takes the gcd path.
     """
 
     __slots__ = ("num", "den", "k", "fac")
@@ -1068,6 +1072,32 @@ def _factored_lcm(scalars, k):
     out = [Scalar(p_mul(s.num, mult[key]), {0: 1}, k)
            for key, s in zip(keys, scalars)]
     return Scalar(_product(*lcm), {0: 1}, k), out
+
+
+def inverse_over_known_factors(norm, scalars, n):
+    """1 / norm for a nonzero norm of denominator 1, factored when norm
+    is +-c times a monomial times candidate factors: each factor of the
+    scalars' factored denominators to its exponent in their lcm, and
+    Phi_d(t), 2 <= d <= n, to n // d more, its exponent in
+    prod_{m<=n} [m]_t.  _cancel trial-divides by them.  A norm of at
+    most two terms is factored by the constructor, and any other
+    cofactor keeps norm.inv(), whose products take the gcd path."""
+    if len(norm.num) > 2:
+        facs = (s.fac for s in scalars if s.fac is not None)
+        trial = dict(_lcm_of(facs)[2])
+        for d in range(2, n + 1):
+            fid = _factor(1 << norm.k * FIELD_BITS, 0, 1, 0, d)
+            trial[fid] = trial.get(fid, 0) + n // d
+        rest, _, _, left, _ = _cancel(norm.num, 1, 0, trial, trial)
+        if len(rest) == 1:
+            (m, c), = rest.items()
+            # every interned factor leads with a positive coefficient
+            sign = -1 if c < 0 else 1
+            return Scalar({0: sign}, p_iscale(norm.num, sign), norm.k,
+                          (c * sign, m, {fid: e - left.get(fid, 0)
+                                      for fid, e in trial.items()
+                                      if e > left.get(fid, 0)}))
+    return norm.inv()
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .field import KroneckerRing, Scalar, integer
+from .field import KroneckerRing, Scalar, integer, inverse_over_known_factors
 from .laurent import LaurentPoly, clear_poly_denominators
 
 
@@ -244,21 +244,31 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
       m - k factors 1 - t), n(n-1)/2 over the chain;
     - the q-degrees do not rise.
 
-    The integral image is divided once, by D prod_{m<=n} [m]_t, or with
-    monic_at by its own coefficient at that flat exponent tuple
-    (ArithmeticError if it has none); either way one reduction per
-    distinct output coefficient, shared by the terms of that value.
-    Values repeat (465 distinct among the 1,451 output coefficients of
-    one `stability` bench pass), but not along S_n orbits of the
-    exponent columns: 63 of the 72 terms of P(((3,1,0),(2,0,0))) at
-    n = 3, r = 2 differ from some term of their column orbit.  At n = 1
-    there is no chain and no ring: the sum is p.
+    The integral image is divided once, by the normaliser
+    D prod_{m<=n} [m]_t, or with monic_at by its own coefficient at
+    that flat exponent tuple (ArithmeticError if it has none).  The
+    normaliser is factored before it is inverted
+    (field.inverse_over_known_factors), by trial division by the
+    factors of the input's denominators, which are D's, and by the
+    Phi_d(t), d <= n, which are the brackets'.  When that leaves +-c
+    times a monomial, as it did for all 106 normalisers of one
+    `stability` bench pass (the monic ones were seen to be D times a
+    monomial times brackets, a rule the code does not rely on), each
+    distinct output coefficient takes one factored product and no gcd.
+    Otherwise the inverse keeps no factorization and each takes one gcd
+    reduction, so any input stays exact.  Values repeat (465 distinct
+    among the 1,451 output coefficients of one `stability` bench pass),
+    but not along S_n orbits of the exponent columns: 63 of the 72
+    terms of P(((3,1,0),(2,0,0))) at n = 3, r = 2 differ from some term
+    of their column orbit.  At n = 1 there is no chain and no ring: the
+    sum is p.
     """
     n = ctx.n
     if n == 1:
         if monic_at is None:
             return p
         return p.smul(_term_at(p, monic_at).inv())
+    coeffs = p.terms.values()
     norm, p = clear_poly_denominators(p)
     reach = max((sum(map(abs, m)) for m in p.terms), default=0)
     ring = KroneckerRing(ctx.k, p.terms.values(),
@@ -281,7 +291,7 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
             norm = norm * t_bracket(ctx, m)
     else:
         norm = images[_term_at(p, monic_at)]
-    inv = norm.inv()
+    inv = inverse_over_known_factors(norm, coeffs, n)
     quotients = {c: s * inv for c, s in images.items()}
     return LaurentPoly(p.r, n, p.k,
                        {m: quotients[c] for m, c in p.terms.items()})

@@ -167,7 +167,7 @@ class StableFamily:
     members maps n to the record at size n.  projections maps n to
     whether the size-(n+1) member projects onto the size-n one.
     stable_value is the eigenvalue of the shortest member, the closed
-    form delta_eigenvalue at its E label, so eigenvalue_constant says
+    form delta_eigenvalue of its E's weight, so eigenvalue_constant says
     that every member has it.  remark_value is the partition-shape closed
     form (None when some component is not a partition).  errors lists
     every detected discrepancy in plain words; an empty list means the

@@ -7,7 +7,7 @@ order.  The orbit index names the top monomial: E(mu) leads with
 x^gamma(mu) (gamma from affine.gamma_sigma), so the polynomial attached
 to nu is the symmetrizer image of E(gamma_inverse(nu)), which has a
 term at x^nu.  It is an eigenvector of the spherical operator Delta_n
-with the closed-form eigenvalue below, read at that same E label.
+with the closed-form eigenvalue below, read off that same E's weight.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .field import Scalar
 from .laurent import LaurentPoly
 from .rep import RepContext, apply_T, apply_Delta_n, symmetrize_eps, \
     matrix_of, compositions, t_bracket
-from .nonsym import E, weight_of, _P_CACHE, _normalize_index
+from .nonsym import E, _P_CACHE, _normalize_index
 from .linalg import rref
 
 
@@ -57,14 +57,15 @@ def enumerate_orbit_indices(n, r, d):
     return [nu for nu in product(*pools) if is_orbit_index(nu)]
 
 
-def delta_eigenvalue(ctx: RepContext, mu_tuple) -> Scalar:
-    """sum_i (q_1^-gamma(1)(i) ... q_r^-gamma(r)(i) - 1) t^(n-sigma(i)).
+def delta_eigenvalue(ctx: RepContext, weight) -> Scalar:
+    """The sum of a Y-weight minus [n]_t.
 
-    With gamma, sigma = gamma_sigma(mu) this is the sum of the Y-weight
-    of E(mu) minus [n]_t, because sigma permutes 1..n.
+    For the weight_of(ctx, mu) of E(mu), with gamma, sigma =
+    gamma_sigma(mu), this is sum_i (q_1^-gamma(1)(i) ...
+    q_r^-gamma(r)(i) - 1) t^(n-sigma(i)), because sigma permutes 1..n.
     """
     total = -t_bracket(ctx)
-    for w in weight_of(ctx, mu_tuple):
+    for w in weight:
         total = total + w
     return total
 
@@ -74,8 +75,8 @@ def P(ctx: RepContext, nu_tuple) -> SymMacdonaldRecord:
 
     That E is E(gamma_inverse(nu)); the coefficient of the monomial
     with exponent rows nu is set to 1, and the eigenvalue is
-    delta_eigenvalue at the same E label.  Records are cached on
-    (ctx, nu).
+    delta_eigenvalue of the weight on that E's record.  Records are
+    cached on (ctx, nu).
     """
     nu_tuple = _normalize_index(nu_tuple, ctx.n)
     if not is_orbit_index(nu_tuple):
@@ -84,10 +85,11 @@ def P(ctx: RepContext, nu_tuple) -> SymMacdonaldRecord:
     hit = _P_CACHE.get(key)
     if hit is not None:
         return hit
-    mu = affine.gamma_inverse(nu_tuple)
-    poly = symmetrize_eps(ctx, E(ctx, mu).poly,
+    e_rec = E(ctx, affine.gamma_inverse(nu_tuple))
+    poly = symmetrize_eps(ctx, e_rec.poly,
                           monic_at=tuple(e for comp in nu_tuple for e in comp))
-    rec = SymMacdonaldRecord(nu_tuple, poly, delta_eigenvalue(ctx, mu))
+    rec = SymMacdonaldRecord(nu_tuple, poly,
+                             delta_eigenvalue(ctx, e_rec.weight))
     _P_CACHE[key] = rec
     return rec
 

@@ -774,6 +774,92 @@ def test_gcd_with_a_cyclotomic_binomial_matches_sympy(sympy, case, other):
 
 
 # ---------------------------------------------------------------------------
+# the inverse of a normaliser of known factors, with norm.inv() as the
+# reference
+
+
+def _bracket(m):
+    """[m]_t = 1 + t + ... + t^(m-1)."""
+    out = ZERO
+    for e in range(m):
+        out = out + Scalar.t(K, e)
+    return out
+
+
+@st.composite
+def known_normalisers(draw):
+    """(norm, scalars, n): scalars over distinct split pieces, each to
+    the first or second power, and norm +-c times a monomial
+    times each piece to at most its power there, times [m]_t for some
+    distinct m in 2..n, so that Phi_2(t) may come from both."""
+    n = draw(st.integers(1, 4))
+    sign = draw(st.sampled_from([1, -1]))
+    norm = Scalar.param_monomial(K, draw(st.integers(0, 2)),
+                                 {1: draw(st.integers(0, 2)),
+                                  2: draw(st.integers(0, 2))},
+                                 sign * draw(st.integers(1, 6)))
+    scalars = []
+    split = [i for i in range(len(_PIECES)) if i != _UNSPLIT]
+    # distinct pieces share no factor
+    for i, e in draw(st.lists(st.tuples(st.sampled_from(split),
+                                        st.integers(1, 2)),
+                              max_size=3, unique_by=lambda x: x[0])):
+        piece = Scalar(_packed(_PIECES[i]), {0: 1}, K)
+        scalars.append(T * piece.inv() ** e)
+        norm = norm * piece ** draw(st.integers(0, e))
+    for m in range(2, n + 1):
+        if draw(st.booleans()):
+            norm = norm * _bracket(m)
+    return norm, scalars, n
+
+
+def _check_inverse(norm, scalars, n, images, factored):
+    """The inverse and the quotients of images by norm match norm.inv()
+    and products with it; with factored, neither calls p_gcd."""
+    want = norm.inv()
+    quotients = [image * want for image in images]
+    with pytest.MonkeyPatch.context() as mp:
+        if factored:
+            mp.setattr(field, "p_gcd", _unreachable)
+        got = field.inverse_over_known_factors(norm, scalars, n)
+        assert (got.fac is not None) == factored
+        assert [image * got for image in images] == quotients
+    assert got == want
+    for s in (got, *quotients):
+        assert_canonical(s)
+        _check_factorization(s)
+
+
+@given(known_normalisers(), st.lists(_PARAM_POLYS, max_size=3))
+def test_a_normaliser_of_known_factors_is_inverted_factored(case, images):
+    norm, scalars, n = case
+    images = [Scalar(_packed(p), {0: 1}, K) for p in images]
+    _check_inverse(norm, scalars, n, images, True)
+
+
+def test_a_normaliser_with_a_factor_off_the_candidates_falls_back():
+    # 1 + t + q1 is neither a factor of the scalars' denominators nor
+    # a Phi_d(t): the trial leaves it, and the inverse is norm.inv()
+    piece = ONE - T * Q1
+    norm = (ONE + T + Q1) * piece * _bracket(2) * _bracket(3)
+    images = [(ONE + T + Q1) * Q2, piece * (ONE + T), T - Q2]
+    _check_inverse(norm, [piece.inv()], 3, images, False)
+    _check_inverse(norm * norm, [piece.inv() ** 2], 3, images, False)
+
+
+def test_a_normaliser_of_negative_lead_is_inverted_factored():
+    piece = ONE - T * Q1
+    norm = Scalar.param_monomial(K, 1, {2: 1}, -2) * piece * piece \
+        * _bracket(2) * _bracket(2) * _bracket(3)
+    assert norm.num[max(norm.num)] < 0
+    got = field.inverse_over_known_factors(norm, [Q1 * piece.inv() ** 2], 4)
+    assert got.num == {0: -1} and got.fac[:2] == (2, field._pack((1, 0, 1)))
+    assert sorted(got.fac[2].values()) == [1, 2, 2]
+    images = [piece * T, Q1 * Q1 - T, Scalar.integer(-4, K)]
+    _check_inverse(norm, [Q1 * piece.inv() ** 2], 4, images, True)
+
+
+# ---------------------------------------------------------------------------
 # one column of a triangular system (solve_column), with Scalar arithmetic
 # as the reference
 

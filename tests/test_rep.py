@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dahamac import affine, rep
+from dahamac import affine, field, rep
 from dahamac.field import MAX_EXP, KroneckerRing, Scalar
 from dahamac.laurent import (LaurentPoly, clear_poly_denominators,
                              poly_dumps, swap_vars, xi)
-from dahamac.nonsym import E, MacdonaldRecord, check_record
+from dahamac.nonsym import E, MacdonaldRecord, check_record, clear_cache
 from dahamac.rep import (
     RepContext,
     apply_Delta_n,
@@ -32,6 +33,9 @@ from dahamac.rep import (
     verify_daha_relations,
 )
 from dahamac.stability import StableIndex, iota, kill_index, project
+from dahamac.symmetric import P
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 CTX21 = RepContext(2, 1, 1)
 CTX22 = RepContext(2, 2, 2)
@@ -540,6 +544,75 @@ def test_packed_eps_reads_q2_past_an_absent_q1():
     c = ctx.scalar(3, t=2, q={2: 1}) - ctx.scalar(5, q={2: 2}) + ctx.scalar()
     ring = KroneckerRing(2, [c], growth=1, t_rise=0)
     assert ring.unpack(ring.pack(c)) == c
+
+
+# ---------------------------------------------------------------------------
+# the last division on the normaliser's known factors
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name to record each call; returns the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_every_P_of_the_stable_pool_divides_with_no_gcd(monkeypatch):
+    """Building every P of the stability workload's pool, at n <= 4,
+    calls no general gcd: each normaliser is the product of a monomial,
+    factors of D and cyclotomic Phi_d(t), d <= n."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    clear_cache()
+    gcds = _counting(monkeypatch, field, "p_gcd")
+    inverses = _counting(monkeypatch, rep, "inverse_over_known_factors")
+    for r in workloads.STABLE_RANKS:
+        ctxs = {n: RepContext(n, r, r)
+                for n in range(1, workloads.STABLE_N_MAX + 1)}
+        for nu in workloads.stable_pool(r):
+            for n in range(max(nu.ell, 1), workloads.STABLE_N_MAX + 1):
+                P(ctxs[n], iota(nu, n))
+    assert len(inverses) > 100 and gcds == []
+
+
+def test_a_normaliser_off_the_candidates_keeps_the_gcd_path(monkeypatch):
+    # 1 + t + q1 is no candidate: three terms leave the denominator
+    # unfactored, so D = 1 + t + q1 and D [2]_t [3]_t factors only
+    # partly, and each quotient reduces by p_gcd as before
+    ctx = RepContext(3, 1, 1)
+    one, t, q = ctx.scalar(), ctx.scalar(t=1), ctx.scalar(q={1: 1})
+    p = LaurentPoly(1, 3, 1, {(2, 0, 1): (t - q) / (one + t + q),
+                              (1, 1, 0): ctx.scalar(3, t=1)})
+    want = scalar_chain_eps(ctx, p)
+    gcds = _counting(monkeypatch, field, "p_gcd")
+    assert symmetrize_eps(ctx, p) == want
+    assert gcds
+
+
+def test_a_normaliser_of_negative_lead_gives_the_same_P(monkeypatch):
+    """Negating E negates the image and its coefficient at x^nu, a
+    normaliser of 3 to 8 terms whose lex-leading coefficient is then
+    negative; the monic quotient is the same, and still takes no gcd.
+    At n = 4, (1, 1, 0, 0) has the factor 1 + t squared."""
+    cases = [(RepContext(3, 1, 1), ((3, 0, 0),)),
+             (RepContext(3, 2, 2), ((2, 0, 0), (1, 0, 0))),
+             (RepContext(4, 1, 1), ((1, 1, 0, 0),))]
+    for ctx, nu in cases:
+        p, top = _P_input(ctx, nu)
+        want = scalar_chain_eps(ctx, -p, monic_at=top)
+        assert want.terms[top] == ctx.scalar()
+        with monkeypatch.context() as patch:
+            gcds = _counting(patch, field, "p_gcd")
+            assert symmetrize_eps(ctx, -p, monic_at=top) == want == \
+                symmetrize_eps(ctx, p, monic_at=top)
+        assert gcds == []
 
 
 def test_unpack_needs_its_last_bit():

@@ -416,14 +416,19 @@ def test_nonsym_does_not_import_symmetric():
 # eigenvalues
 
 
+def eigenvalue_at(ctx, mu):
+    """delta_eigenvalue of E(mu)'s weight, read at the E label mu."""
+    return delta_eigenvalue(ctx, weight_of(ctx, mu))
+
+
 def test_delta_eigenvalue_closed_form():
     one = Scalar.one(1)
     t = Scalar.t(1)
     q = Scalar.q(1, 1)
-    assert delta_eigenvalue(C21, ((2, 0),)) == q**-2 - one
-    assert delta_eigenvalue(C21, ((1, 1),)) == \
+    assert eigenvalue_at(C21, ((2, 0),)) == q**-2 - one
+    assert eigenvalue_at(C21, ((1, 1),)) == \
         (q.inv() - one) + (q.inv() - one) * t
-    assert delta_eigenvalue(C21, ((0, 0),)).is_zero()
+    assert eigenvalue_at(C21, ((0, 0),)).is_zero()
 
 
 def test_delta_eigenvalue_rank_two():
@@ -431,16 +436,25 @@ def test_delta_eigenvalue_rank_two():
     t = Scalar.t(2)
     q1 = Scalar.q(1, 2)
     q2 = Scalar.q(2, 2)
-    assert delta_eigenvalue(C22, ((1, 0), (1, 0))) == \
+    assert eigenvalue_at(C22, ((1, 0), (1, 0))) == \
         (q2.inv() - one) + (q1.inv() - one) * t
-    assert delta_eigenvalue(C22, ((1, 0), (0, 1))) == \
+    assert eigenvalue_at(C22, ((1, 0), (0, 1))) == \
         ((q1 * q2).inv() - one)
+
+
+def test_P_reads_its_eigenvalue_off_the_weight_of_its_E():
+    # P sums the weight on its E's record; the closed form at the E
+    # label gamma_inverse(nu) recomputes that weight
+    for ctx, d in [(C21, (2,)), (C22, (1, 1)), (RepContext(3, 2, 2), (2, 1))]:
+        for nu in enumerate_orbit_indices(ctx.n, ctx.r, d):
+            assert P(ctx, nu).eigenvalue == \
+                eigenvalue_at(ctx, gamma_inverse(nu))
 
 
 def test_eigenvalue_insensitive_to_diagonal_reordering():
     # the closed form reads the sorted index, so any column order of
     # the same multiset gives the same value
-    assert delta_eigenvalue(C21, ((0, 2),)) == delta_eigenvalue(C21, ((2, 0),))
+    assert eigenvalue_at(C21, ((0, 2),)) == eigenvalue_at(C21, ((2, 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +501,7 @@ def test_spectrum_collision_three_variables():
     assert P(ctx, pair[0]).poly != P(ctx, pair[1]).poly
     # read as E labels the two indices share a weight class and so a
     # spherical eigenvalue, although their E's and weights differ
-    assert delta_eigenvalue(ctx, pair[0]) == delta_eigenvalue(ctx, pair[1])
+    assert eigenvalue_at(ctx, pair[0]) == eigenvalue_at(ctx, pair[1])
     assert E(ctx, pair[0]).poly != E(ctx, pair[1]).poly
     assert weight_of(ctx, pair[0]) != weight_of(ctx, pair[1])
 
