@@ -24,8 +24,11 @@ leaves behind.
 For every workload and metric it prints each side's median and
 quartiles, the change in the medians, the parent's interquartile range,
 and the count of pairs the change wins (lower wins, or higher for a
-metric that BENCHMARK.json marks "higher").  --out writes the runs and
-those summaries, one per workload, as one JSON object.
+metric that BENCHMARK.json marks "higher").  For an end-to-end metric,
+whose BENCHMARK.json entry has a bound, it also prints whether the
+change's median is worse than the parent's by more than that bound, a
+fraction of the parent's median (0.2 is 20%).  --out writes the runs
+and those summaries, one per workload, as one JSON object.
 """
 
 from __future__ import annotations
@@ -66,18 +69,20 @@ def quartiles(values):
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def compare(pairs, better="lower"):
+def compare(pairs, better="lower", bound=None):
     """The change against the parent over (parent, change) values of
     the same pairs: each side's quartiles, the change's wins, the
     medians' change in percent, the parent's interquartile range, and
-    whether the medians differ by more than that range."""
+    whether the medians differ by more than that range; with a bound,
+    also whether the change's median is worse than the parent's by more
+    than bound times the parent's median."""
     parent = quartiles(p for p, _ in pairs)
     change = quartiles(c for _, c in pairs)
     sign = -1 if better == "higher" else 1
     wins = sum(sign * (c - p) < 0 for p, c in pairs)
     iqr = parent["q3"] - parent["q1"]
     diff = change["median"] - parent["median"]
-    return {
+    out = {
         "parent": parent,
         "change": change,
         "change_wins": f"{wins}/{len(pairs)}",
@@ -86,6 +91,10 @@ def compare(pairs, better="lower"):
         "parent_iqr": iqr,
         "beyond_parent_iqr": abs(diff) > iqr,
     }
+    if bound is not None:
+        out["bound"] = bound
+        out["worse_past_bound"] = sign * diff > bound * abs(parent["median"])
+    return out
 
 
 def _fresh_copy(checkout, tmp, name):
@@ -129,13 +138,17 @@ def _git_sha(checkout):
     return out.stdout.strip() or None
 
 
-def _directions(checkout):
+def _metric_spec(checkout):
+    """(directions, bounds) from the checkout's BENCHMARK.json: each
+    metric's "better", and each end-to-end metric's bound."""
     path = Path(checkout) / "BENCHMARK.json"
     if not path.is_file():
-        return {}
+        return {}, {}
     spec = json.loads(path.read_text())
-    return {m["name"]: m.get("better", "lower")
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    end_to_end = spec.get("end_to_end", [])
+    return ({m["name"]: m.get("better", "lower")
+             for m in end_to_end + spec.get("per_layer", [])},
+            {m["name"]: m["bound"] for m in end_to_end if "bound" in m})
 
 
 def run_pairs(checkouts, workloads, seeds, seconds, trace, raw_passes, tmp):
@@ -173,30 +186,32 @@ def run_pairs(checkouts, workloads, seeds, seconds, trace, raw_passes, tmp):
     return runs
 
 
-def summarize(runs, directions):
+def summarize(runs, directions, bounds=None):
     """({metric: compare(...)}, {side: failed operations}) over the
     runs, two to a pair; directions maps a metric to "higher" when
-    higher is better."""
+    higher is better, and bounds a metric to its bound."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["tree"]] = run
     names = [name for name in runs[0] if name not in RUN_FIELDS]
     summary = {name: compare([(p["parent"][name], p["change"][name])
                               for p in by_pair.values()],
-                             directions.get(name, "lower"))
+                             directions.get(name, "lower"),
+                             (bounds or {}).get(name))
                for name in names}
     failed = {side: sum(r["failed"] for r in runs if r["tree"] == side)
               for side in SIDES}
     return summary, failed
 
 
-def summarize_workloads(runs, directions):
+def summarize_workloads(runs, directions, bounds=None):
     """{workload: {"summary": ..., "failed": ...}} of summarize over each
     workload's runs, in the order the workloads first occur."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         summary, failed = summarize(
-            [run for run in runs if run["workload"] == workload], directions)
+            [run for run in runs if run["workload"] == workload], directions,
+            bounds)
         out[workload] = {"summary": summary, "failed": failed}
     return out
 
@@ -220,7 +235,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         runs = run_pairs(checkouts, workloads, seeds, args.seconds,
                          args.trace, args.raw_passes, tmp)
-    results = summarize_workloads(runs, _directions(checkouts["change"]))
+    results = summarize_workloads(runs, *_metric_spec(checkouts["change"]))
     for workload, result in results.items():
         print(f"== {workload}")
         for name, s in result["summary"].items():
@@ -230,7 +245,9 @@ def main(argv=None):
                   f"[{c['q1']:.6g}, {c['q3']:.6g}]  "
                   f"{'n/a' if pct is None else f'{pct:+}%'}  "
                   f"wins {s['change_wins']}  beyond parent IQR: "
-                  f"{s['beyond_parent_iqr']}")
+                  f"{s['beyond_parent_iqr']}"
+                  + (f"  worse past bound {s['bound']:g}: "
+                     f"{s['worse_past_bound']}" if "bound" in s else ""))
         failed = result["failed"]
         print(f"failed operations: parent {failed['parent']}, "
               f"change {failed['change']}")

@@ -27,27 +27,30 @@ gcd(num, den) is a unit, the lexicographically leading coefficient of
 den is positive, and zero is 0/1.  Every operation returns canonical
 output and scalar_from_json reduces what it reads, so two Scalars are
 equal as field elements exactly when their (k, num, den) are equal;
-== and hash read that triple and nothing else.  Outside this module,
-only RepContext.scalar calls a Scalar constructor, and nothing reads
-num or den.
+hash reads that triple, and so does == unless both sides are factored
+(below).  Outside this module, only RepContext.scalar calls a Scalar
+constructor, and nothing reads num, den or fac.
 
 Most denominators are products of a monomial and binomials: the
 intertwiners of E's raising walk bring in 1 - t^a q^b.  So a Scalar may
-also carry its denominator factored, as c * m * prod F_i^e_i over a
+carry its denominator factored, as c * m * prod F_i^e_i over a
 process-wide table of interned irreducible factors (see "binomials and
-the table of factors" below).  den is always the expansion of the
-factorization, and the canonical form does not depend on it.  A
-denominator of one term, or of two that split, is factored when a
-Scalar is built; sums, products, clear_denominators and the solved
-entries of solve_column over factored Scalars are factored again, with
-their lcms and cofactors read off the exponents and only trial
-divisions by known factors; a linear factor is first tested by one pass
-over the numerator (_linear_divides).  solve_column, one column of a
-triangular system, puts the column over one common denominator,
-checks its equations by cross-multiplying, with no reduction, and
-reduces once, the solved entry.  The symmetrizer's normaliser is
-inverted factored when trial division by the factors of its input's
-denominators and the Phi_d(t) leaves a monomial
+the table of factors" below), and then stores that form alone: den is
+expanded on its first read (rendering, JSON, hashing, the gcd path) and
+kept, and a factor's power past MAX_EXP raises there, while a product's
+monomial is checked when it is built.  A canonical denominator has
+exactly one factorization, so == compares (k, num, fac) when both sides
+are factored.  A denominator of one term, or of two that split, is
+factored when a Scalar is built; sums, products, clear_denominators and
+the solved entries of solve_column over factored Scalars are factored
+again, with their lcms and cofactors read off the exponents and only
+trial divisions by known factors; a linear factor u +- w is first tested
+by one pass over the numerator (_linear_divides).  solve_column, one
+column of a triangular system, puts the column over one common
+denominator, checks its equations by cross-multiplying, with no
+reduction, and reduces once, the solved entry.  The symmetrizer's
+normaliser is inverted factored when trial division by the factors of
+its input's denominators and the Phi_d(t) leaves a monomial
 (inverse_over_known_factors).  Any other denominator, of three or more
 terms as from a pivot of the linear algebra or a normaliser that the
 trial leaves more than a monomial, or a binomial that does not split,
@@ -63,10 +66,10 @@ cancelled.  f is tried first, then g.  Next, an operand that divides
 the other exactly is the gcd, the shorter tried as the divisor first.
 Otherwise it uses the heuristic gcd of Char, Geddes and Gonnet
 (evaluate at a large integer, reconstruct by balanced digits, verify by
-exact division); the verifying division leaves the cofactors, and a
-candidate of 1 needs no division.  A primitive PRS is the verified
-fallback.  A gcd whose images would cost more than _HEU_MAX_WORK raises
-ValueError.
+exact division); a zero image is passed over, the verifying division
+leaves the cofactors, and a candidate of 1 needs no division.  A
+primitive PRS is the verified fallback.  A gcd whose images would cost
+more than _HEU_MAX_WORK raises ValueError.
 """
 
 from __future__ import annotations
@@ -296,9 +299,9 @@ def p_exact_div(f, g, G, acc):
 #
 # The table only grows: live Scalars hold factor ids, so it is never
 # reset, nonsym.clear_cache included.  It holds each distinct factor of
-# a split denominator seen in the process, which stays small: 72, 66
-# and 23 factors after an eigen, oracle and stability pass, and 26
-# (about 12 kB with the cyclotomic table) after
+# a split denominator seen in the process, which stays small: 72, 62
+# and 26 factors after an eigen, oracle and stability pass at --order
+# 1/0, and 26 (about 12 kB with the cyclotomic table) after
 # `dahamac stability --nu "3,1|2" --n-max 7`; 407 after the whole test
 # suite, hypothesis runs included, in one process.
 
@@ -381,16 +384,18 @@ def _split_binomial(b):
 
 
 def _linear_divides(fid, f, accf, G):
-    """Whether the linear factor c1 * u + c2 * w divides f, by one pass
-    over f; None when the pass cannot decide.  accf is the OR of f's
-    keys, and G covers the factor and f.
+    """Whether the linear factor u + c2 w, c2 = +-1, divides f, by one
+    pass over f; None for a factor of other coefficients, which exact
+    division decides.  accf is the OR of f's keys, and G covers the
+    factor and f.
 
-    It divides f exactly when f vanishes on x^e = -c2 / c1, e the
-    exponent vector of u / w: split each exponent a of f as r + k e,
-    and every class r must have sum over k of its coefficients times
-    (-c2 / c1)^k = 0.
+    It divides f exactly when f vanishes on x^e = -c2, e the exponent
+    vector of u / w: split each exponent a of f as r + k e, and every
+    class r must have sum over k of its coefficients times (-c2)^k = 0.
     """
     u, w, c1, c2, _ = _FACTOR_ROOTS[fid]
+    if c1 != 1 or c2 not in (1, -1):
+        return None
     # k = a_s // e_s on the top variable s of u leaves 0 <= r_s < e_s
     s = (u.bit_length() - 1) // FIELD_BITS * FIELD_BITS
     us = u >> s & MAX_EXP
@@ -399,30 +404,18 @@ def _linear_divides(fid, f, accf, G):
     # each r_j lies strictly between -2^31 and 2^31, so the packed key
     # a - k e is exact; above that the key is the tuple of r_j.
     wide = (accf | u | w) & (G - (G >> 16))
-    unit = c1 == 1 and c2 in (1, -1)
     if wide:
-        if not unit:
-            return None       # (-c2 / c1)^k for k up to MAX_EXP
         nv = G.bit_length() // FIELD_BITS - 1
         du = [eu - ew for eu, ew in zip(_unpack(u, nv), _unpack(w, nv))]
     classes = {}
-    if unit:
-        # the weight (-c2)^k is a sign
-        for mf, cf in f.items():
-            k = (mf >> s & MAX_EXP) // us
-            key = (tuple(a - k * e for a, e in zip(_unpack(mf, nv), du))
-                   if wide else mf - k * d)
-            classes[key] = classes.get(key, 0) + (
-                -cf if c2 == 1 and k & 1 else cf)
-        return not any(classes.values())
     for mf, cf in f.items():
         k = (mf >> s & MAX_EXP) // us
-        classes.setdefault(mf - k * d, {})[k] = cf
-    # sum of cf (-c2 / c1)^k, times c1^max(k) / (-c2)^min(k)
-    return not any(
-        sum(cf * (-c2) ** (k - min(ks)) * c1 ** (max(ks) - k)
-            for k, cf in ks.items())
-        for ks in classes.values())
+        key = (tuple(a - k * e for a, e in zip(_unpack(mf, nv), du))
+               if wide else mf - k * d)
+        # the weight (-c2)^k is a sign
+        classes[key] = classes.get(key, 0) + (
+            -cf if c2 == 1 and k & 1 else cf)
+    return not any(classes.values())
 
 
 def _product(c, m, factors):
@@ -468,6 +461,9 @@ def _heu(f, g, vs, G, acc, budget):
                              "bound of one gcd")
         fe = p_eval(f, v, x)
         ge = p_eval(g, v, x)
+        if not fe or not ge:   # a zero image says nothing of the gcd
+            x = 73 * x // 32 + 1
+            continue
         accfe, accge = _keys_or(fe), _keys_or(ge)
         sub = _shared_vars(accfe, accge, vs[1:])
         if not sub:
@@ -684,13 +680,13 @@ def _factorization(p):
 
 
 def _cancel(num, c, m, fs, trial):
-    """(num / h, c, m, fs, h != 1) for h the gcd of num and the
-    factorization (c, m, fs), the second to fourth entries its quotient
-    by h, when h divides c * m * prod over trial of F^e."""
+    """(num / h, c, m, fs) for h the gcd of num and the factorization
+    (c, m, fs), the last three entries its quotient by h, when h divides
+    c * m * prod over trial of F^e.  fs is copied before it changes."""
     if not trial and not m and c == 1:
-        return num, c, m, fs, False
+        return num, c, m, fs
     acc = _keys_or(num)
-    changed = False
+    given = fs
     for fid, e in trial.items():
         if len(num) == 1:
             break             # no factor divides a monomial
@@ -708,9 +704,8 @@ def _cancel(num, c, m, fs, trial):
             num = q
             n += 1
         if n:
-            if not changed:
+            if fs is given:
                 fs = dict(fs)
-                changed = True
             if n == fs[fid]:
                 del fs[fid]
             else:
@@ -728,8 +723,8 @@ def _cancel(num, c, m, fs, trial):
             ch = igcd(ch, cn)
         if mh or ch != 1:
             num = {mn - mh: cn // ch for mn, cn in num.items()}
-            c, m, changed = c // ch, m - mh, True
-    return num, c, m, fs, changed
+            c, m = c // ch, m - mh
+    return num, c, m, fs
 
 
 def _split_gcd(a, b):
@@ -739,8 +734,8 @@ def _split_gcd(a, b):
     if fac is None:
         return None
     c, m, fs = fac
-    b, ca, ma, rest, changed = _cancel(b, c, m, fs, fs)
-    if not changed:
+    b, ca, ma, rest = _cancel(b, c, m, fs, fs)
+    if (ca, ma, rest) == fac:
         return {0: 1}, a, b
     # each factor of a split binomial is to the first power
     return (_product(c // ca, m - ma, {fid: 1 for fid in fs
@@ -788,41 +783,28 @@ def _factored_add(x, y):
     """
     (c1, m1, _), (c2, m2, _) = x.fac, y.fac
     c, m, fs, equal, up1, up2 = _lcm(x.fac, y.fac)
-    mult = _product(c // c1, m - m1, up1)
-    num = p_add(p_mul(x.num, mult),
+    num = p_add(p_mul(x.num, _product(c // c1, m - m1, up1)),
                 p_mul(y.num, _product(c // c2, m - m2, up2)))
     if not num:
         return Scalar.zero(x.k)
-    num, c, m, fs, changed = _cancel(num, c, m, fs, equal)
-    if changed:
-        return Scalar(num, _product(c, m, fs), x.k, (c, m, fs))
-    # an unchanged denominator keeps its dict and its factorization
-    for z, up, cz, mz in ((x, up1, c1, m1), (y, up2, c2, m2)):
-        if not up and c == cz and m == mz:
-            return Scalar(num, z.den, x.k, z.fac)
-    return Scalar(num, p_mul(x.den, mult), x.k, (c, m, fs))
+    num, c, m, fs = _cancel(num, c, m, fs, equal)
+    return Scalar(num, None, x.k, (c, m, fs))
 
 
 def _factored_mul(x, y):
     """x * y for factored denominators: each numerator is reduced
-    against the other side's denominator, and the exponents add."""
+    against the other side's denominator, and the exponents add; the
+    monomial's exponents are checked here, the factors' when den is
+    expanded."""
     (c1, m1, f1), (c2, m2, f2) = x.fac, y.fac
-    n1, c2, m2, f2, cut2 = _cancel(x.num, c2, m2, f2, f2)
-    n2, c1, m1, f1, cut1 = _cancel(y.num, c1, m1, f1, f1)
-    num = p_mul(n1, n2)
-    if not (cut1 or cut2):
-        # an unchanged denominator keeps its dict and its factorization
-        if _is_one(y.den):
-            return Scalar(num, x.den, x.k, x.fac)
-        if _is_one(x.den):
-            return Scalar(num, y.den, x.k, y.fac)
+    n1, c2, m2, f2 = _cancel(x.num, c2, m2, f2, f2)
+    n2, c1, m1, f1 = _cancel(y.num, c1, m1, f1, f1)
+    m = m1 + m2
+    _check_fits((m,))
     fs = dict(f1)
     for fid, e in f2.items():
         fs[fid] = fs.get(fid, 0) + e
-    # p_mul of the two denominators raises on an exponent past MAX_EXP
-    den = p_mul(_product(c1, m1, f1) if cut1 else x.den,
-                _product(c2, m2, f2) if cut2 else y.den)
-    return Scalar(num, den, x.k, (c1 * c2, m1 + m2, fs))
+    return Scalar(p_mul(n1, n2), None, x.k, (c1 * c2, m, fs))
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +818,11 @@ class Scalar:
 
     fac is den factored as (c, m, {factor: exponent}) with c > 0 and m
     a monomial, or None.  The constructor factors a den of one term, or
-    of two that split, when it is not given fac.  An operation whose
-    operands are both factored stays factored and calls no general gcd:
+    of two that split, when it is not given fac; given fac, den may be
+    None, and the den property expands fac on its first read.  Factored
+    arithmetic passes None and never reads den itself.  An operation
+    whose operands are both factored stays factored and calls no
+    general gcd:
     a product trial-divides each numerator by the other side's factors;
     a sum takes the lcm and trial-divides by the factors of equal
     exponent on both sides alone, since a numerator is coprime to its
@@ -846,15 +831,23 @@ class Scalar:
     division finds one.  Every other operation takes the gcd path.
     """
 
-    __slots__ = ("num", "den", "k", "fac")
+    __slots__ = ("num", "_den", "k", "fac")
 
     def __init__(self, num, den, k, fac=None):
-        if not den:
+        if den is not None and not den:
             raise ZeroDivisionError("scalar with zero denominator")
         self.num = num
-        self.den = den
+        self._den = den
         self.k = k
         self.fac = _factorization(den) if fac is None else fac
+
+    @property
+    def den(self):
+        """Expanded from fac on the first read, and kept."""
+        den = self._den
+        if den is None:
+            den = self._den = _product(*self.fac)
+        return den
 
     # -- constructors ------------------------------------------------------
 
@@ -930,15 +923,14 @@ class Scalar:
 
     def __add__(self, other):
         self._check(other)
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
+        n1, n2 = self.num, other.num
         if not n1:
             return other
         if not n2:
             return self
         if self.fac is not None and other.fac is not None:
             return _factored_add(self, other)
-        k = self.k
+        k, d1, d2 = self.k, self.den, other.den
         # over d1 d2 / g0, only factors of g0 can cancel
         g0, d1r, d2r = (d1, {0: 1}, {0: 1}) if d1 == d2 else p_gcd(d1, d2)
         tn = p_add(p_mul(n1, d2r), p_mul(n2, d1r))
@@ -948,20 +940,19 @@ class Scalar:
         return Scalar(*_f_norm(tn, p_mul(p_mul(d1r, d2r), g0)), k)
 
     def __neg__(self):
-        return Scalar(p_neg(self.num), self.den, self.k, self.fac)
+        return Scalar(p_neg(self.num), self._den, self.k, self.fac)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
-        k = self.k
+        n1, n2, k = self.num, other.num, self.k
         if not n1 or not n2:
             return Scalar.zero(k)
         if self.fac is not None and other.fac is not None:
             return _factored_mul(self, other)
+        d1, d2 = self.den, other.den
         if not _is_one(d2):
             _, n1, d2 = p_gcd(n1, d2)
         if not _is_one(d1):
@@ -986,10 +977,15 @@ class Scalar:
         return out
 
     def __eq__(self, other):
+        """A canonical denominator has exactly one factorization, so two
+        factored sides compare (k, num, fac), and others (k, num, den)."""
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.k == other.k and self.num == other.num
-                and self.den == other.den)
+        if self.k != other.k or self.num != other.num:
+            return False
+        if self.fac is not None and other.fac is not None:
+            return self.fac == other.fac
+        return self.den == other.den
 
     def __hash__(self):
         return hash((self.k, frozenset(self.num.items()),
@@ -1079,24 +1075,22 @@ def inverse_over_known_factors(norm, scalars, n):
     is +-c times a monomial times candidate factors: each factor of the
     scalars' factored denominators to its exponent in their lcm, and
     Phi_d(t), 2 <= d <= n, to n // d more, its exponent in
-    prod_{m<=n} [m]_t.  _cancel trial-divides by them.  A norm of at
-    most two terms is factored by the constructor, and any other
+    prod_{m<=n} [m]_t.  _cancel trial-divides by them, and any other
     cofactor keeps norm.inv(), whose products take the gcd path."""
-    if len(norm.num) > 2:
-        facs = (s.fac for s in scalars if s.fac is not None)
-        trial = dict(_lcm_of(facs)[2])
-        for d in range(2, n + 1):
-            fid = _factor(1 << norm.k * FIELD_BITS, 0, 1, 0, d)
-            trial[fid] = trial.get(fid, 0) + n // d
-        rest, _, _, left, _ = _cancel(norm.num, 1, 0, trial, trial)
-        if len(rest) == 1:
-            (m, c), = rest.items()
-            # every interned factor leads with a positive coefficient
-            sign = -1 if c < 0 else 1
-            return Scalar({0: sign}, p_iscale(norm.num, sign), norm.k,
-                          (c * sign, m, {fid: e - left.get(fid, 0)
-                                      for fid, e in trial.items()
-                                      if e > left.get(fid, 0)}))
+    facs = (s.fac for s in scalars if s.fac is not None)
+    trial = dict(_lcm_of(facs)[2])
+    for d in range(2, n + 1):
+        fid = _factor(1 << norm.k * FIELD_BITS, 0, 1, 0, d)
+        trial[fid] = trial.get(fid, 0) + n // d
+    rest, _, _, left = _cancel(norm.num, 1, 0, trial, trial)
+    if len(rest) == 1:
+        (m, c), = rest.items()
+        # every interned factor leads with a positive coefficient
+        sign = -1 if c < 0 else 1
+        return Scalar({0: sign}, p_iscale(norm.num, sign), norm.k,
+                      (c * sign, m, {fid: e - left.get(fid, 0)
+                                  for fid, e in trial.items()
+                                  if e > left.get(fid, 0)}))
     return norm.inv()
 
 
@@ -1183,8 +1177,8 @@ def solve_column(values, column, shifts, diagonal, zero):
         return None
     if not us_s:
         return zero
-    num, c, m, fs, _ = _cancel(p_mul(us_s, hs), c, m, fs, fs)
-    return Scalar(num, _product(c, m, fs), zero.k, (c, m, fs))
+    num, c, m, fs = _cancel(p_mul(us_s, hs), c, m, fs, fs)
+    return Scalar(num, None, zero.k, (c, m, fs))
 
 
 # ---------------------------------------------------------------------------

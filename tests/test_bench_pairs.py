@@ -3,6 +3,7 @@ pairs, on fixed numbers."""
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -43,6 +44,41 @@ def test_compare_counts_wins_and_the_parent_spread():
     # a tie is no win
     assert bench_pairs.compare([(1.0, 1.0), (2.0, 1.0)])["change_wins"] == \
         "1/2"
+
+
+def test_compare_gives_the_verdict_of_a_bound():
+    # a bound of 0.2 against a parent median of 1.0: 19% worse is
+    # inside it and 21% worse past it, each way round, and a gain is
+    # never past it
+    for better, inside, outside, gain in (("lower", 1.19, 1.21, 0.5),
+                                          ("higher", 0.81, 0.79, 1.5)):
+        for change, past in ((inside, False), (outside, True),
+                             (gain, False)):
+            pairs = [(1.0, change), (0.9, change), (1.1, change)]
+            s = bench_pairs.compare(pairs, better, 0.2)
+            assert s["bound"] == 0.2 and s["worse_past_bound"] is past
+            assert "worse_past_bound" not in bench_pairs.compare(pairs,
+                                                                 better)
+
+
+def test_summarize_gives_a_verdict_to_bounded_metrics_only():
+    runs = [{"workload": "eigen", "seed": 1, "pair": 1, "tree": tree,
+             "failed": 0, "attempted": 1, "correct": True,
+             "host_slowdown": 1.0, "wall_s": wall, "laurent.add.calls": n}
+            for tree, wall, n in (("parent", 1.0, 10), ("change", 1.3, 20))]
+    summary, _ = bench_pairs.summarize(runs, {}, {"wall_s": 0.2})
+    assert summary["wall_s"]["worse_past_bound"] is True
+    assert "worse_past_bound" not in summary["laurent.add.calls"]
+
+
+def test_the_bounds_are_read_from_the_benchmark_file():
+    # every end-to-end metric has its bound, and no per-layer one
+    root = Path(__file__).resolve().parent.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    directions, bounds = bench_pairs._metric_spec(root)
+    assert bounds == {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    assert set(directions) == {m["name"] for m in
+                               spec["end_to_end"] + spec["per_layer"]}
 
 
 def test_summarize_pairs_runs_by_pair_and_tree():

@@ -367,6 +367,23 @@ def _unreachable(*args):
     raise AssertionError("unreachable")
 
 
+def test_gcd_when_an_evaluation_point_is_a_root(sympy):
+    """f = q2 (t - q1)(2 q1^2 q2^2 + 1) and g = t^3 q2^4 (2 q1^2 q2^2 + 1)
+    reach the heuristic gcd (2 q1^2 q2^2 + 1 does not split), which
+    evaluates both at t = 33, then at q1 = 33, a root of f's image: the
+    zero image says nothing about the gcd, so the next point is taken,
+    where a gcd of 1 came back and left a + b unreduced below."""
+    f = _packed({(1, 2, 3): 2, (1, 0, 1): 1, (0, 3, 3): -2, (0, 1, 1): -1})
+    g = _packed({(3, 2, 6): 2, (3, 0, 4): 1})
+    _check_gcd_triple(sympy, f, g)
+    _check_gcd_triple(sympy, g, f)
+    a = Q1 / (Q2 * (T - Q1) * (Scalar.integer(2, K) * Q1 * Q1 * Q2 * Q2 + ONE))
+    b = -Q1 ** 4 / (T ** 3 * Q2 ** 4 * (Scalar.integer(2, K) * Q1 * Q1
+                                        * Q2 * Q2 + ONE))
+    assert (a.den, b.den) == (f, g)
+    assert_canonical(a + b)
+
+
 def test_a_dividing_operand_needs_no_heuristic_gcd(monkeypatch):
     monkeypatch.setattr(field, "_heu", _unreachable)
     h = _packed({(0, 0, 0): 1, (1, 0, 1): 1})         # 1 + t q2
@@ -498,9 +515,9 @@ def test_gcd_refuses_an_image_past_its_size_limit():
 
 def test_gcd_with_a_split_binomial_past_the_class_keys_is_exact():
     """2t - 3 q2^2 is a linear factor, so trial division decides it
-    against t^(2^31 - 1) q2^2 - q1 + 1: the class pass cannot (a wide,
-    non-unit class sum), and the heuristic gcd's image would be past its
-    work bound."""
+    against t^(2^31 - 1) q2^2 - q1 + 1: the class pass leaves a factor
+    of non-unit coefficients to it, and the heuristic gcd's image would
+    be past its work bound."""
     num = {(MAX_EXP, 0, 2): 1, (0, 1, 0): -1, (0, 0, 0): 1}
     den = {(1, 0, 0): 2, (0, 0, 2): -3}
     t0 = time.perf_counter()
@@ -607,9 +624,14 @@ def _plain(s):
 
 
 def _check_factorization(s):
-    """den is the expansion of the factorization: c > 0 times the
-    monomial times each factor to its exponent, every factor primitive
-    with a positive lex-leading coefficient."""
+    """The factorization is c > 0 times the monomial times each factor
+    to a positive exponent, every factor primitive with a positive
+    lex-leading coefficient.  den is expanded from it, so the two agree
+    by construction; what ties a factorization to the fraction is the
+    comparison with the gcd path's own den (see
+    test_factored_arithmetic_matches_the_gcd_path), and, for a den of
+    one term or a split binomial, the constructor factoring that den
+    to the same fac."""
     if s.fac is None:
         return
     c, m, fs = s.fac
@@ -618,6 +640,9 @@ def _check_factorization(s):
     for fid in fs:
         f = field._FACTORS[fid]
         assert f[max(f)] > 0 and field.p_icontent(f) == 1
+    if len(s.den) == 1 or (len(s.den) == 2
+                           and field._split_binomial(s.den) is not None):
+        assert Scalar(s.num, s.den, s.k).fac == s.fac
 
 
 @st.composite
@@ -647,12 +672,22 @@ def factored_scalars(draw, allow_zero=True):
 
 @given(factored_scalars(), factored_scalars(allow_zero=False))
 def test_factored_arithmetic_matches_the_gcd_path(a, b):
+    """Each result has the fraction, num and den alike, that the gcd
+    path computes from the operands' plain twins, and equals its own
+    plain twin, both ways round and with equal hashes."""
     pa, pb = _plain(a), _plain(b)
-    for got, want in ((a + b, pa + pb), (a - b, pa - pb), (a * b, pa * pb),
+    for got, want in ((a + b, pa + pb), (b + a, pb + pa), (a - b, pa - pb),
+                      (b - a, pb - pa), (a * b, pa * pb), (b * a, pb * pa),
                       (a / b, pa / pb), (b.inv(), pb.inv())):
-        assert got == want
+        assert (got.num, got.den) == (want.num, want.den)
+        twin = _plain(got)
+        assert got == want == twin and twin == got
+        assert hash(got) == hash(want) == hash(twin)
         assert_canonical(got)
         _check_factorization(got)
+    if a:
+        got, want = b / a, pb / pa
+        assert (got.num, got.den) == (want.num, want.den) and got == want
     # the sum of a - b and b is a again, over a's smaller denominator,
     # so it must cancel factors that both terms have
     back = (a - b) + b
@@ -682,6 +717,46 @@ def test_factored_operands_take_the_factored_path(monkeypatch):
     want = [pa + pb, pa * pb, pa - pa, field.clear_denominators([pa, pb], K)]
     monkeypatch.setattr(field, "p_gcd", _unreachable)
     assert [a + b, a * b, a - a, field.clear_denominators([a, b], K)] == want
+
+
+def test_factored_results_expand_their_denominator_when_read():
+    """A sum, a product, a negation and a solved column of factored
+    operands store the factorization alone; den is built on its first
+    read, as the expansion of fac, and kept."""
+    a = (T + Q1) / (ONE - T) / (ONE - T * T * Q2 * Q2)
+    b = Q2 / (Q1 * (ONE + T * T * T))
+    x = field.solve_column({0: a, 1: b}, [[(0, T), (1, ONE - T)]], [Q1],
+                           [T * T], ZERO)
+    for s in (a + b, a * b, -(a * b), x):
+        assert s.fac[2] and s._den is None
+        den = s.den
+        assert den == field._product(*s.fac) and s.den is den
+
+
+def test_factored_equality_reads_the_whole_factorization():
+    """Two factored scalars with one numerator are equal exactly when
+    their content, monomial and factors with exponents all agree."""
+    two, a = Scalar.integer(2, K), (ONE - T).inv()
+    cs = [*(d.inv() for d in (two, Scalar.integer(3, K), T, Q1, T * Q1)),
+          a, (ONE + T).inv(), a * a, a / two, a / T]
+    assert all(c.fac is not None for c in cs)
+    for i, x in enumerate(cs):
+        for j, y in enumerate(cs):
+            assert (x == y) == (i == j) == (x == _plain(y))
+
+
+def test_a_denominator_past_the_limit_raises_when_read():
+    """1 - t^(2^30) q1 is one interned linear factor, so the square of
+    s = 1 / (1 - t^(2^30) q1) is built from exponents alone.  Its
+    denominator holds t^(2^31), past MAX_EXP, and each read of it raises
+    ValueError rather than carrying into the field of q1."""
+    s = (ONE - Scalar.t(K, 2 ** 30) * Q1).inv()
+    (fid, e), = s.fac[2].items()
+    square = s * s
+    assert e == 1 and square.fac == (1, 0, {fid: 2}) and square == s * s
+    for read in (render_scalar, scalar_to_json, hash, _plain):
+        with pytest.raises(ValueError):
+            read(square)
 
 
 def test_a_non_unit_binomial_of_non_primitive_direction_is_not_split():

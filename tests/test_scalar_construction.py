@@ -1,12 +1,12 @@
 """Every scalar the program builds comes from its RepContext, and only
-field.py reads a scalar's fraction.
+field.py reads a scalar's fraction or its factorization.
 
 RepContext.scalar is the one constructor outside field.py, so the
 coefficient field is decided in one place.  This file parses
 src/dahamac with ast and fails on a call of a Scalar constructor
 (Scalar(...), Scalar.zero, .one, .integer, .t, .q, .param_monomial)
 anywhere else, apart from the entries of ALLOWED, and on any read of
-an attribute num or den outside field.py.
+an attribute num, den or fac outside field.py.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ THE_CONSTRUCTOR = "rep.RepContext.scalar"
 
 # call sites kept outside the context, each with its reason
 ALLOWED = {}
-FRACTION = {"num", "den"}
+FRACTION = {"num", "den", "fac"}
 
 
 def _is_scalar(node):
