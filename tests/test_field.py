@@ -370,16 +370,16 @@ def _unreachable(*args):
 def test_gcd_when_an_evaluation_point_is_a_root(sympy):
     """f = q2 (t - q1)(2 q1^2 q2^2 + 1) and g = t^3 q2^4 (2 q1^2 q2^2 + 1)
     reach the heuristic gcd (2 q1^2 q2^2 + 1 does not split), which
-    evaluates both at t = 33, then at q1 = 33, a root of f's image: the
-    zero image says nothing about the gcd, so the next point is taken,
-    where a gcd of 1 came back and left a + b unreduced below."""
+    evaluates both at t = 33, then at q1 = 33, a root of f's image.  A
+    zero image says nothing about the gcd, so the next point is taken;
+    read as a gcd of 1, it would leave a + b below unreduced."""
     f = _packed({(1, 2, 3): 2, (1, 0, 1): 1, (0, 3, 3): -2, (0, 1, 1): -1})
     g = _packed({(3, 2, 6): 2, (3, 0, 4): 1})
     _check_gcd_triple(sympy, f, g)
     _check_gcd_triple(sympy, g, f)
-    a = Q1 / (Q2 * (T - Q1) * (Scalar.integer(2, K) * Q1 * Q1 * Q2 * Q2 + ONE))
-    b = -Q1 ** 4 / (T ** 3 * Q2 ** 4 * (Scalar.integer(2, K) * Q1 * Q1
-                                        * Q2 * Q2 + ONE))
+    common = Scalar.integer(2, K) * Q1 * Q1 * Q2 * Q2 + ONE
+    a = Q1 / (Q2 * (T - Q1) * common)
+    b = -Q1 ** 4 / (T ** 3 * Q2 ** 4 * common)
     assert (a.den, b.den) == (f, g)
     assert_canonical(a + b)
 
@@ -676,18 +676,18 @@ def test_factored_arithmetic_matches_the_gcd_path(a, b):
     path computes from the operands' plain twins, and equals its own
     plain twin, both ways round and with equal hashes."""
     pa, pb = _plain(a), _plain(b)
-    for got, want in ((a + b, pa + pb), (b + a, pb + pa), (a - b, pa - pb),
-                      (b - a, pb - pa), (a * b, pa * pb), (b * a, pb * pa),
-                      (a / b, pa / pb), (b.inv(), pb.inv())):
+    cases = [(a + b, pa + pb), (b + a, pb + pa), (a - b, pa - pb),
+             (b - a, pb - pa), (a * b, pa * pb), (b * a, pb * pa),
+             (a / b, pa / pb), (b.inv(), pb.inv())]
+    if a:
+        cases.append((b / a, pb / pa))
+    for got, want in cases:
         assert (got.num, got.den) == (want.num, want.den)
         twin = _plain(got)
         assert got == want == twin and twin == got
         assert hash(got) == hash(want) == hash(twin)
         assert_canonical(got)
         _check_factorization(got)
-    if a:
-        got, want = b / a, pb / pa
-        assert (got.num, got.den) == (want.num, want.den) and got == want
     # the sum of a - b and b is a again, over a's smaller denominator,
     # so it must cancel factors that both terms have
     back = (a - b) + b
