@@ -41,22 +41,23 @@ kept, and a factor's power past MAX_EXP raises there, while a product's
 monomial is checked when it is built.  A canonical denominator has
 exactly one factorization, so == compares (k, num, fac) when both sides
 are factored.  A denominator of one term, or of two that split, is
-factored when a Scalar is built; sums, products, clear_denominators and
-the solved entries of solve_column over factored Scalars are factored
-again, with their lcms and cofactors read off the exponents and only
-trial divisions by known factors; a linear factor u +- w is first tested
-by one pass over the numerator (_linear_divides).  solve_column, one
-column of a triangular system, puts the column over one common
-denominator, checks its equations by cross-multiplying, with no
-reduction, and reduces once, the solved entry.  The symmetrizer's
-normaliser is inverted factored when trial division by the factors of
-its input's denominators and the Phi_d(t) leaves a monomial
-(inverse_over_known_factors).  Any other denominator, of three or more
-terms as from a pivot of the linear algebra or a normaliser that the
-trial leaves more than a monomial, or a binomial that does not split,
-takes the general path through p_gcd, and the input decides which path
-an operation takes.  scalar_from_json reduces its input by p_gcd, and
-the Scalar it returns is factored when its denominator is.
+factored when a Scalar is built; sums, products, the lcm over which a
+KroneckerRing clears its input (_cleared) and the solved entries of
+solve_column over factored Scalars are factored again, with their lcms
+and cofactors read off the exponents and only trial divisions by known
+factors; a linear factor u +- w is first tested by one pass over the
+numerator (_linear_divides).  solve_column, one column of a triangular
+system, puts the column over one common denominator, checks its
+equations by cross-multiplying, with no reduction, and reduces once,
+the solved entry.  The symmetrizer's normaliser is inverted factored
+when trial division by the factors of that lcm and the Phi_d(t) leaves
+a monomial (inverse_over_known_factors).  Any other denominator, of
+three or more terms as from a pivot of the linear algebra or a
+normaliser that the trial leaves more than a monomial, or a binomial
+that does not split, takes the general path through p_gcd, and the
+input decides which path an operation takes.  scalar_from_json
+reduces its input by p_gcd, and the Scalar it returns is factored when
+its denominator is.
 
 p_gcd(f, g) returns (h, f/h, g/h).  An operand of one term, or of two
 that split into known factors, settles it (_split_gcd): _cancel reduces
@@ -1015,38 +1016,6 @@ class Scalar:
         return ev(self.num) / ev(self.den)
 
 
-def clear_denominators(scalars, k):
-    """(D, [c * D for c in scalars]) with D the lcm of the denominators,
-    all as Scalars in k parameters with denominator 1.
-
-    When every denominator is factored, D takes each factor's largest
-    exponent, and D / den is the product of the rest.  Otherwise D grows
-    by one distinct denominator at a time, and the cofactors of that
-    step's p_gcd keep D / den for every denominator seen, so no exact
-    division is needed.
-    """
-    scalars = list(scalars)
-    if all(c.fac is not None for c in scalars):
-        return _factored_lcm(scalars, k)
-    lcm = {0: 1}
-    mult = {}                 # denominator -> lcm / denominator
-    keys = []
-    for c in scalars:
-        key = frozenset(c.den.items())
-        keys.append(key)
-        if key in mult:
-            continue
-        _, lcm_g, den_g = p_gcd(lcm, c.den)
-        if not _is_one(den_g):
-            lcm = p_mul(lcm, den_g)
-            for kk, m in mult.items():
-                mult[kk] = p_mul(m, den_g)
-        mult[key] = lcm_g
-    out = [Scalar(p_mul(c.num, mult[key]), {0: 1}, k)
-           for c, key in zip(scalars, keys)]
-    return Scalar(lcm, {0: 1}, k), out
-
-
 def _lcm_of(facs):
     """The lcm (c, m, fs) of factorizations."""
     return reduce(lambda a, b: _lcm(a, b)[:3], facs, (1, 0, _NO_FACTORS))
@@ -1057,28 +1026,48 @@ def _cofactor(lcm, fac):
     return _product(lcm[0] // fac[0], lcm[1] - fac[1], _lcm(lcm, fac)[5])
 
 
-def _factored_lcm(scalars, k):
-    """clear_denominators when every denominator is factored."""
-    keys = [(ci, mi, tuple(fi.items())) for ci, mi, fi in
-            (s.fac for s in scalars)]
-    facs = {key: s.fac for key, s in zip(keys, scalars)}
-    lcm = _lcm_of(facs.values())
-    # lcm / denominator, for each distinct factorization
-    mult = {key: _cofactor(lcm, fac) for key, fac in facs.items()}
-    out = [Scalar(p_mul(s.num, mult[key]), {0: 1}, k)
-           for key, s in zip(keys, scalars)]
-    return Scalar(_product(*lcm), {0: 1}, k), out
+def _cleared(scalars, k):
+    """(1 / D, [c.num * (D / c.den) for c in scalars]), D the lcm of
+    the scalars' denominators, each numerator a polynomial dict; 1 / D
+    is a Scalar in k parameters, factored when every denominator is.
+
+    When every denominator is factored, D takes each factor's largest
+    exponent, and D / den is the product of the rest, once per distinct
+    factorization.  Otherwise D grows through p_gcd by one distinct
+    denominator at a time, and each D / den is one exact division.
+    """
+    scalars = list(scalars)
+    if all(s.fac is not None for s in scalars):
+        keys = [(c, m, tuple(fs.items())) for c, m, fs in
+                (s.fac for s in scalars)]
+        facs = dict(zip(keys, (s.fac for s in scalars)))
+        lcm = _lcm_of(facs.values())
+        clearing = Scalar({0: 1}, None, k, lcm)
+        mult = {key: _cofactor(lcm, fac) for key, fac in facs.items()}
+    else:
+        keys = [frozenset(s.den.items()) for s in scalars]
+        dens = dict(zip(keys, (s.den for s in scalars)))
+        lcm = {0: 1}
+        for den in dens.values():
+            lcm = p_mul(lcm, p_gcd(lcm, den)[2])
+        clearing = Scalar({0: 1}, lcm, k)
+        acc = _keys_or(lcm)
+        mult = {key: p_exact_div(lcm, den, _guards(acc), acc)
+                for key, den in dens.items()}
+    return clearing, [p_mul(s.num, mult[key])
+                      for key, s in zip(keys, scalars)]
 
 
-def inverse_over_known_factors(norm, scalars, n):
+def inverse_over_known_factors(norm, known, n):
     """1 / norm for a nonzero norm of denominator 1, factored when norm
-    is +-c times a monomial times candidate factors: each factor of the
-    scalars' factored denominators to its exponent in their lcm, and
-    Phi_d(t), 2 <= d <= n, to n // d more, its exponent in
-    prod_{m<=n} [m]_t.  _cancel trial-divides by them, and any other
-    cofactor keeps norm.inv(), whose products take the gcd path."""
-    facs = (s.fac for s in scalars if s.fac is not None)
-    trial = dict(_lcm_of(facs)[2])
+    is +-c times a monomial times candidate factors: each factor of
+    known's denominator to its exponent there, and Phi_d(t),
+    2 <= d <= n, to n // d more, its exponent in prod_{m<=n} [m]_t.
+    known is a KroneckerRing's clearing, 1 / D.  _cancel trial-divides
+    by them, and any other cofactor keeps norm.inv(), whose products
+    take the gcd path.  An unfactored known, as when some denominator
+    behind D is, adds no candidate, and the inverse is still exact."""
+    trial = dict(known.fac[2]) if known.fac is not None else {}
     for d in range(2, n + 1):
         fid = _factor(1 << norm.k * FIELD_BITS, 0, 1, 0, d)
         trial[fid] = trial.get(fid, 0) + n // d
@@ -1224,10 +1213,14 @@ class KroneckerRing:
     one chain of integral coefficients and what is read at its end.
 
     The chain takes polynomials f_m in Z[t, q] (the coefficients, one
-    per x-monomial m, of its input f) to F_m.  The caller gives f as
-    coefficients g_m and a monomial u = prod_l q_l^lift[l], with
-    f_m = u g_m, and packs f_m as pack(g_m) times the action of u.  It
-    bounds the chain:
+    per x-monomial m, of its input f) to F_m.  The caller gives the
+    coefficients c_m of a rational input as they are, with any
+    denominators, and a monomial u = prod_l q_l^lift[l]; the ring
+    clears them over one lcm D of their denominators (_cleared), so
+    that f_m = c_m D u, and sizes itself from those.  ring.packed holds
+    the packed f_m in the order of coeffs, and ring.clearing is 1 / D,
+    a Scalar factored when every denominator is.  The caller bounds the
+    chain:
 
     - ||F||_1 <= growth * ||f||_1, where ||.||_1 sums the absolute
       values of the integer coefficients over every x-monomial and every
@@ -1295,7 +1288,7 @@ class KroneckerRing:
     def __init__(self, k, coeffs, growth, t_rise, q_rise=None, lift=None,
                  weights=()):
         self.k = k
-        coeffs = [c.num for c in coeffs]
+        self.clearing, coeffs = _cleared(coeffs, k)
         norm = sum(map(_norm1, coeffs))
         lift, q_rise = lift or {}, q_rise or {}
         top = [e + lift.get(v, 0) for v, e in
@@ -1320,6 +1313,8 @@ class KroneckerRing:
         self._actions = {}
         self._at = {}         # packed monomial -> its bit position
         self.one_minus_t = _OneMinusShift(self.bits)
+        up = sum(e * self._places[ell][2] for ell, e in lift.items())
+        self.packed = [self._pack(f, up) for f in coeffs]
 
     def _shift(self, m):
         s = self._at.get(m)
@@ -1328,10 +1323,10 @@ class KroneckerRing:
                                   for sh, _, w in self._places)
         return s
 
-    def _pack(self, f):
-        """f's packed value, summed in halves of its terms sorted by
-        position, each half relative to its lowest: a term-by-term sum
-        would cost the full width once per term."""
+    def _pack(self, f, up=0):
+        """The packed value of f times 2^up, summed in halves of f's
+        terms sorted by position, each half relative to its lowest: a
+        term-by-term sum would cost the full width once per term."""
         terms = sorted((self._shift(m), c) for m, c in f.items())
 
         def half(lo, hi):
@@ -1341,13 +1336,7 @@ class KroneckerRing:
             return half(lo, mid) + (half(mid, hi)
                                     << terms[mid][0] - terms[lo][0])
 
-        return half(0, len(terms)) << terms[0][0] if terms else 0
-
-    def pack(self, s: Scalar) -> int:
-        """The packed value of a scalar with denominator 1."""
-        if not _is_one(s.den):
-            raise ValueError("only an integral scalar packs")
-        return self._pack(s.num)
+        return half(0, len(terms)) << terms[0][0] + up if terms else 0
 
     def unpack(self, v) -> Scalar:
         """The integral scalar whose packed value is v, read in balanced

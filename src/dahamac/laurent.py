@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 
-from .field import clear_denominators, integer, power_text, render_scalar, \
-    scalar_from_json, scalar_to_json, signed_sum
+from .field import integer, power_text, render_scalar, scalar_from_json, \
+    scalar_to_json, signed_sum
 
 
 class LaurentPoly:
@@ -176,13 +176,6 @@ def xi(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
                 mm[base], mm[base + 1] = b - step, a + step
                 put(tuple(mm), nc)
     return LaurentPoly(p.r, p.n, p.k, acc)
-
-
-def clear_poly_denominators(p: LaurentPoly):
-    """(D, D * p) with D the lcm of p's coefficient denominators, so
-    every coefficient of D * p has denominator 1."""
-    norm, coeffs = clear_denominators(p.terms.values(), p.k)
-    return norm, LaurentPoly(p.r, p.n, p.k, dict(zip(p.terms, coeffs)))
 
 
 def multidegree(p: LaurentPoly):

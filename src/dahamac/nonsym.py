@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import affine
 from .field import MAX_EXP, KroneckerRing, Scalar, integer
-from .laurent import LaurentPoly, clear_poly_denominators, multidegree
+from .laurent import LaurentPoly, multidegree
 from .rep import RepContext, apply_T, apply_pi, apply_Y, matrix_of, \
     component_basis, apply_operator_expr
 from .linalg import joint_left_kernel, triangular_family
@@ -376,11 +376,12 @@ def check_record(ctx: RepContext, rec: MacdonaldRecord) -> bool:
     divides group ell's coefficients by q_ell^(last exponent) <=
     q_ell^(M_ell), so no coefficient inside Y_i has a denominator.
 
-    c E is packed once into a field.KroneckerRing, given the weights,
-    and the unchanged Y_i runs on the packed ints through a context of
-    that ring.  The ring's comparison is the polynomial one (its
-    docstring proves it) given these bounds on the chain, with R the
-    largest sum of |x-exponents| of a term of c E:
+    E's coefficients go to a field.KroneckerRing as they are, with the
+    lift prod_ell q_ell^(M_ell) and the weights; the ring clears them
+    over D and packs c E once, and the unchanged Y_i runs on the packed
+    ints through a context of that ring.  The ring's comparison is the
+    polynomial one (its docstring proves it) given these bounds on the
+    chain, with R the largest sum of |x-exponents| of a term of c E:
 
     - ||T_j f||_1 <= (1 + 2R) ||f||_1.  s_j permutes terms; a term's
       xi_j pieces over the r groups number at most sum over groups of
@@ -412,21 +413,21 @@ def check_record(ctx: RepContext, rec: MacdonaldRecord) -> bool:
 
 def _pack_record(ctx: RepContext, rec: MacdonaldRecord):
     """(ring, c E on packed ints) for check_record, which states c and
-    the bounds given to the ring."""
-    _, poly = clear_poly_denominators(rec.poly)
+    the bounds given to the ring.  The ring takes E's coefficients as
+    they are, clears them over D and lifts them by prod_ell
+    q_ell^(M_ell); its packed values are those of c E."""
+    terms = rec.poly.terms
     n, r = ctx.n, ctx.r
     tops, lows = {}, {}
     for ell in range(1, r + 1):
-        exps = [e for m in poly.terms for e in m[(ell - 1) * n:ell * n]]
+        exps = [e for m in terms for e in m[(ell - 1) * n:ell * n]]
         top, low = max(exps, default=0), min(exps, default=0)
         if top > 0:
             tops[ell] = top
         if low < 0:
             lows[ell] = -low
-    reach = max((sum(map(abs, m)) for m in poly.terms), default=0)
-    ring = KroneckerRing(ctx.k, poly.terms.values(),
+    reach = max((sum(map(abs, m)) for m in terms), default=0)
+    ring = KroneckerRing(ctx.k, terms.values(),
                          growth=(3 + 2 * reach) ** (n - 1), t_rise=n - 1,
                          q_rise=lows, lift=tops, weights=rec.weight)
-    up = ring.monomial(q=tops)
-    return ring, LaurentPoly(r, n, ctx.k, {m: ring.pack(c) * up
-                                           for m, c in poly.terms.items()})
+    return ring, LaurentPoly(r, n, ctx.k, dict(zip(terms, ring.packed)))

@@ -56,10 +56,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .field import KroneckerRing, Scalar, integer, inverse_over_known_factors
-from .laurent import LaurentPoly, clear_poly_denominators
+from .laurent import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -222,16 +222,16 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
     Each level's chain extends the previous term by one T, so the whole
     symmetrizer costs n(n-1)/2 T-applications.
 
-    The chain runs over Z[t, q].  The input is multiplied once by the
-    lcm D of its coefficient denominators, and level m by t^(m-1), so
-    T_k ... T_{m-1} carries the weight t^(k-1) and the level's
-    normalizer is [m]_t.  T_j has coefficients in Z[t], so every
-    coefficient in the chain keeps denominator 1.  D p is packed once
-    into a field.KroneckerRing, the unchanged T_j run on the packed
-    ints through a context of that ring, and each distinct output int
-    is unpacked once.  The ring's unpacking is exact (its docstring
-    proves it) given these bounds on the chain, with R the largest sum
-    of |x-exponents| of a term of D p:
+    The chain runs over Z[t, q].  p's coefficients go to a
+    field.KroneckerRing as they are; the ring clears them over the lcm
+    D of their denominators and packs D p once.  Level m is multiplied
+    by t^(m-1), so T_k ... T_{m-1} carries the weight t^(k-1) and the
+    level's normalizer is [m]_t.  T_j has coefficients in Z[t], so
+    every coefficient in the chain keeps denominator 1.  The unchanged
+    T_j run on the packed ints through a context of the ring, and each
+    distinct output int is unpacked once.  The ring's unpacking is
+    exact (its docstring proves it) given these bounds on the chain,
+    with R the largest sum of |x-exponents| of a term of p:
 
     - ||T_j f||_1 <= (1 + 2R) ||f||_1, and R never grows (see
       nonsym.check_record);
@@ -245,39 +245,34 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
     - the q-degrees do not rise.
 
     The integral image is divided once, by the normaliser
-    D prod_{m<=n} [m]_t, or with monic_at by its own coefficient at
-    that flat exponent tuple (ArithmeticError if it has none).  The
-    normaliser is factored before it is inverted
-    (field.inverse_over_known_factors), by trial division by the
-    factors of the input's denominators, which are D's, and by the
-    Phi_d(t), d <= n, which are the brackets'.  When that leaves +-c
-    times a monomial, as it did for all 106 normalisers of one
-    `stability` bench pass (the monic ones were seen to be D times a
-    monomial times brackets, a rule the code does not rely on), each
-    distinct output coefficient takes one factored product and no gcd.
+    D prod_{m<=n} [m]_t, D the inverse of the ring's clearing 1 / D, or
+    with monic_at by its own coefficient at that flat exponent tuple
+    (ArithmeticError if it has none).  The normaliser is factored
+    before it is inverted (field.inverse_over_known_factors), by trial
+    division by the factors of D, read off the clearing's factored
+    denominator, and by the Phi_d(t), d <= n, which are the brackets'.
+    When some input denominator is unfactored, so is D, and only the
+    Phi_d(t) are tried.  When that leaves +-c times a monomial, as it
+    did for all 118 normalisers of one `stability` bench pass, 12 of
+    them at n = 1 (the monic ones were seen to be D times a monomial
+    times brackets, a rule the code does not rely on), each distinct
+    output coefficient takes one factored product and no gcd.
     Otherwise the inverse keeps no factorization and each takes one gcd
     reduction, so any input stays exact.  Values repeat (465 distinct
     among the 1,451 output coefficients of one `stability` bench pass),
     but not along S_n orbits of the exponent columns: 63 of the 72
     terms of P(((3,1,0),(2,0,0))) at n = 3, r = 2 differ from some term
-    of their column orbit.  At n = 1 there is no chain and no ring: the
-    sum is p.
+    of their column orbit.  At n = 1 the chain has no level, and the
+    image D p over D is p, or p over its coefficient at monic_at.
     """
     n = ctx.n
-    if n == 1:
-        if monic_at is None:
-            return p
-        return p.smul(_term_at(p, monic_at).inv())
-    coeffs = p.terms.values()
-    norm, p = clear_poly_denominators(p)
     reach = max((sum(map(abs, m)) for m in p.terms), default=0)
     ring = KroneckerRing(ctx.k, p.terms.values(),
                          growth=math.factorial(n)
                          * (1 + 2 * reach) ** (n * (n - 1) // 2),
                          t_rise=n * (n - 1) // 2)
     packed = RepContext(n, ctx.r, ctx.k, ring)
-    p = LaurentPoly(p.r, n, p.k,
-                    {m: ring.pack(c) for m, c in p.terms.items()})
+    p = LaurentPoly(p.r, n, p.k, dict(zip(p.terms, ring.packed)))
     for m in range(2, n + 1):
         acc = p.smul(packed.scalar(t=m - 1))
         cur = p
@@ -287,11 +282,12 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
         p = acc
     images = {c: ring.unpack(c) for c in set(p.terms.values())}
     if monic_at is None:
+        norm = ring.clearing.inv()
         for m in range(2, n + 1):
             norm = norm * t_bracket(ctx, m)
     else:
         norm = images[_term_at(p, monic_at)]
-    inv = inverse_over_known_factors(norm, coeffs, n)
+    inv = inverse_over_known_factors(norm, ring.clearing, n)
     quotients = {c: s * inv for c, s in images.items()}
     return LaurentPoly(p.r, n, p.k,
                        {m: quotients[c] for m, c in p.terms.items()})
@@ -306,8 +302,12 @@ def _term_at(p: LaurentPoly, flat):
     return p.terms[flat]
 
 
+@cache
 def t_bracket(ctx: RepContext, m=None) -> Scalar:
-    """[m]_t = 1 + t + ... + t^(m-1), with m = n by default."""
+    """[m]_t = 1 + t + ... + t^(m-1), with m = n by default; built once
+    per (context, m).  nonsym.clear_cache leaves this cache alone: a
+    bracket depends on the context and m alone, as RepContext.one_minus_t
+    does, and no cache of E, P or Y matrices changes it."""
     total = ctx.scalar(0)
     for e in range(ctx.n if m is None else m):
         total = total + ctx.scalar(t=e)

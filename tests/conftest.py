@@ -40,3 +40,14 @@ def oracle_cases():
           for b in compositions(1, 3)),
         (c32, ((0, 1, 1), (0, 2, 0))),
     ]
+
+
+@pytest.fixture(scope="session")
+def pack():
+    """pack(ring, s): the packed value on a field.KroneckerRing of an
+    integral scalar s that need not be among the ring's coefficients,
+    through the ring's private packing of a numerator."""
+    def pack(ring, s):
+        assert s.den == {0: 1}
+        return ring._pack(s.num)
+    return pack

@@ -191,9 +191,10 @@ def test_distributivity(a, b, c, pt):
 
 @given(st.lists(scalars(), min_size=1, max_size=4))
 def test_clear_denominators_is_the_lcm(cs):
-    d, out = field.clear_denominators(cs, K)
-    assert d.den == {0: 1} and all(c.den == {0: 1} for c in out)
-    assert all(o == c * d for c, o in zip(cs, out))
+    clearing, out = field._cleared(cs, K)
+    assert clearing.num == {0: 1}
+    d = clearing.inv()
+    assert all(Scalar(o, {0: 1}, K) == c * d for c, o in zip(cs, out))
     # D is the least common multiple: the cofactors D / den share no
     # factor, not even an integer one
     common = {}
@@ -247,14 +248,14 @@ def assert_canonical(s):
 @given(scalars(), scalars(), scalars(allow_zero=False),
        st.integers(-3, 3), _PARAM_POLYS)
 def test_every_result_is_canonical(a, b, c, e, common):
-    d, cleared = field.clear_denominators([a, b, c], K)
+    clearing, _ = field._cleared([a, b, c], K)
     # the JSON of a with num and den both multiplied by common
     common = _packed(common)
     blown_up = {"num": field._poly_to_json(field.p_mul(a.num, common), K),
                 "den": field._poly_to_json(field.p_mul(a.den, common), K)}
     decoded = scalar_from_json(blown_up)
     assert decoded == a
-    for s in (a + b, a - b, a * b, a / c, c.inv(), c ** e, d, *cleared,
+    for s in (a + b, a - b, a * b, a / c, c.inv(), c ** e, clearing,
               decoded):
         assert_canonical(s)
 
@@ -558,42 +559,85 @@ def _integral(p):
 
 
 @given(_PARAM_POLYS, _PARAM_POLYS)
-def test_packing_is_one_to_one_within_its_bound(f, g):
+def test_packing_is_one_to_one_within_its_bound(pack, f, g):
     # with growth 1 and the weight 1, the ring's bound covers f - g
     f, g = _integral(f), _integral(g)
     ring = field.KroneckerRing(K, [f, g], growth=1, t_rise=0,
                                weights=[ONE])
-    assert (ring.pack(f) == ring.pack(g)) == (f == g)
-    assert ring.pack(f) - ring.pack(g) == ring.pack(f - g)
+    pf, pg = ring.packed
+    assert (pf == pg) == (f == g)
+    assert pf - pg == pack(ring, f - g)
 
 
-def test_packed_actions():
+def test_packed_actions(pack):
     ring = field.KroneckerRing(K, [T * Q1], growth=1, t_rise=0,
                                weights=[ONE])
-    tq = ring.pack(T * Q1)
-    assert tq * ring.monomial(q={1: -1}) == ring.pack(T)
-    assert tq * ring.monomial(2, t=-1) == ring.pack(Q1 + Q1)
+    tq, = ring.packed
+    assert tq * ring.monomial(q={1: -1}) == pack(ring, T)
+    assert tq * ring.monomial(2, t=-1) == pack(ring, Q1 + Q1)
     assert tq * ring.monomial(-1, t=1, q={2: 2}) == \
-        ring.pack(-(T * T * Q1 * Q2 * Q2))
-    assert ring.pack(T) * ring.one_minus_t == ring.pack(T - T * T)
+        pack(ring, -(T * T * Q1 * Q2 * Q2))
+    assert pack(ring, T) * ring.one_minus_t == pack(ring, T - T * T)
     # a one-term num or den acts by a shift, a longer one is its packing
     num, den = ring.fraction((ONE + T) / Q2)
-    assert num == ring.pack(ONE + T) and 1 * den == ring.pack(Q2)
+    assert num == pack(ring, ONE + T) and 1 * den == pack(ring, Q2)
 
 
-def test_packed_division_is_exact_or_refused():
+def test_packed_division_is_exact_or_refused(pack):
     ring = field.KroneckerRing(K, [T * Q1], growth=1, t_rise=0,
                                weights=[ONE])
     with pytest.raises(ArithmeticError):
-        ring.pack(T) * ring.monomial(q={1: -1})
+        pack(ring, T) * ring.monomial(q={1: -1})
     with pytest.raises(ArithmeticError):
         1 * ring.monomial(t=-1)
     with pytest.raises(ArithmeticError):
-        -ring.pack(T * Q1 + ONE) * ring.monomial(q={1: -1})
+        -pack(ring, T * Q1 + ONE) * ring.monomial(q={1: -1})
     with pytest.raises(ValueError, match="q_3 outside session"):
         ring.monomial(q={3: 1})
-    with pytest.raises(ValueError, match="integral"):
-        ring.pack(ONE / (ONE - T))
+
+
+# The ring's input with factored denominators, with the general one
+# 1 + t + q1, and with both, and the lcm D of each, written out with
+# its lex-leading coefficient positive, as a denominator has it: the
+# factored lcm takes (1 - t) to its larger exponent and the integer 6
+# and q1 from single terms; the general one has the square of
+# 1 + t + q1 and the factor 2 + q2 of a four-term denominator.
+_GENERAL = ONE + T + Q1
+_FACTORED = [(T + Q1) / (ONE - T) / (ONE - T * T * Q2 * Q2),
+             Q2 / (ONE - T) / (ONE - T) / Q1,
+             ONE + T,
+             Scalar.integer(5, K) / Scalar.integer(6, K)]
+_UNFACTORED = [(T - Q1) / _GENERAL,
+               Q2 / (_GENERAL * _GENERAL),
+               ONE / (_GENERAL * (Scalar.integer(2, K) + Q2))]
+_FACTORED_LCM = (Scalar.integer(6, K) * Q1 * (T - ONE) * (T - ONE)
+                 * (T * T * Q2 * Q2 - ONE))
+_UNFACTORED_LCM = _GENERAL * _GENERAL * (Scalar.integer(2, K) + Q2)
+_CLEARING_CASES = {
+    "factored": (_FACTORED, _FACTORED_LCM),
+    "general": (_UNFACTORED, _UNFACTORED_LCM),
+    "mixed": (_FACTORED + _UNFACTORED, _FACTORED_LCM * _UNFACTORED_LCM),
+}
+
+
+@pytest.mark.parametrize("lift", [{}, {1: 2, 2: 1}])
+@pytest.mark.parametrize("case", sorted(_CLEARING_CASES))
+def test_the_ring_clears_its_input_over_one_lcm(pack, case, lift):
+    """ring.packed holds the packing of each c * D * u, u the lift's
+    monomial, in the order of the coefficients, and ring.clearing is
+    1 / D, factored exactly when every denominator is."""
+    coeffs, lcm = _CLEARING_CASES[case]
+    assert all(c.fac is not None for c in _FACTORED)
+    assert all(c.fac is None for c in _UNFACTORED)
+    ring = field.KroneckerRing(K, coeffs, growth=1, t_rise=0, lift=lift)
+    assert ring.clearing == lcm.inv()
+    assert (ring.clearing.fac is not None) == (case == "factored")
+    u = Scalar.param_monomial(K, 0, lift)
+    assert ring.packed == [pack(ring, c * lcm * u) for c in coeffs]
+    # every packed value carries u: taking it off leaves c * D
+    off = ring.monomial(q={ell: -e for ell, e in lift.items()})
+    assert [v * off for v in ring.packed] == \
+        [pack(ring, c * lcm) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -701,10 +745,8 @@ def test_factored_clear_denominators_matches_the_gcd_path(cs):
     # exponent; the lcm must take the higher one in either order
     cs = cs + [cs[0] * cs[0]]
     for order in (cs, cs[::-1]):
-        d, out = field.clear_denominators(order, K)
-        want_d, want = field.clear_denominators([_plain(c) for c in order],
-                                                K)
-        assert d == want_d and out == want
+        assert field._cleared(order, K) == \
+            field._cleared([_plain(c) for c in order], K)
 
 
 def test_factored_operands_take_the_factored_path(monkeypatch):
@@ -714,9 +756,9 @@ def test_factored_operands_take_the_factored_path(monkeypatch):
     b = Q2 / (ONE + T * T * T)
     assert a.fac and a.fac[2] and b.fac and b.fac[2]
     pa, pb = _plain(a), _plain(b)
-    want = [pa + pb, pa * pb, pa - pa, field.clear_denominators([pa, pb], K)]
+    want = [pa + pb, pa * pb, pa - pa, field._cleared([pa, pb], K)]
     monkeypatch.setattr(field, "p_gcd", _unreachable)
-    assert [a + b, a * b, a - a, field.clear_denominators([a, b], K)] == want
+    assert [a + b, a * b, a - a, field._cleared([a, b], K)] == want
 
 
 def test_factored_results_expand_their_denominator_when_read():
@@ -863,8 +905,9 @@ def _bracket(m):
 
 @st.composite
 def known_normalisers(draw):
-    """(norm, scalars, n): scalars over distinct split pieces, each to
-    the first or second power, and norm +-c times a monomial
+    """(norm, known, n): known t over the product of distinct split
+    pieces, each to the first or second power, and norm +-c times a
+    monomial
     times each piece to at most its power there, times [m]_t for some
     distinct m in 2..n, so that Phi_2(t) may come from both."""
     n = draw(st.integers(1, 4))
@@ -873,22 +916,22 @@ def known_normalisers(draw):
                                  {1: draw(st.integers(0, 2)),
                                   2: draw(st.integers(0, 2))},
                                  sign * draw(st.integers(1, 6)))
-    scalars = []
+    known = T
     split = [i for i in range(len(_PIECES)) if i != _UNSPLIT]
     # distinct pieces share no factor
     for i, e in draw(st.lists(st.tuples(st.sampled_from(split),
                                         st.integers(1, 2)),
                               max_size=3, unique_by=lambda x: x[0])):
         piece = Scalar(_packed(_PIECES[i]), {0: 1}, K)
-        scalars.append(T * piece.inv() ** e)
+        known = known * piece.inv() ** e
         norm = norm * piece ** draw(st.integers(0, e))
     for m in range(2, n + 1):
         if draw(st.booleans()):
             norm = norm * _bracket(m)
-    return norm, scalars, n
+    return norm, known, n
 
 
-def _check_inverse(norm, scalars, n, images, factored):
+def _check_inverse(norm, known, n, images, factored):
     """The inverse and the quotients of images by norm match norm.inv()
     and products with it; with factored, neither calls p_gcd."""
     want = norm.inv()
@@ -896,7 +939,7 @@ def _check_inverse(norm, scalars, n, images, factored):
     with pytest.MonkeyPatch.context() as mp:
         if factored:
             mp.setattr(field, "p_gcd", _unreachable)
-        got = field.inverse_over_known_factors(norm, scalars, n)
+        got = field.inverse_over_known_factors(norm, known, n)
         assert (got.fac is not None) == factored
         assert [image * got for image in images] == quotients
     assert got == want
@@ -907,9 +950,9 @@ def _check_inverse(norm, scalars, n, images, factored):
 
 @given(known_normalisers(), st.lists(_PARAM_POLYS, max_size=3))
 def test_a_normaliser_of_known_factors_is_inverted_factored(case, images):
-    norm, scalars, n = case
+    norm, known, n = case
     images = [Scalar(_packed(p), {0: 1}, K) for p in images]
-    _check_inverse(norm, scalars, n, images, True)
+    _check_inverse(norm, known, n, images, True)
 
 
 def test_a_normaliser_with_a_factor_off_the_candidates_falls_back():
@@ -918,8 +961,23 @@ def test_a_normaliser_with_a_factor_off_the_candidates_falls_back():
     piece = ONE - T * Q1
     norm = (ONE + T + Q1) * piece * _bracket(2) * _bracket(3)
     images = [(ONE + T + Q1) * Q2, piece * (ONE + T), T - Q2]
-    _check_inverse(norm, [piece.inv()], 3, images, False)
-    _check_inverse(norm * norm, [piece.inv() ** 2], 3, images, False)
+    _check_inverse(norm, piece.inv(), 3, images, False)
+    _check_inverse(norm * norm, piece.inv() ** 2, 3, images, False)
+
+
+def test_an_unfactored_known_gives_the_exact_inverse():
+    # 1 / D with D = (1 + t + q1)(1 - t q1) keeps no factorization, so
+    # it adds no candidate: a normaliser with D's factors falls back to
+    # norm.inv(), and one of Phi_d(t) and a monomial alone is still
+    # inverted factored
+    piece = ONE - T * Q1
+    known = (_GENERAL * piece).inv()
+    assert known.fac is None
+    images = [_GENERAL * Q2, piece * (ONE + T), T - Q2]
+    norm = _GENERAL * piece * _bracket(2) * _bracket(3)
+    _check_inverse(norm, known, 3, images, False)
+    _check_inverse(Scalar.integer(-2, K) * T * _bracket(2) * _bracket(3),
+                   known, 3, images, True)
 
 
 def test_a_normaliser_of_negative_lead_is_inverted_factored():
@@ -927,11 +985,11 @@ def test_a_normaliser_of_negative_lead_is_inverted_factored():
     norm = Scalar.param_monomial(K, 1, {2: 1}, -2) * piece * piece \
         * _bracket(2) * _bracket(2) * _bracket(3)
     assert norm.num[max(norm.num)] < 0
-    got = field.inverse_over_known_factors(norm, [Q1 * piece.inv() ** 2], 4)
+    got = field.inverse_over_known_factors(norm, Q1 * piece.inv() ** 2, 4)
     assert got.num == {0: -1} and got.fac[:2] == (2, field._pack((1, 0, 1)))
     assert sorted(got.fac[2].values()) == [1, 2, 2]
     images = [piece * T, Q1 * Q1 - T, Scalar.integer(-4, K)]
-    _check_inverse(norm, [Q1 * piece.inv() ** 2], 4, images, True)
+    _check_inverse(norm, Q1 * piece.inv() ** 2, 4, images, True)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from hypothesis import given, strategies as st
 
 from dahamac import affine, linalg, nonsym
 from dahamac.field import Scalar
-from dahamac.laurent import LaurentPoly, clear_poly_denominators, \
-    multidegree
+from dahamac.laurent import LaurentPoly, multidegree
 from dahamac.nonsym import (
     _pack_record,
     E,
@@ -449,17 +448,13 @@ def test_oracle_rejects_negative_indices():
 
 
 # The reference: check_record before its chain ran on packed ints, with
-# Y_i on Scalars and the weights compared as Scalars.
+# Y_i on Scalars and the weights compared as Scalars.  Y_i is linear, so
+# it runs on E's rational coefficients as they are, with no clearing and
+# no lift, and shares no clearing code with what it checks.
 
 
 def scalar_check_record(ctx, rec):
-    _, poly = clear_poly_denominators(rec.poly)
-    n = ctx.n
-    tops = {ell: max((e for m in poly.terms
-                      for e in m[(ell - 1) * n:ell * n]), default=0)
-            for ell in range(1, ctx.r + 1)}
-    poly = poly.smul(ctx.scalar(q={ell: e for ell, e in tops.items()
-                                   if e > 0}))
+    poly = rec.poly
     for i in range(1, ctx.n + 1):
         if apply_Y(ctx, i, poly) != poly.smul(rec.weight[i - 1]):
             return False
@@ -580,7 +575,7 @@ def test_packed_check_rejects_what_one_bit_less_would_accept():
     assert not _same_verdict(ctx, bad)
 
 
-def test_packed_check_rejects_what_a_shorter_t_radix_would_accept():
+def test_packed_check_rejects_what_a_shorter_t_radix_would_accept(pack):
     # a wrong weight w + t^T - q_1, with T the t-degree the record's ring
     # makes room for: t^T and q_1 pack alike when t has T digits, not
     # T + 1.  E is one monomial free of t, and the weight's den is free
@@ -590,7 +585,7 @@ def test_packed_check_rejects_what_a_shorter_t_radix_would_accept():
     T = ctx.n + 1
     bad = _wrong_weight(rec, 0, ctx.scalar(t=T) - ctx.scalar(q={1: 1}))
     ring, _ = _pack_record(ctx, bad)
-    assert ring.pack(ctx.scalar(t=T)) != ring.pack(ctx.scalar(q={1: 1}))
+    assert pack(ring, ctx.scalar(t=T)) != pack(ring, ctx.scalar(q={1: 1}))
     assert not _same_verdict(ctx, bad)
 
 
