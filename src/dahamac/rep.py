@@ -273,6 +273,7 @@ def symmetrize_eps(ctx: RepContext, p: LaurentPoly,
                          t_rise=n * (n - 1) // 2)
     packed = RepContext(n, ctx.r, ctx.k, ring)
     p = LaurentPoly(p.r, n, p.k, dict(zip(p.terms, ring.packed)))
+    ring.packed = None    # so that level 2 frees the input's ints
     for m in range(2, n + 1):
         acc = p.smul(packed.scalar(t=m - 1))
         cur = p
