@@ -40,9 +40,9 @@ from dahamac.field import Scalar, render_scalar  # noqa: E402
 from dahamac.laurent import LaurentPoly, poly_dumps  # noqa: E402
 
 E_BOX_SHAPES = ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))
-# (n, r, --max-deg, --seed)
-VERIFY_BOXES = ((1, 1, (2,), None), (2, 1, (2,), 3), (3, 1, (2,), None),
-                (1, 2, (1, 1), None), (2, 2, (1, 1), None))
+# (n, r, --max-deg)
+VERIFY_BOXES = ((1, 1, (2,)), (2, 1, (2,)), (3, 1, (2,)), (1, 2, (1, 1)),
+                (2, 2, (1, 1)))
 NAMES = (*workloads.WORKLOADS, "e-box", "verify-box")
 
 
@@ -72,9 +72,8 @@ def outputs(workload, order, limit=None):
 
         boxes = list(VERIFY_BOXES)
         random.Random(order).shuffle(boxes)
-        for n, r, bound, seed in boxes[:limit]:
-            yield cmd_verify(SessionConfig(n, r, r, max_deg=bound,
-                                           seed=seed), "all")
+        for n, r, bound in boxes[:limit]:
+            yield cmd_verify(SessionConfig(n, r, r, max_deg=bound), "all")
         return
     ops, ctxs = workloads.make_ops(workload, order)
     for op in ops[:limit]:

@@ -171,10 +171,22 @@ def test_apply_unknown_operator(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_apply_wants_exactly_one_input(capsys):
-    code, _, err = run(capsys, "apply", "--n", "2", "--q-count", "1",
-                       "--expr", "T1")
-    assert code == 2
+def test_apply_wants_exactly_one_input():
+    for sources, message in [
+            ((), "one of the arguments --poly --poly-file --mu is required"),
+            (("--mu=1,0", "--poly={}"),
+             "argument --poly: not allowed with argument --mu"),
+            (("--poly-file=p.json", "--mu=1,0"),
+             "argument --mu: not allowed with argument --poly-file")]:
+        code, out, err = _exit_code_out_err(
+            ["apply", "--n=2", "--q-count=1", "--expr=T1", *sources])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_apply_empty_operator_term_exits_2(capsys):
+    code, out, err = run(capsys, "apply", "--n", "2", "--mu", "1,0",
+                         "--expr", "T1 +")
+    assert (code, out, err) == (2, "", "error: empty operator term\n")
 
 
 def test_apply_generator_out_of_range(capsys):
@@ -268,7 +280,6 @@ def test_apply_reads_integers_strictly(argv):
     ["e", "--n", "1", "--r", "1_0", "--mu", "|".join("1" + "0" * 9)],
     ["e", "--n", "2", "--q-count", "1_0", "--mu", "1,0"],
     ["verify", "--n", "1", "--suite", "eigen", "--max-deg", "1_0"],
-    ["verify", "--n", "1", "--suite", "eigen", "--seed", "1_0"],
     ["stability", "--nu", "1_0", "--n-max", "2"],
     ["stability", "--nu", "1", "--n-max", "\u0662"],
 ])
@@ -448,8 +459,12 @@ def test_value_flags_cover_every_command():
 def test_double_dash_value_exits_2(command, flag, tmp_path, monkeypatch):
     # argparse drops "--" from "--flag=--" and stores [] unchecked
     monkeypatch.chdir(tmp_path)
-    code, out, err = _exit_code_out_err(
-        [command, *_VALID_ARGV[command], f"{flag}=--"])
+    base = _VALID_ARGV[command]
+    if flag in ("--poly", "--poly-file"):
+        # apply's other input source: with --mu as well, argparse
+        # refuses the pair before this value is read
+        base = [arg for arg in base if not arg.startswith("--mu=")]
+    code, out, err = _exit_code_out_err([command, *base, f"{flag}=--"])
     assert code == 2 and out == ""
     assert err == f"error: argument {flag}: expected one argument\n"
     assert not list(tmp_path.iterdir())
@@ -457,10 +472,9 @@ def test_double_dash_value_exits_2(command, flag, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, flag", [
     ("e", "--seed=3"), ("p", "--seed=3"), ("apply", "--seed=3"),
-    ("verify", "--format=json")])
+    ("verify", "--seed=3"), ("verify", "--format=json")])
 def test_flag_of_another_command_exits_2(command, flag):
-    # --seed only seeds verify's spot-checks, --format only renders
-    # e, p and apply
+    # no command takes --seed, and --format only renders e, p and apply
     code, out, err = _exit_code_out_err([command, *_VALID_ARGV[command], flag])
     assert code == 2 and out == ""
     assert err == f"error: unrecognized arguments: {flag}\n"
@@ -576,8 +590,7 @@ def _verify_argv(draw):
         bound = ",".join(map(str, bound))
     return (["verify", f"--suite={suite}", f"--n={n}", f"--r={r}",
              "--max-deg=" + bound]
-            + _optional_flag(draw, "--q-count", _int_like(0, 3))
-            + _optional_flag(draw, "--seed", _int_like(-1, 3)))
+            + _optional_flag(draw, "--q-count", _int_like(0, 3)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -663,15 +676,6 @@ def test_verify_verdict_is_the_conjunction_of_its_rows(capsys, monkeypatch):
         bad = [row["name"] for row in report["checks"] if not row["ok"]]
         assert bad == ["eigen: 0,1|1,0"]
         assert report["ok"] is False and code == 1
-
-
-def test_verify_seed_adds_spotcheck(capsys):
-    code, out, _ = run(capsys, "verify", "--n", "2", "--q-count", "1",
-                       "--suite", "daha-relations", "--max-deg", "1",
-                       "--seed", "7")
-    assert code == 0
-    report = json.loads(out)
-    assert any("seed=7" in row["name"] for row in report["checks"])
 
 
 def test_apply_refuses_a_gcd_past_its_image_limit(capsys):

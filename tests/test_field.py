@@ -190,7 +190,7 @@ def test_distributivity(a, b, c, pt):
 
 
 @given(st.lists(scalars(), min_size=1, max_size=4))
-def test_clear_denominators_is_the_lcm(cs):
+def test_cleared_is_the_lcm(cs):
     clearing, out = field._cleared(cs, K)
     assert clearing.num == {0: 1}
     d = clearing.inv()
@@ -740,7 +740,7 @@ def test_factored_arithmetic_matches_the_gcd_path(a, b):
 
 
 @given(st.lists(factored_scalars(), min_size=1, max_size=3))
-def test_factored_clear_denominators_matches_the_gcd_path(cs):
+def test_factored_cleared_matches_the_gcd_path(cs):
     # the square of the first scalar shares its factors to a higher
     # exponent; the lcm must take the higher one in either order
     cs = cs + [cs[0] * cs[0]]

@@ -614,6 +614,17 @@ def test_s_move_hypothesis_violations():
         knop_sahi_check(C22, ((1, 0), (1, 0)), ("s", 1, 2))
 
 
+def test_s_move_rejects_component_index():
+    # ell = r + 1: no row of gamma to raise
+    with pytest.raises(ValueError, match="component index out of range"):
+        knop_sahi_check(C22, ((1, 0), (0, 1)), ("s", 1, 3))
+
+
+def test_unknown_move_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown move kind 'bogus'"):
+        knop_sahi_check(C21, ((1, 0),), ("bogus",))
+
+
 # The reference: acceptance 05's enumeration of the moves, on its box.
 
 

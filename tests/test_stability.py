@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -270,6 +271,43 @@ def test_stable_family_skips_remark_when_undefined():
     fam = stable_family(StableIndex(((1,), (0, 1))), 3)
     assert fam.remark_value is None and fam.matches_remark is None
     assert fam.ok
+
+
+def _skew_P(monkeypatch, skew):
+    """stable_family's P, with each record replaced by skew(n, record)."""
+    real = stability.P
+    monkeypatch.setattr(stability, "P",
+                        lambda ctx, nu: skew(ctx.n, real(ctx, nu)))
+
+
+def test_stable_family_reports_a_projection_mismatch(monkeypatch):
+    _skew_P(monkeypatch, lambda n, rec: dataclasses.replace(
+        rec, poly=rec.poly + rec.poly) if n == 3 else rec)
+    fam = stable_family(StableIndex(((2, 1),)), 3)
+    assert fam.projections == {2: False}
+    assert fam.errors == ("projection mismatch: the size-3 member does "
+                          "not project onto the size-2 member",)
+
+
+def test_stable_family_reports_an_eigenvalue_that_depends_on_n(
+        monkeypatch):
+    # no partition-shape value for this index, so no second error
+    _skew_P(monkeypatch, lambda n, rec: dataclasses.replace(
+        rec, eigenvalue=rec.eigenvalue + rec.eigenvalue) if n == 3 else rec)
+    fam = stable_family(StableIndex(((1,), (0, 1))), 3)
+    assert not fam.eigenvalue_constant and fam.remark_value is None
+    assert fam.errors == ("eigenvalue n-dependence detected: the value at "
+                          "size 3 differs from the value at size 2",)
+
+
+def test_stable_family_reports_a_partition_shape_mismatch(monkeypatch):
+    # every member skewed alike: constant in n, but not the closed form
+    _skew_P(monkeypatch, lambda n, rec: dataclasses.replace(
+        rec, eigenvalue=rec.eigenvalue + rec.eigenvalue))
+    fam = stable_family(StableIndex(((2, 1),)), 3)
+    assert fam.eigenvalue_constant and fam.matches_remark is False
+    assert fam.errors == ("partition-shape eigenvalue formula differs from "
+                          "the computed eigenvalue at some size in range",)
 
 
 def test_stable_family_range_guard():
